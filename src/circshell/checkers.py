@@ -336,7 +336,7 @@ def _rotate_tree(t: ShedTree, r: int, n: int) -> ShedTree:
 
 
 def vertex_decomposition(
-    d: Complex, *, budget_s: float | None = None, symmetry: bool = False
+    d: Complex, *, budget_s: float | None = None
 ) -> CheckOutcome:
     """Search for a shed tree witnessing pure vertex decomposability.
 
@@ -344,20 +344,27 @@ def vertex_decomposition(
     x stays inside one of those after dropping x (deletion pure, same
     dimension; the link of a vertex in a pure complex is always pure).
     Candidates are tried in ascending label order; subcomplexes are
-    memoised by their exact facet family, optionally canonicalised
-    under cyclic rotation of the ambient labels (``symmetry=True``).
+    memoised by their exact facet family.  When the facet family is
+    invariant under the cyclic rotation v -> v + 1 (mod n), as for every
+    circulant's independence complex, memo keys are canonicalised under
+    rotation of the ambient labels; ``stats["rotations"]`` says which
+    memo ran.  Decomposability does not change under relabelling, so
+    either memo gives the same verdict.
     """
     _require_pure(d)
     start = time.monotonic()
     deadline = start + budget_s if budget_s is not None else None
     n = d.n
+    root = tuple(sorted(d.facet_masks))
+    family = set(root)
+    rotations = n > 1 and all(_rotate_mask(m, 1, n) in family for m in root)
     memo: dict[tuple[int, ...], tuple[bool, ShedTree | None, int]] = {}
     nodes = 0
     hits = 0
 
     def canonical(fmasks: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
         """Memo key and the rotation that reaches it from ``fmasks``."""
-        if not symmetry or n == 0:
+        if not rotations:
             return fmasks, 0
         best, best_r = fmasks, 0
         for r in range(1, n):
@@ -413,16 +420,17 @@ def vertex_decomposition(
         return result
 
     try:
-        ok, tree = solve(tuple(sorted(d.facet_masks)))
+        ok, tree = solve(root)
     except _BudgetExceeded:
         return CheckOutcome("unknown", None, {
-            "nodes": nodes, "memo_hits": hits,
+            "nodes": nodes, "memo_hits": hits, "rotations": rotations,
             "elapsed_s": time.monotonic() - start,
             "reason": "budget exhausted",
         })
     stats = {
         "nodes": nodes,
         "memo_hits": hits,
+        "rotations": rotations,
         "elapsed_s": time.monotonic() - start,
     }
     return CheckOutcome("yes" if ok else "no", tree if ok else None, stats)

@@ -60,7 +60,6 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 def run_check(kind: str, item: Graph | Complex, *,
               timeout_s: float | None = None,
-              symmetry: bool = False,
               face_cap: int = homology.DEFAULT_FACE_CAP) -> tuple[str, dict]:
     """Run one property check; returns (verdict, detail).
 
@@ -87,8 +86,7 @@ def run_check(kind: str, item: Graph | Complex, *,
         out = checkers.shelling(d, budget_s=timeout_s)
         return out.verdict, {"stats": out.stats, "outcome": out}
     if kind == "vd":
-        out = checkers.vertex_decomposition(d, budget_s=timeout_s,
-                                            symmetry=symmetry)
+        out = checkers.vertex_decomposition(d, budget_s=timeout_s)
         return out.verdict, {"stats": out.stats, "outcome": out}
     raise ValueError(f"unknown check kind {kind!r}; one of {CHECK_KINDS}")
 
@@ -114,8 +112,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         return 0 if ok else 1
 
     verdict, detail = run_check(
-        args.kind, item, timeout_s=args.timeout,
-        symmetry=args.symmetry, face_cap=args.face_cap)
+        args.kind, item, timeout_s=args.timeout, face_cap=args.face_cap)
     outcome = detail.pop("outcome", None)
 
     cert_path = None
@@ -184,9 +181,8 @@ def _emit_report(report: suites.SuiteReport, args: argparse.Namespace) -> int:
 
 def cmd_suite(args: argparse.Namespace) -> int:
     cfg = suites.RunConfig(
-        timeout_s=args.timeout, threads=args.threads, seed=args.seed,
-        symmetry=args.symmetry, deep=args.deep, face_cap=args.face_cap,
-        out_dir=args.out, bless=args.bless)
+        timeout_s=args.timeout, seed=args.seed, deep=args.deep,
+        face_cap=args.face_cap, out_dir=args.out, bless=args.bless)
     try:
         report = suites.run_suite(args.name, cfg)
     except KeyError as e:
@@ -196,9 +192,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
 
 
 def cmd_family(args: argparse.Namespace) -> int:
-    cfg = suites.RunConfig(
-        timeout_s=args.timeout, threads=args.threads, seed=args.seed,
-        symmetry=args.symmetry, out_dir=args.out)
+    cfg = suites.RunConfig(timeout_s=args.timeout, out_dir=args.out)
     report = suites.explore_family(args.s_min, args.s_max, cfg)
     return _emit_report(report, args)
 
@@ -222,9 +216,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("kind", choices=CHECK_KINDS)
     c.add_argument("desc", help="circulant shorthand, graph JSON, or complex JSON")
     c.add_argument("--timeout", type=float, default=None, metavar="S")
-    c.add_argument("--threads", type=int, default=1, metavar="N")
-    c.add_argument("--symmetry", action="store_true",
-                   help="enable cyclic-rotation memoization (vd)")
     c.add_argument("--face-cap", type=int, default=homology.DEFAULT_FACE_CAP,
                    metavar="N", help="max faces to enumerate (homology/cm)")
     c.add_argument("--certificate", metavar="PATH",
@@ -240,8 +231,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--deep", action="store_true",
                    help="include the long-running milestone instances")
     s.add_argument("--timeout", type=float, default=None, metavar="S")
-    s.add_argument("--threads", type=int, default=1, metavar="N")
-    s.add_argument("--symmetry", action="store_true")
     s.add_argument("--face-cap", type=int, default=homology.DEFAULT_FACE_CAP,
                    metavar="N")
     s.add_argument("--out", metavar="DIR",
@@ -256,9 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
     f.add_argument("s_max", type=int)
     f.add_argument("--timeout", type=float, default=None, metavar="S",
                    help="per-property budget in seconds (default 300)")
-    f.add_argument("--seed", type=int, default=0, metavar="N")
-    f.add_argument("--threads", type=int, default=1, metavar="N")
-    f.add_argument("--symmetry", action="store_true")
     f.add_argument("--out", metavar="DIR")
     f.add_argument("--json", action="store_true")
     f.set_defaults(func=cmd_family)

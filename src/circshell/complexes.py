@@ -37,6 +37,10 @@ def _tuple_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+class FaceLimitError(RuntimeError):
+    """Face enumeration exceeded the configured resource cap."""
+
+
 @dataclass(frozen=True)
 class Complex:
     """Immutable simplicial complex given by its facet list."""
@@ -109,9 +113,12 @@ class Complex:
             m |= fm
         return _tuple_of(m)
 
-    def f_vector(self) -> dict[int, int]:
-        """Face counts by dimension, including ``f[-1] = 1`` when nonvoid."""
-        seen = set()
+    def face_masks(self, cap: int | None = None) -> set[int]:
+        """Every face as a bitmask, the empty face included.
+
+        Raises :class:`FaceLimitError` once more than ``cap`` faces appear.
+        """
+        seen: set[int] = set()
         for fm in self.facet_masks:
             stack = [fm]
             while stack:
@@ -119,12 +126,21 @@ class Complex:
                 if m in seen:
                     continue
                 seen.add(m)
+                if cap is not None and len(seen) > cap:
+                    raise FaceLimitError(
+                        f"complex has more than {cap} faces; raise the face "
+                        f"cap to proceed"
+                    )
                 mm = m
                 while mm:
                     stack.append(m & ~(mm & -mm))
                     mm &= mm - 1
+        return seen
+
+    def f_vector(self) -> dict[int, int]:
+        """Face counts by dimension, including ``f[-1] = 1`` when nonvoid."""
         counts: dict[int, int] = {}
-        for m in seen:
+        for m in self.face_masks():
             d = m.bit_count() - 1
             counts[d] = counts.get(d, 0) + 1
         return counts

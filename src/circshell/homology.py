@@ -21,14 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .complexes import FaceLimitError  # noqa: F401  (re-exported; all_faces raises it)
 from .complexes import Complex, _tuple_of
 
 DEFAULT_FACE_CAP = 5_000_000
 ORACLE_PRIME = 32003
-
-
-class FaceLimitError(RuntimeError):
-    """Face enumeration exceeded the configured resource cap."""
 
 
 class BudgetError(RuntimeError):
@@ -66,24 +63,7 @@ def all_faces(d: Complex, cap: int = DEFAULT_FACE_CAP) -> list[int]:
 
     Raises :class:`FaceLimitError` once more than ``cap`` faces appear.
     """
-    seen: set[int] = set()
-    for fm in d.facet_masks:
-        stack = [fm]
-        while stack:
-            m = stack.pop()
-            if m in seen:
-                continue
-            seen.add(m)
-            if len(seen) > cap:
-                raise FaceLimitError(
-                    f"complex has more than {cap} faces; raise the face cap "
-                    f"to proceed"
-                )
-            mm = m
-            while mm:
-                stack.append(m & ~(mm & -mm))
-                mm &= mm - 1
-    return sorted(seen)
+    return sorted(d.face_masks(cap))
 
 
 def faces_by_dim(d: Complex, cap: int = DEFAULT_FACE_CAP) -> dict[int, list[tuple[int, ...]]]:
@@ -210,7 +190,10 @@ def smith_invariant_factors(mat: BoundaryMatrix) -> list[int]:
             del col_rows[pc]
 
     # a diagonal form reached by row/column ops need not satisfy the
-    # divisibility chain; pairwise gcd/lcm swaps converge to it
+    # divisibility chain; pairwise gcd/lcm swaps converge to it.  Units
+    # divide everything, so only the other entries take part.
+    units = [1] * diag.count(1)
+    diag = [x for x in diag if x != 1]
     changed = True
     while changed:
         changed = False
@@ -220,7 +203,7 @@ def smith_invariant_factors(mat: BoundaryMatrix) -> list[int]:
                     g = math.gcd(diag[i], diag[j])
                     diag[i], diag[j] = g, diag[i] * diag[j] // g
                     changed = True
-    return sorted(diag)
+    return units + sorted(diag)
 
 
 def exact_rank(mat: BoundaryMatrix) -> int:
@@ -263,14 +246,13 @@ def reduced_homology(d: Complex, cap: int = DEFAULT_FACE_CAP) -> HomologyProfile
     """Exact reduced homology profile of a nonvoid complex."""
     if d.is_void:
         raise ValueError("the void complex has no homology profile")
-    groups = faces_by_dim(d, cap)
     mats = boundary_matrices(d, cap)
     factors = {i: smith_invariant_factors(m) for i, m in mats.items()}
     rank = {i: len(f) for i, f in factors.items()}
     top = d.dim
     betti: dict[int, int] = {}
     for i in range(-1, top + 1):
-        f_i = 1 if i == -1 else len(groups.get(i, []))
+        f_i = 1 if i == -1 else mats[i].cols  # i-faces index the columns
         betti[i] = f_i - rank.get(i, 0) - rank.get(i + 1, 0)
     torsion = {
         i: tuple(x for x in factors.get(i + 1, []) if x > 1)
@@ -291,7 +273,6 @@ def _link_vanishes_below_top(
         return True  # cone: acyclic in every dimension
     lc = Complex.from_facets(n, map(_tuple_of, facet_masks))
     ell = lc.dim
-    groups = faces_by_dim(lc, cap)
     mats = boundary_matrices(lc, cap)
     bound_rank = {}
     for i, m in mats.items():
@@ -310,7 +291,7 @@ def _link_vanishes_below_top(
         return exact[i]
 
     for i in range(-1, ell):
-        f_i = 1 if i == -1 else len(groups.get(i, []))
+        f_i = 1 if i == -1 else mats[i].cols
         if f_i - rank_at(i, False) - rank_at(i + 1, False) == 0:
             continue  # mod-p bound already forces the rational rank to 0
         if f_i - rank_at(i, True) - rank_at(i + 1, True) != 0:

@@ -18,7 +18,6 @@ import json
 import random
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable
@@ -55,9 +54,7 @@ class RunConfig:
     """Execution knobs shared by checks, suites, and the explorer."""
 
     timeout_s: float | None = None
-    threads: int = 1
     seed: int = 0
-    symmetry: bool = False
     deep: bool = False
     face_cap: int = DEFAULT_FACE_CAP
     out_dir: str | None = None
@@ -66,9 +63,7 @@ class RunConfig:
     def to_obj(self) -> dict:
         return {
             "timeout_s": self.timeout_s,
-            "threads": self.threads,
             "seed": self.seed,
-            "symmetry": self.symmetry,
             "deep": self.deep,
             "face_cap": self.face_cap,
         }
@@ -114,13 +109,6 @@ class SuiteReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_obj(), indent=2)
-
-
-def _execute(items: list, worker: Callable, threads: int) -> list[dict]:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, items))
-    return [worker(x) for x in items]
 
 
 def _assemble(
@@ -223,7 +211,7 @@ def _checked_verdicts(d: Complex, cfg: RunConfig) -> tuple[str, str, bool]:
     """Shellability and decomposability verdicts with inline certificate
     verification; the bool is False when a search lied about a yes."""
     sh = shelling(d, budget_s=cfg.timeout_s)
-    vd = vertex_decomposition(d, budget_s=cfg.timeout_s, symmetry=cfg.symmetry)
+    vd = vertex_decomposition(d, budget_s=cfg.timeout_s)
     ok = _certified(d, sh, "shellable") and _certified(d, vd, "vd")
     return sh.verdict, vd.verdict, ok
 
@@ -275,7 +263,7 @@ def suite_topp_volkmann(cfg: RunConfig) -> SuiteReport:
             "verdicts": {"pure_product": pp, "pure_G": pg, "pure_H": ph},
         }
 
-    records = _execute(pairs, worker, cfg.threads)
+    records = [worker(x) for x in pairs]
     return _assemble(
         "topp-volkmann", cfg, records, started,
         notes=[f"exhaustive pairs n<=4 plus {TOPP_VOLKMANN_SAMPLES} seeded "
@@ -348,7 +336,7 @@ def suite_main_a(cfg: RunConfig) -> SuiteReport:
                          "vd_H": vd_h, "vd_kH": vd_k},
         }
 
-    records = _execute(items, worker, cfg.threads)
+    records = [worker(x) for x in items]
     return _assemble("main-a", cfg, records, started)
 
 
@@ -396,8 +384,8 @@ def suite_main_bc(cfg: RunConfig) -> SuiteReport:
             })
         return out
 
-    for chunk in _execute(items, worker, cfg.threads):
-        records.extend(chunk)
+    for item in items:
+        records.extend(worker(item))
     return _assemble(
         "main-bc", cfg, records, started,
         notes=["decomposability transfer is only claimed for well-covered G; "
@@ -433,7 +421,7 @@ def suite_nonshellable(cfg: RunConfig) -> SuiteReport:
             "verdicts": {"shellable": out.verdict},
         }
 
-    records = _execute(items, worker, cfg.threads)
+    records = [worker(x) for x in items]
     return _assemble(
         "nonshellable", cfg, records, started,
         total=len(items),
@@ -491,8 +479,8 @@ def suite_expansion(cfg: RunConfig) -> SuiteReport:
             })
         return out
 
-    for chunk in _execute(items, worker, cfg.threads):
-        records.extend(chunk)
+    for item in items:
+        records.extend(worker(item))
     return _assemble("expansion", cfg, records, started, total=total)
 
 
@@ -520,7 +508,7 @@ def suite_circulant_product(cfg: RunConfig) -> SuiteReport:
             "verdicts": {"connection_set": conn.name, "edge_equal": ok},
         }
 
-    records = _execute(items, worker, cfg.threads)
+    records = [worker(x) for x in items]
     return _assemble("circulant-product", cfg, records, started, total=len(items))
 
 
@@ -605,8 +593,7 @@ def suite_paper_milestones(cfg: RunConfig) -> SuiteReport:
             if cert:
                 stats = dict(stats, certificate=cert)
         elif kind == "vd":
-            out = vertex_decomposition(d, budget_s=cfg.timeout_s,
-                                       symmetry=cfg.symmetry)
+            out = vertex_decomposition(d, budget_s=cfg.timeout_s)
             got, stats = out.verdict, out.stats
             if got == "yes" and not _certified(d, out, kind):
                 return {"instance": instance, "status": "fail",
@@ -666,8 +653,7 @@ def suite_chain(cfg: RunConfig) -> SuiteReport:
         if not ind.is_pure():
             return {"instance": instance, "status": "skipped",
                     "verdicts": {"pure": False}}
-        vd = vertex_decomposition(ind, budget_s=cfg.timeout_s,
-                                  symmetry=cfg.symmetry)
+        vd = vertex_decomposition(ind, budget_s=cfg.timeout_s)
         sh = shelling(ind, budget_s=cfg.timeout_s)
         cm = is_cohen_macaulay(ind, cfg.face_cap)
         verdicts = {"vd": vd.verdict, "shellable": sh.verdict,
@@ -683,7 +669,7 @@ def suite_chain(cfg: RunConfig) -> SuiteReport:
         return {"instance": instance, "status": "ok" if ok else "fail",
                 "verdicts": verdicts}
 
-    records = _execute(items, worker, cfg.threads)
+    records = [worker(x) for x in items]
     pure_records = [r for r in records if r["status"] != "skipped"]
     counts = {
         "pure": len(pure_records),
@@ -727,8 +713,7 @@ def explore_family(s_min: int, s_max: int, cfg: RunConfig) -> SuiteReport:
         if verdicts["pure"] == "yes":
             for kind, run in (
                 ("shellable", lambda: shelling(ind, budget_s=budget)),
-                ("vd", lambda: vertex_decomposition(
-                    ind, budget_s=budget, symmetry=cfg.symmetry)),
+                ("vd", lambda: vertex_decomposition(ind, budget_s=budget)),
             ):
                 out = run()
                 verdicts[kind] = out.verdict

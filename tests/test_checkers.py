@@ -1,5 +1,6 @@
 """Shelling search, vertex decomposition, and the independent verifiers."""
 
+import itertools
 import json
 
 import pytest
@@ -169,14 +170,35 @@ def test_vd_timeout_reports_unknown():
     assert out.verdict == "unknown"
 
 
-def test_vd_symmetry_agrees_with_plain():
-    for name in ("C8(1,4)", "C12(1,3,6)", "C16(1,4,8)"):
-        d = independence_complex(circulant(CirculantSpec.parse(name)))
-        plain = vertex_decomposition(d)
-        sym = vertex_decomposition(d, symmetry=True)
-        assert plain.verdict == sym.verdict
-        if sym.verdict == "yes":
-            assert verify_shed_tree(d, sym.certificate)
+def _rotation_invariant(d):
+    return {tuple(sorted((v + 1) % d.n for v in f)) for f in d.facets} == set(d.facets)
+
+
+def test_vd_rotation_memo_agrees_with_relabelled_plain_memo():
+    # Decomposability survives relabelling, so the rotation-keyed memo on
+    # Ind(G) and the plain memo on a relabelled copy must agree.
+    swap = {0: 1, 1: 0}  # not a rotation once n >= 3
+    plain_runs = 0
+    for n in range(2, 13):
+        half = range(1, n // 2 + 1)
+        for r in range(len(half) + 1):
+            for conn in itertools.combinations(half, r):
+                d = independence_complex(circulant(CirculantSpec(n, conn)))
+                if not d.is_pure():
+                    continue
+                moved = Complex.from_facets(
+                    n, [[swap.get(v, v) for v in f] for f in d.facets])
+                rot = vertex_decomposition(d)
+                plain = vertex_decomposition(moved)
+                assert rot.stats["rotations"] is True
+                # K_n and edgeless graphs stay rotation-invariant under any swap
+                assert plain.stats["rotations"] is _rotation_invariant(moved)
+                assert rot.verdict == plain.verdict != "unknown"
+                if rot.verdict == "yes":
+                    assert verify_shed_tree(d, rot.certificate)
+                    assert verify_shed_tree(moved, plain.certificate)
+                plain_runs += not plain.stats["rotations"]
+    assert plain_runs > 0
 
 
 def test_vd_certificate_round_trip():

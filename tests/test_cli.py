@@ -181,6 +181,20 @@ def test_family_cli(capsys, tmp_path):
     assert report["records"][0]["instance"] == "C16(1,4,8)"
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "vd", "C16(1,4,8)", "--symmetry"),
+    ("check", "vd", "C16(1,4,8)", "--threads", "2"),
+    ("suite", "main-a", "--symmetry"),
+    ("suite", "main-a", "--threads", "2"),
+    ("family", "4", "4", "--seed", "1"),
+])
+def test_removed_options_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_family_rejects_s_below_4(capsys):
     code, _, err = run(capsys, "family", "2", "3")
     assert code == 2 and "s=4" in err

@@ -109,6 +109,10 @@ def test_snf_small_examples():
     m = BoundaryMatrix(2, 3, ((0, 0, 4), (1, 1, 6)))
     assert smith_invariant_factors(m) == [2, 12]
     assert smith_invariant_factors(BoundaryMatrix(3, 3, ())) == []
+    # unit pivots are set aside; the gcd/lcm pass over 2, 3, 4 adds a unit
+    m = BoundaryMatrix(5, 5, ((0, 0, 2), (1, 1, 1), (2, 2, 3), (3, 3, 1),
+                              (4, 4, 4)))
+    assert smith_invariant_factors(m) == [1, 1, 1, 2, 12]
 
 
 def test_snf_divisibility_chain():
@@ -174,12 +178,14 @@ def test_ind_c5_is_circle():
 def test_moebius_band_is_circle():
     prof = reduced_homology(MOEBIUS)
     assert prof.betti == {-1: 0, 0: 0, 1: 1, 2: 0}
+    assert prof.betti == oracles.betti_naive(MOEBIUS.facets)
     assert prof.torsion == {}
 
 
 def test_projective_plane_torsion():
     prof = reduced_homology(RP2)
     assert all(v == 0 for v in prof.betti.values())
+    assert prof.betti == oracles.betti_naive(RP2.facets)
     assert prof.torsion == {1: (2,)}
 
 
