@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from . import complexes
-from .complexes import Complex
+from .complexes import Complex, _rotate_mask
 
 # Exact fail-first lookahead costs O(s^2) mask scans per search node;
 # past this many facets the search falls back to canonical candidate
@@ -155,19 +155,27 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
         return CheckOutcome("yes", cert, {"nodes": 0, "memo_hits": 0,
                                           "elapsed_s": 0.0})
     deadline = start + budget_s if budget_s is not None else None
-    k = len(d.facets[0])
 
-    # ridge data: nbr[i] = bitmask of facets meeting F_i in k-1 vertices,
-    # diff[i][j] = the single vertex of F_i \ F_j as a bitmask
+    # ridge data: nbr[i] = bitmask of facets meeting F_i in all but one
+    # vertex, diff[i][j] = the single vertex of F_i \ F_j as a bitmask.
+    # In a pure complex such a pair shares exactly one ridge (a facet
+    # minus one vertex), so grouping facets by ridge finds each pair once.
+    on_ridge: dict[int, list[int]] = {}
+    for i, m in enumerate(masks):
+        mm = m
+        while mm:
+            b = mm & -mm
+            on_ridge.setdefault(m ^ b, []).append(i)
+            mm ^= b
     nbr = [0] * s
     diff: list[dict[int, int]] = [dict() for _ in range(s)]
-    for i in range(s):
-        for j in range(i + 1, s):
-            if (masks[i] & masks[j]).bit_count() == k - 1:
+    for ridge, fs in on_ridge.items():
+        for a, i in enumerate(fs):
+            for j in fs[a + 1:]:
                 nbr[i] |= 1 << j
                 nbr[j] |= 1 << i
-                diff[i][j] = masks[i] & ~masks[j]
-                diff[j][i] = masks[j] & ~masks[i]
+                diff[i][j] = masks[i] ^ ridge
+                diff[j][i] = masks[j] ^ ridge
 
     # Every facet after the first needs a singleton difference against
     # some earlier one, so the ridge graph must be connected.
@@ -187,35 +195,32 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
             "reason": "ridge graph disconnected",
         })
 
-    # cover[v] = facets NOT containing v: placing a singleton witness v
-    # satisfies exactly these earlier facets
+    # cover[1 << v] = facets NOT containing v: placing a singleton
+    # witness v satisfies exactly these earlier facets; cover[0] is no
+    # witness at all
     union = 0
     for m in masks:
         union |= m
-    cover = {}
+    cover = {0: 0}
     for v in _bit_indices(union):
         c = 0
         for i, m in enumerate(masks):
             if not (m >> v) & 1:
                 c |= 1 << i
-        cover[v] = c
+        cover[1 << v] = c
 
     full = (1 << s) - 1
     dead: set[int] = set()
     order: list[int] = []
     n_masks = [0] * s  # current union of singleton diffs vs placed neighbours
+    cov = [0] * s  # union of cover[w] over the witnesses w in n_masks[c]
     nodes = 0
     hits = 0
 
     def legal(c: int, placed: int, extra: int = 0) -> bool:
-        m = n_masks[c] | extra
-        if m == 0:
+        if not (n_masks[c] | extra):
             return placed == 0
-        cov = 0
-        while m:
-            cov |= cover[(m & -m).bit_length() - 1]
-            m &= m - 1
-        return placed & ~cov == 0
+        return placed & ~(cov[c] | cover[extra]) == 0
 
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * s + 1000))
 
@@ -251,24 +256,26 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
             cands = [c for _, c in scored]
         else:
             # large complexes: richest witness set first — the candidate
-            # whose legality constraint is loosest rarely needs undoing
-            scored = []
-            for c in range(s):
-                if not (placed >> c) & 1 and legal(c, placed):
-                    scored.append((-n_masks[c].bit_count(), c))
-            scored.sort()
-            cands = [c for _, c in scored]
+            # whose legality constraint is loosest rarely needs undoing.
+            # Ties stay in label order (the sort is stable); a bare int
+            # list keeps the frames on the recursion stack small.
+            cands = sorted(
+                (c for c in range(s) if not (placed >> c) & 1 and legal(c, placed)),
+                key=lambda c: -n_masks[c].bit_count())
         for c in cands:
             after = placed | (1 << c)
             order.append(c)
             undo = []
             for t in _bit_indices(nbr[c] & ~after):
-                undo.append((t, n_masks[t]))
-                n_masks[t] |= diff[t][c]
+                w = diff[t][c]
+                undo.append((t, n_masks[t], cov[t]))
+                n_masks[t] |= w
+                cov[t] |= cover[w]
             if dfs(after):
                 return True
-            for t, old in undo:
-                n_masks[t] = old
+            for t, old_n, old_cov in undo:
+                n_masks[t] = old_n
+                cov[t] = old_cov
             order.pop()
         dead.add(placed)
         return False
@@ -320,11 +327,6 @@ def verify_shelling(d: Complex, cert: ShellingCertificate) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _rotate_mask(m: int, r: int, n: int) -> int:
-    full = (1 << n) - 1
-    return ((m << r) | (m >> (n - r))) & full if r else m
-
-
 def _rotate_tree(t: ShedTree, r: int, n: int) -> ShedTree:
     if isinstance(t, ShedLeaf):
         return t
@@ -356,8 +358,7 @@ def vertex_decomposition(
     deadline = start + budget_s if budget_s is not None else None
     n = d.n
     root = tuple(sorted(d.facet_masks))
-    family = set(root)
-    rotations = n > 1 and all(_rotate_mask(m, 1, n) in family for m in root)
+    rotations = d.rotation_invariant
     memo: dict[tuple[int, ...], tuple[bool, ShedTree | None, int]] = {}
     nodes = 0
     hits = 0

@@ -37,6 +37,21 @@ def _tuple_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _rotate_mask(m: int, r: int, n: int) -> int:
+    """``m`` with every vertex ``v`` moved to ``v + r (mod n)``, 0 <= r < n."""
+    return (((m << r) | (m >> (n - r))) & ((1 << n) - 1)) if r else m
+
+
+def _from_masks(n: int, masks: Iterable[int]) -> "Complex":
+    """Canonical complex of distinct, pairwise incomparable facet masks.
+
+    Trusted: nothing is validated.  For facets that are maximal by
+    construction; outside input goes through ``Complex.from_facets``.
+    """
+    tuples = sorted(map(_tuple_of, masks), key=lambda t: (len(t), t))
+    return Complex(n, tuple(tuples))
+
+
 class FaceLimitError(RuntimeError):
     """Face enumeration exceeded the configured resource cap."""
 
@@ -59,11 +74,12 @@ class Complex:
         """
         masks = []
         for f in faces:
+            f = tuple(f)  # read once: ``f`` may be a one-shot iterator
             fs = sorted(set(f))
             if fs and not (0 <= fs[0] and fs[-1] < n):
                 raise ValueError(f"face {fs} out of range for n={n}")
-            if len(fs) != len(tuple(f)):
-                raise ValueError(f"face {tuple(f)} has repeated vertices")
+            if len(fs) != len(f):
+                raise ValueError(f"face {f} has repeated vertices")
             masks.append(_mask_of(fs))
         if maximalize:
             masks = [
@@ -81,12 +97,23 @@ class Complex:
                         raise ValueError(
                             f"facet {_tuple_of(m)} {kind} facet {_tuple_of(o)}"
                         )
-        tuples = sorted((_tuple_of(m) for m in set(masks)), key=lambda t: (len(t), t))
-        return Complex(n, tuple(tuples))
+        return _from_masks(n, set(masks))
 
     @cached_property
     def facet_masks(self) -> tuple[int, ...]:
         return tuple(_mask_of(f) for f in self.facets)
+
+    @cached_property
+    def rotation_invariant(self) -> bool:
+        """Whether the facet family is fixed by ``v -> v + 1 (mod n)``, n > 1.
+
+        True for the independence complex of every circulant.  Then the
+        link and deletion of a rotated face are the rotated link and
+        deletion, so searches may work up to rotation.
+        """
+        n = self.n
+        family = set(self.facet_masks)
+        return n > 1 and all(_rotate_mask(m, 1, n) in family for m in family)
 
     @property
     def is_void(self) -> bool:
@@ -189,7 +216,8 @@ def independence_complex(g: Graph) -> Complex:
             x |= vbit
 
     expand(0, full, 0)
-    return Complex.from_facets(g.n, map(_tuple_of, facets))
+    # maximal independent sets are distinct and pairwise incomparable
+    return _from_masks(g.n, facets)
 
 
 def alpha(g: Graph) -> int:

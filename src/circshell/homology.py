@@ -22,14 +22,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import FaceLimitError  # noqa: F401  (re-exported; all_faces raises it)
-from .complexes import Complex, _tuple_of
+from .complexes import Complex, _from_masks, _rotate_mask, _tuple_of
 
 DEFAULT_FACE_CAP = 5_000_000
 ORACLE_PRIME = 32003
+_DEADLINE_PROBE = 32  # pivots (columns for rank_mod_p) between deadline checks
 
 
 class BudgetError(RuntimeError):
     """A budgeted homology computation ran out of wall-clock time."""
+
+
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetError("homology computation ran out of budget")
 
 
 @dataclass(frozen=True)
@@ -109,12 +115,15 @@ def boundary_matrices(
 # ---------------------------------------------------------------------------
 
 
-def smith_invariant_factors(mat: BoundaryMatrix) -> list[int]:
+def smith_invariant_factors(
+    mat: BoundaryMatrix, deadline: float | None = None
+) -> list[int]:
     """Invariant factors of an integer matrix, in divisibility order.
 
     Sparse fraction-free elimination pivoting on the entry of smallest
     nonzero magnitude (containing coefficient growth), followed by a
-    gcd/lcm normalisation pass that enforces d1 | d2 | ... .
+    gcd/lcm normalisation pass that enforces d1 | d2 | ... .  Raises
+    :class:`BudgetError` once ``time.monotonic()`` passes ``deadline``.
     """
     rows: dict[int, dict[int, int]] = {}
     col_rows: dict[int, set[int]] = {}
@@ -151,6 +160,8 @@ def smith_invariant_factors(mat: BoundaryMatrix) -> list[int]:
 
     diag: list[int] = []
     while rows:
+        if len(diag) % _DEADLINE_PROBE == 0:
+            _check_deadline(deadline)
         pr = pc = pv = None
         for r, rd in rows.items():
             for c, v in rd.items():
@@ -206,13 +217,18 @@ def smith_invariant_factors(mat: BoundaryMatrix) -> list[int]:
     return units + sorted(diag)
 
 
-def exact_rank(mat: BoundaryMatrix) -> int:
+def exact_rank(mat: BoundaryMatrix, deadline: float | None = None) -> int:
     """Rank over the rationals (count of nonzero invariant factors)."""
-    return len(smith_invariant_factors(mat))
+    return len(smith_invariant_factors(mat, deadline))
 
 
-def rank_mod_p(mat: BoundaryMatrix, p: int = ORACLE_PRIME) -> int:
-    """Rank over Z/p by dense elimination; never exceeds the exact rank."""
+def rank_mod_p(
+    mat: BoundaryMatrix, p: int = ORACLE_PRIME, deadline: float | None = None
+) -> int:
+    """Rank over Z/p by dense elimination; never exceeds the exact rank.
+
+    Raises :class:`BudgetError` once ``time.monotonic()`` passes ``deadline``.
+    """
     if not mat.entries or mat.rows == 0 or mat.cols == 0:
         return 0
     a = np.zeros((mat.rows, mat.cols), dtype=np.int64)
@@ -222,6 +238,8 @@ def rank_mod_p(mat: BoundaryMatrix, p: int = ORACLE_PRIME) -> int:
     for c in range(mat.cols):
         if rank == mat.rows:
             break
+        if c % _DEADLINE_PROBE == 0:
+            _check_deadline(deadline)
         nz = np.nonzero(a[rank:, c])[0]
         if nz.size == 0:
             continue
@@ -271,14 +289,11 @@ def _link_vanishes_below_top(
         apex &= m
     if apex:
         return True  # cone: acyclic in every dimension
-    lc = Complex.from_facets(n, map(_tuple_of, facet_masks))
+    # facets of a link are pairwise incomparable, like those of the complex
+    lc = _from_masks(n, facet_masks)
     ell = lc.dim
     mats = boundary_matrices(lc, cap)
-    bound_rank = {}
-    for i, m in mats.items():
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetError("Cohen-Macaulay check ran out of budget")
-        bound_rank[i] = rank_mod_p(m)
+    bound_rank = {i: rank_mod_p(m, deadline=deadline) for i, m in mats.items()}
     exact: dict[int, int] = {}
 
     def rank_at(i: int, exactly: bool) -> int:
@@ -287,7 +302,7 @@ def _link_vanishes_below_top(
         if not exactly:
             return bound_rank[i]
         if i not in exact:
-            exact[i] = exact_rank(mats[i])
+            exact[i] = exact_rank(mats[i], deadline)
         return exact[i]
 
     for i in range(-1, ell):
@@ -309,6 +324,11 @@ def is_cohen_macaulay(
     the link's dimension.  Non-pure complexes are never Cohen-Macaulay
     here: facet size gaps already violate the criterion.  With
     ``budget_s`` set, raises :class:`BudgetError` when time runs out.
+
+    When the facet family is invariant under ``v -> v + 1 (mod n)`` (see
+    ``Complex.rotation_invariant``), only the face of least mask in each
+    rotation orbit is checked: the link of a rotated face is the rotated
+    link, with the same homology.
     """
     if d.is_void or not d.is_pure():
         return False
@@ -319,13 +339,16 @@ def is_cohen_macaulay(
         return True
     deadline = time.monotonic() + budget_s if budget_s is not None else None
     k = top + 1
+    n = d.n
+    rotations = range(1, n) if d.rotation_invariant else ()
     seen_links: set[tuple[int, ...]] = set()
     # larger faces first: their links are smaller and fail faster
     for m in sorted(all_faces(d, cap), key=lambda x: -x.bit_count()):
         if m.bit_count() > k - 2:
             continue  # link has dimension <= 0, nothing to check
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetError("Cohen-Macaulay check ran out of budget")
+        if any(_rotate_mask(m, r, n) < m for r in rotations):
+            continue  # another face of the orbit stands for this one
+        _check_deadline(deadline)
         link_masks = tuple(
             sorted(fm & ~m for fm in d.facet_masks if (m | fm) == fm)
         )

@@ -655,17 +655,20 @@ def suite_chain(cfg: RunConfig) -> SuiteReport:
                     "verdicts": {"pure": False}}
         vd = vertex_decomposition(ind, budget_s=cfg.timeout_s)
         sh = shelling(ind, budget_s=cfg.timeout_s)
-        cm = is_cohen_macaulay(ind, cfg.face_cap)
-        verdicts = {"vd": vd.verdict, "shellable": sh.verdict,
-                    "cm": "yes" if cm else "no"}
-        if "unknown" in (vd.verdict, sh.verdict):
+        try:
+            cm = "yes" if is_cohen_macaulay(
+                ind, cfg.face_cap, budget_s=cfg.timeout_s) else "no"
+        except (BudgetError, FaceLimitError):
+            cm = "unknown"
+        verdicts = {"vd": vd.verdict, "shellable": sh.verdict, "cm": cm}
+        if "unknown" in verdicts.values():
             return {"instance": instance, "status": "unknown",
                     "verdicts": verdicts}
         if not _certified(ind, vd, "vd") or not _certified(ind, sh, "shellable"):
             return {"instance": instance, "status": "fail",
                     "verdicts": dict(verdicts, note="certificate rejected")}
         ok = (vd.verdict != "yes" or sh.verdict == "yes") and (
-            sh.verdict != "yes" or cm)
+            sh.verdict != "yes" or cm == "yes")
         return {"instance": instance, "status": "ok" if ok else "fail",
                 "verdicts": verdicts}
 

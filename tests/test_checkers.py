@@ -88,6 +88,18 @@ def test_shelling_yes_cases():
         assert verify_shelling(d, out.certificate)
 
 
+def test_shelling_milestones_need_no_backtracking():
+    # one node per placed facet plus the root: the large-complex
+    # candidate order shells the paper's circulants without undoing
+    for name, nodes in (("C16(1,4,8)", 81), ("C20(1,5,10)", 245),
+                        ("C24(1,6,12)", 729)):
+        d = independence_complex(circulant(CirculantSpec.parse(name)))
+        out = shelling(d)
+        assert out.verdict == "yes"
+        assert out.stats["nodes"] == nodes
+        assert verify_shelling(d, out.certificate)
+
+
 def test_shelling_trivial_cases():
     void = Complex.from_facets(2, [])
     assert shelling(void).verdict == "yes"

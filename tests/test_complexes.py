@@ -1,5 +1,6 @@
 """Simplicial complexes, independence complexes, links, and deletions."""
 
+import itertools
 import json
 
 import pytest
@@ -53,6 +54,13 @@ def test_from_facets_validates():
         Complex.from_facets(2, [(0, 2)])
     with pytest.raises(ValueError):
         Complex.from_facets(2, [(0, 0)])
+
+
+def test_from_facets_reads_each_face_once():
+    d = Complex.from_facets(3, [iter((0, 1)), iter((2,))])
+    assert d.facets == ((2,), (0, 1))
+    with pytest.raises(ValueError, match="repeated"):
+        Complex.from_facets(3, [iter((1, 1))])
 
 
 def test_void_and_empty_distinction():
@@ -117,6 +125,25 @@ def test_ind_matches_subset_oracle_larger():
         g = Graph.from_edges(n, rng.sample(pairs, len(pairs) // 3))
         got = {frozenset(f) for f in independence_complex(g).facets}
         assert got == oracles.maximal_independent_sets(g)
+
+
+def test_ind_equals_validated_construction():
+    # Bron-Kerbosch facets skip the containment check; every graph with
+    # n <= 5 must give what the validating constructor gives
+    for n in range(6):
+        pairs = list(itertools.combinations(range(n), 2))
+        for r in range(len(pairs) + 1):
+            for edges in itertools.combinations(pairs, r):
+                d = independence_complex(Graph.from_edges(n, edges))
+                assert d == Complex.from_facets(n, d.facets)
+
+
+def test_rotation_invariant():
+    assert independence_complex(cycle(5)).rotation_invariant
+    assert not independence_complex(_p4()).rotation_invariant
+    assert not Complex.from_facets(1, [(0,)]).rotation_invariant  # n = 1
+    assert Complex.from_facets(4, [(0, 2), (1, 3)]).rotation_invariant
+    assert not Complex.from_facets(4, [(0, 2), (1, 2)]).rotation_invariant
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,5 +1,8 @@
 """Boundary matrices, Smith normal form, reduced homology, Cohen-Macaulayness."""
 
+import itertools
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +12,7 @@ from circshell.complexes import Complex, independence_complex
 from circshell.graphs import Graph, circulant, CirculantSpec, complete, cycle
 from circshell.homology import (
     BoundaryMatrix,
+    BudgetError,
     FaceLimitError,
     all_faces,
     boundary_matrices,
@@ -144,6 +148,19 @@ def test_rank_mod_p_matches_exact_rank(d):
         assert rank_mod_p(mat) == exact_rank(mat)
 
 
+def test_long_kernels_honour_a_passed_deadline():
+    d = independence_complex(circulant(CirculantSpec.parse("C24(1,6,12)")))
+    top = boundary_matrices(d)[5]
+    assert (top.rows, top.cols) == (1944, 728)
+    passed = time.monotonic() - 1.0
+    with pytest.raises(BudgetError):
+        rank_mod_p(top, deadline=passed)
+    with pytest.raises(BudgetError):
+        smith_invariant_factors(top, deadline=passed)
+    with pytest.raises(BudgetError):
+        exact_rank(top, deadline=passed)
+
+
 # --- reduced homology -----------------------------------------------------------
 
 
@@ -275,3 +292,29 @@ def test_cm_matches_fraction_oracle(d):
 def test_cm_c16():
     d = independence_complex(circulant(CirculantSpec.parse("C16(1,4,8)")))
     assert is_cohen_macaulay(d)
+
+
+def test_cm_orbit_path_agrees_with_relabelled_copy():
+    # Reisner's criterion survives relabelling: checking one link per
+    # rotation orbit of Ind(G) must agree with checking every link of a
+    # copy whose labels 0 and 1 are swapped
+    swap = {0: 1, 1: 0}  # not a rotation once n >= 3
+    # two triangles sharing vertex 3: only lk(3), two disjoint edges,
+    # fails, and vertex 3 is not least in its rotation orbit
+    assert not is_cohen_macaulay(Complex.from_facets(5, [(0, 1, 3), (2, 3, 4)]))
+    checked = plain_runs = 0
+    for n in range(2, 13):
+        half = range(1, n // 2 + 1)
+        for r in range(len(half) + 1):
+            for conn in itertools.combinations(half, r):
+                d = independence_complex(circulant(CirculantSpec(n, conn)))
+                if not d.is_pure():
+                    continue
+                moved = Complex.from_facets(
+                    n, [[swap.get(v, v) for v in f] for f in d.facets])
+                assert d.rotation_invariant
+                assert is_cohen_macaulay(d) == is_cohen_macaulay(moved)
+                checked += d.dim >= 1  # below that no link is examined
+                # K_n and edgeless graphs stay rotation-invariant under any swap
+                plain_runs += not moved.rotation_invariant
+    assert checked == 132 and plain_runs > 0

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from circshell import checkers
+from circshell import checkers, suites
+from circshell.homology import BudgetError
 from circshell.complexes import independence_complex
 from circshell.graphs import circulant, CirculantSpec
 from circshell.suites import (
@@ -15,6 +16,7 @@ from circshell.suites import (
     explore_family,
     labeled_graphs,
     run_suite,
+    suite_chain,
     suite_main_a,
     suite_paper_milestones,
     suite_topp_volkmann,
@@ -157,3 +159,22 @@ def test_family_budget_exhaustion_is_unknown_not_failure():
     assert verdicts["pure"] == "yes"
     assert all(v in ("yes", "no", "unknown") for v in verdicts.values())
     assert "unknown" in verdicts.values()
+
+
+def test_chain_records_cm_budget_exhaustion_as_unknown(monkeypatch):
+    small = labeled_graphs
+    monkeypatch.setattr(suites, "labeled_graphs",
+                        lambda n: small(n) if n <= 3 else [])
+
+    def out_of_budget(d, cap, budget_s=None):
+        if budget_s is not None:
+            raise BudgetError("out of budget")
+        return True
+
+    monkeypatch.setattr(suites, "is_cohen_macaulay", out_of_budget)
+    report = suite_chain(RunConfig(timeout_s=1.0))
+    pure = sum(1 for n in range(1, 4) for g in small(n)
+               if independence_complex(g).is_pure())
+    assert len(report.unknowns) == pure > 0
+    assert not report.failures and not report.passed
+    assert all(r["verdicts"]["cm"] == "unknown" for r in report.unknowns)
