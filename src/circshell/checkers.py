@@ -25,12 +25,6 @@ from typing import Union
 from . import complexes
 from .complexes import Complex, _rotate_mask
 
-# Exact fail-first lookahead costs O(s^2) mask scans per search node;
-# past this many facets the search falls back to canonical candidate
-# order, which empirically succeeds with near-zero backtracking on the
-# circulant family this package targets.
-_FAIL_FIRST_CUTOFF = 128
-
 _BUDGET_PROBE = 256  # nodes between deadline checks
 
 
@@ -144,7 +138,7 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
     be placed iff every already-placed facet sees a singleton-difference
     witness among the placed ones.  Dead prefix *sets* are memoised.
     The first facet ranges over the canonical order; later candidates
-    are tried fail-first (fewest legal successors) on small complexes.
+    are tried richest witness set first, ties in canonical order.
     """
     _require_pure(d)
     start = time.monotonic()
@@ -196,12 +190,11 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
         })
 
     # cover[1 << v] = facets NOT containing v: placing a singleton
-    # witness v satisfies exactly these earlier facets; cover[0] is no
-    # witness at all
+    # witness v satisfies exactly these earlier facets
     union = 0
     for m in masks:
         union |= m
-    cover = {0: 0}
+    cover = {}
     for v in _bit_indices(union):
         c = 0
         for i, m in enumerate(masks):
@@ -216,11 +209,6 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
     cov = [0] * s  # union of cover[w] over the witnesses w in n_masks[c]
     nodes = 0
     hits = 0
-
-    def legal(c: int, placed: int, extra: int = 0) -> bool:
-        if not (n_masks[c] | extra):
-            return placed == 0
-        return placed & ~(cov[c] | cover[extra]) == 0
 
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * s + 1000))
 
@@ -237,30 +225,14 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
             return False
         if placed == 0:
             cands = list(range(s))
-        elif s <= _FAIL_FIRST_CUTOFF:
-            cands = [c for c in range(s)
-                     if not (placed >> c) & 1 and legal(c, placed)]
-            # fail-first: fewest legal successors next
-            scored = []
-            for c in cands:
-                after = placed | (1 << c)
-                succ = 0
-                for c2 in range(s):
-                    if (after >> c2) & 1:
-                        continue
-                    extra = diff[c2].get(c, 0) if (nbr[c2] >> c) & 1 else 0
-                    if legal(c2, after, extra):
-                        succ += 1
-                scored.append((succ, c))
-            scored.sort()
-            cands = [c for _, c in scored]
         else:
-            # large complexes: richest witness set first — the candidate
-            # whose legality constraint is loosest rarely needs undoing.
-            # Ties stay in label order (the sort is stable); a bare int
-            # list keeps the frames on the recursion stack small.
+            # c is legal iff its witnesses cover every placed facet.
+            # Richest witness set first: the candidate whose constraint
+            # is loosest rarely needs undoing.  The sort is stable, and a
+            # bare int list keeps the frames on the recursion stack small.
             cands = sorted(
-                (c for c in range(s) if not (placed >> c) & 1 and legal(c, placed)),
+                (c for c in range(s)
+                 if not (placed >> c) & 1 and not placed & ~cov[c]),
                 key=lambda c: -n_masks[c].bit_count())
         for c in cands:
             after = placed | (1 << c)

@@ -77,11 +77,8 @@ def run_check(kind: str, item: Graph | Complex, *,
         profile = homology.reduced_homology(d, face_cap)
         return "yes", {"profile": profile.to_obj()}
     if kind == "cm":
-        try:
-            cm = homology.is_cohen_macaulay(d, face_cap, budget_s=timeout_s)
-        except (homology.BudgetError, homology.FaceLimitError) as e:
-            return "unknown", {"reason": str(e)}
-        return ("yes" if cm else "no"), {}
+        verdict, reason = homology.cm_verdict(d, face_cap, budget_s=timeout_s)
+        return verdict, ({"reason": reason} if reason else {})
     if kind == "shellable":
         out = checkers.shelling(d, budget_s=timeout_s)
         return out.verdict, {"stats": out.stats, "outcome": out}

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import FaceLimitError  # noqa: F401  (re-exported; all_faces raises it)
+from .complexes import FaceLimitError  # re-exported; all_faces raises it
 from .complexes import Complex, _from_masks, _rotate_mask, _tuple_of
 
 DEFAULT_FACE_CAP = 5_000_000
@@ -358,3 +358,17 @@ def is_cohen_macaulay(
         if not _link_vanishes_below_top(link_masks, d.n, cap, deadline):
             return False
     return True
+
+
+def cm_verdict(
+    d: Complex, cap: int = DEFAULT_FACE_CAP, budget_s: float | None = None
+) -> tuple[str, str | None]:
+    """``is_cohen_macaulay`` as a verdict: ``("yes" | "no" | "unknown", reason)``.
+
+    Running out of budget or past ``cap`` faces gives ``"unknown"`` with
+    the error's message as the reason; otherwise the reason is ``None``.
+    """
+    try:
+        return ("yes" if is_cohen_macaulay(d, cap, budget_s=budget_s) else "no"), None
+    except (BudgetError, FaceLimitError) as e:
+        return "unknown", str(e)

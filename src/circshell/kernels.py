@@ -1,54 +1,22 @@
-"""Branch-and-bound independence-number kernels.
+"""Branch-and-bound independence-number kernels on big-integer bitmasks.
 
-Two interchangeable backends compute the same quantities:
-
-* ``numba`` -- JIT-compiled kernels working on ``uint64`` adjacency masks
-  (graphs up to 63 vertices).  This is the default when numba imports.
-* ``python`` -- pure-Python big-integer masks, no vertex limit.
-
-Set ``CIRCSHELL_KERNELS=python`` (or ``numba``) to force a backend.  The
-dispatching wrappers fall back to pure Python automatically for graphs
-too large for the compiled path, so results never depend on the backend.
+A graph is passed as ``n`` and its adjacency rows, one int mask per
+vertex; masks have no width limit.  ``alpha`` is the independence
+number and ``alpha_product_failures`` scans a list of graphs for pairs
+violating alpha(G[H]) = alpha(G) * alpha(H).
 """
 
 from __future__ import annotations
 
-import os
+import importlib.util
 
-import numpy as np
-
-try:
-    import numba as nb
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    nb = None
-    HAVE_NUMBA = False
-
-_ENV_FLAG = "CIRCSHELL_KERNELS"
-
-# Kernel stacks are preallocated; depth is bounded by a few times the
-# vertex count, so this is generous for any 63-vertex instance.
-_STACK_CAP = 4096
+# Exists only for the benchmark's environment record.
+HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 
 
 def backend() -> str:
-    """Name of the active backend, honouring the environment override."""
-    choice = os.environ.get(_ENV_FLAG, "").strip().lower()
-    if choice == "python":
-        return "python"
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("CIRCSHELL_KERNELS=numba but numba is not importable")
-        return "numba"
-    if choice:
-        raise RuntimeError(f"unrecognised {_ENV_FLAG}={choice!r} (want 'numba' or 'python')")
-    return "numba" if HAVE_NUMBA else "python"
-
-
-# ---------------------------------------------------------------------------
-# pure-Python backend: arbitrary-width int masks
-# ---------------------------------------------------------------------------
+    """Always ``"python"``; kept only for the benchmark's environment record."""
+    return "python"
 
 
 def alpha_py(n: int, adj: list[int]) -> int:
@@ -118,10 +86,17 @@ def product_adj_py(ng: int, adjg: list[int], nh: int, adjh: list[int]) -> list[i
     return adj
 
 
-def alpha_product_scan_py(ns: list[int], adjs: list[list[int]]) -> list[tuple[int, int]]:
-    """Check alpha(G[H]) == alpha(G) * alpha(H) over all ordered pairs.
+def alpha(n: int, adj: list[int]) -> int:
+    """Independence number of a graph given as bitmask adjacency rows."""
+    return alpha_py(n, adj)
 
-    Returns the list of (index_G, index_H) pairs violating the identity.
+
+def alpha_product_failures(ns: list[int], adjs: list[list[int]]) -> list[tuple[int, int]]:
+    """Pairs (gi, hi) where alpha multiplicativity fails over the given graphs.
+
+    Every ordered pair of the given graphs is checked.  The expected
+    result is the empty list; any entry is a counterexample to
+    alpha(G[H]) = alpha(G) * alpha(H).
     """
     alphas = [alpha_py(n, a) for n, a in zip(ns, adjs)]
     bad = []
@@ -131,136 +106,3 @@ def alpha_product_scan_py(ns: list[int], adjs: list[list[int]]) -> list[tuple[in
             if alpha_py(ng * nh, padj) != alphas[gi] * alphas[hi]:
                 bad.append((gi, hi))
     return bad
-
-
-# ---------------------------------------------------------------------------
-# numba backend: uint64 masks, explicit stacks (no recursion under JIT)
-# ---------------------------------------------------------------------------
-
-if HAVE_NUMBA:
-
-    @nb.njit(cache=True)
-    def _popcount64(x):
-        x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-        x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
-        x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-        return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
-
-    @nb.njit(cache=True)
-    def _alpha_nb(n, adj):
-        one = np.uint64(1)
-        best = np.uint64(0)
-        stack_avail = np.empty(_STACK_CAP, dtype=np.uint64)
-        stack_size = np.empty(_STACK_CAP, dtype=np.uint64)
-        stack_avail[0] = (one << np.uint64(n)) - one
-        stack_size[0] = 0
-        top = 1
-        while top > 0:
-            top -= 1
-            avail = stack_avail[top]
-            size = stack_size[top]
-            while True:
-                if size + _popcount64(avail) <= best:
-                    break
-                if avail == np.uint64(0):
-                    if size > best:
-                        best = size
-                    break
-                v = np.int64(-1)
-                vdeg = np.int64(-1)
-                m = avail
-                while m != np.uint64(0):
-                    u = np.int64(_popcount64((m & (~m + one)) - one))
-                    m &= m - one
-                    d = np.int64(_popcount64(adj[u] & avail))
-                    if d > vdeg:
-                        v = u
-                        vdeg = d
-                if vdeg == 0:
-                    total = size + _popcount64(avail)
-                    if total > best:
-                        best = total
-                    break
-                vbit = one << np.uint64(v)
-                stack_avail[top] = avail & ~(vbit | adj[v])
-                stack_size[top] = size + one
-                top += 1
-                avail &= ~vbit
-        return np.int64(best)
-
-    @nb.njit(cache=True)
-    def _alpha_product_scan_nb(ns, adjs, offsets, fail_out):
-        """Scan all ordered pairs; returns failure count, indices in fail_out.
-
-        ``adjs`` is the concatenation of per-graph adjacency arrays and
-        ``offsets[k]`` the start of graph ``k``.  Pairs are encoded as
-        ``gi * len(ns) + hi`` in ``fail_out``.
-        """
-        count = len(ns)
-        one = np.uint64(1)
-        alphas = np.empty(count, dtype=np.int64)
-        for k in range(count):
-            alphas[k] = _alpha_nb(ns[k], adjs[offsets[k]:offsets[k] + ns[k]])
-        padj = np.empty(64, dtype=np.uint64)
-        nfail = 0
-        for gi in range(count):
-            ng = ns[gi]
-            ag = adjs[offsets[gi]:offsets[gi] + ng]
-            for hi in range(count):
-                nh = ns[hi]
-                ah = adjs[offsets[hi]:offsets[hi] + nh]
-                n = ng * nh
-                for j in range(nh):
-                    for i in range(ng):
-                        m = np.uint64(0)
-                        for j2 in range(nh):
-                            for i2 in range(ng):
-                                gedge = (ag[i] >> np.uint64(i2)) & one
-                                hedge = (ah[j] >> np.uint64(j2)) & one
-                                if gedge == one or (i == i2 and hedge == one):
-                                    m |= one << np.uint64(i2 + ng * j2)
-                        padj[i + ng * j] = m
-                if _alpha_nb(n, padj[:n]) != alphas[gi] * alphas[hi]:
-                    if nfail < len(fail_out):
-                        fail_out[nfail] = gi * count + hi
-                    nfail += 1
-        return nfail
-
-
-# ---------------------------------------------------------------------------
-# dispatching wrappers
-# ---------------------------------------------------------------------------
-
-
-def alpha(n: int, adj: list[int]) -> int:
-    """Independence number of a graph given as bitmask adjacency rows."""
-    if n == 0:
-        return 0
-    if backend() == "numba" and n <= 63:
-        arr = np.array(adj, dtype=np.uint64)
-        return int(_alpha_nb(n, arr))
-    return alpha_py(n, adj)
-
-
-def alpha_product_failures(ns: list[int], adjs: list[list[int]]) -> list[tuple[int, int]]:
-    """Pairs (gi, hi) where alpha multiplicativity fails over the given graphs.
-
-    The expected result is the empty list; any entry is a counterexample
-    to alpha(G[H]) = alpha(G) * alpha(H).
-    """
-    if not ns:
-        return []
-    if backend() == "numba" and max(ns) ** 2 <= 63:
-        flat = np.array([m for a in adjs for m in a], dtype=np.uint64)
-        offsets = np.zeros(len(ns), dtype=np.int64)
-        for k in range(1, len(ns)):
-            offsets[k] = offsets[k - 1] + ns[k - 1]
-        fail_out = np.empty(4096, dtype=np.int64)
-        nfail = _alpha_product_scan_nb(
-            np.array(ns, dtype=np.int64), flat, offsets, fail_out
-        )
-        if nfail > len(fail_out):  # pragma: no cover - would signal mass failure
-            raise RuntimeError(f"{nfail} product failures exceed report capacity")
-        count = len(ns)
-        return [(int(p) // count, int(p) % count) for p in fail_out[:nfail]]
-    return alpha_product_scan_py(ns, adjs)

@@ -35,12 +35,7 @@ from .graphs import (
     expansion,
     lex_product,
 )
-from .homology import (
-    DEFAULT_FACE_CAP,
-    BudgetError,
-    FaceLimitError,
-    is_cohen_macaulay,
-)
+from .homology import DEFAULT_FACE_CAP, cm_verdict
 
 RECORD_CAP = 2000  # past this many instances, reports keep only exceptions
 
@@ -289,7 +284,6 @@ def suite_alpha_product(cfg: RunConfig) -> SuiteReport:
     report = _assemble(
         "alpha-product", cfg, records, started,
         total=len(gs) ** 2,
-        notes=[f"kernel backend: {kernels.backend()}"],
     )
     # aggregation drops per-pair records, but failures must stay visible
     report.failures = records
@@ -599,11 +593,7 @@ def suite_paper_milestones(cfg: RunConfig) -> SuiteReport:
                 return {"instance": instance, "status": "fail",
                         "verdicts": {kind: "certificate rejected"}}
         else:  # cm
-            try:
-                got = "yes" if is_cohen_macaulay(
-                    d, cfg.face_cap, budget_s=cfg.timeout_s) else "no"
-            except (BudgetError, FaceLimitError):
-                got = "unknown"
+            got, _ = cm_verdict(d, cfg.face_cap, budget_s=cfg.timeout_s)
             stats = {}
         status = "unknown" if got == "unknown" else (
             "ok" if got == expect else "fail")
@@ -655,11 +645,7 @@ def suite_chain(cfg: RunConfig) -> SuiteReport:
                     "verdicts": {"pure": False}}
         vd = vertex_decomposition(ind, budget_s=cfg.timeout_s)
         sh = shelling(ind, budget_s=cfg.timeout_s)
-        try:
-            cm = "yes" if is_cohen_macaulay(
-                ind, cfg.face_cap, budget_s=cfg.timeout_s) else "no"
-        except (BudgetError, FaceLimitError):
-            cm = "unknown"
+        cm, _ = cm_verdict(ind, cfg.face_cap, budget_s=cfg.timeout_s)
         verdicts = {"vd": vd.verdict, "shellable": sh.verdict, "cm": cm}
         if "unknown" in verdicts.values():
             return {"instance": instance, "status": "unknown",
@@ -728,14 +714,9 @@ def explore_family(s_min: int, s_max: int, cfg: RunConfig) -> SuiteReport:
                     cert = _write_cert(cfg, instance, kind, out)
                     if cert:
                         stats[kind]["certificate"] = cert
-            try:
-                cm = is_cohen_macaulay(ind, cfg.face_cap, budget_s=budget)
-                verdicts["cm"] = "yes" if cm else "no"
-            except BudgetError:
-                verdicts["cm"] = "unknown"
-            except FaceLimitError as e:
-                verdicts["cm"] = "unknown"
-                stats["cm"] = {"reason": str(e)}
+            verdicts["cm"], reason = cm_verdict(ind, cfg.face_cap, budget_s=budget)
+            if reason:
+                stats["cm"] = {"reason": reason}
         else:
             verdicts.update({"shellable": "not-pure", "vd": "not-pure",
                              "cm": "no"})

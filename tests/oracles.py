@@ -8,7 +8,7 @@ from these oracles are frozen into the test files as literals.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from circshell.graphs import Graph
 
@@ -43,6 +43,24 @@ def faces_naive(facets: tuple[tuple[int, ...], ...]) -> set[tuple[int, ...]]:
         for r in range(len(f) + 1):
             out.update(combinations(f, r))
     return out
+
+
+def shellable_naive(facets: tuple[tuple[int, ...], ...]) -> bool:
+    """Shellability of a pure complex by trying every facet order.
+
+    Textbook condition: for each i > 1, the faces F_j ∩ F_i (j < i)
+    generate a complex pure of dimension dim F_i - 1, i.e. every
+    maximal one among them has |F_i| - 1 vertices.
+    """
+    def is_shelling(order) -> bool:
+        for i in range(1, len(order)):
+            meets = {frozenset(order[i]) & frozenset(f) for f in order[:i]}
+            if any(len(m) != len(order[i]) - 1 for m in meets
+                   if not any(m < other for other in meets)):
+                return False
+        return True
+
+    return any(is_shelling(order) for order in permutations(facets))
 
 
 def rank_fraction(rows: int, cols: int, entries: dict[tuple[int, int], int]) -> int:

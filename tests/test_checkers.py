@@ -22,6 +22,9 @@ from circshell.checkers import (
 )
 from circshell.complexes import Complex, independence_complex
 from circshell.graphs import Graph, circulant, CirculantSpec, cycle
+from circshell.suites import labeled_graphs
+
+import oracles
 
 
 def _ind_p4():
@@ -123,6 +126,22 @@ def test_shelling_no_by_exhaustion():
     out = shelling(d)
     assert out.verdict == "no"
     assert out.stats.get("reason") != "ridge graph disconnected"
+
+
+def test_shelling_matches_brute_force_on_every_small_pure_ind():
+    # every pure Ind(G) with n <= 5: at most 6 facets, so all orders are tried
+    checked = 0
+    for n in range(1, 6):
+        for g in labeled_graphs(n):
+            d = independence_complex(g)
+            if not d.is_pure():
+                continue
+            checked += 1
+            out = shelling(d)
+            assert out.verdict == ("yes" if oracles.shellable_naive(d.facets) else "no"), g
+            if out.verdict == "yes":
+                assert verify_shelling(d, out.certificate), g
+    assert checked == 387
 
 
 def test_shelling_requires_pure():

@@ -115,6 +115,12 @@ def test_check_cm(capsys):
     assert code == 0 and "cm: yes" in out
 
 
+def test_check_cm_past_the_face_cap_is_unknown_with_reason(capsys):
+    code, out, _ = run(capsys, "check", "cm", "C16(1,4,8)", "--face-cap", "10")
+    assert code == 2 and "cm: unknown" in out
+    assert "reason: complex has more than 10 faces" in out
+
+
 def test_check_complex_json_input(capsys):
     desc = json.dumps({"n": 4, "facets": [[0, 2], [1, 3]]})
     code, out, _ = run(capsys, "check", "shellable", desc)

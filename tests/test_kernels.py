@@ -1,8 +1,7 @@
-"""Backend selection and agreement between the compiled and Python kernels."""
+"""The independence-number kernels and the product scan against oracles."""
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,50 +22,10 @@ def graphs_strategy(nmax=6):
     return build()
 
 
-def test_backend_flag(monkeypatch):
-    monkeypatch.delenv("CIRCSHELL_KERNELS", raising=False)
-    assert kernels.backend() in ("numba", "python")
-    monkeypatch.setenv("CIRCSHELL_KERNELS", "python")
-    assert kernels.backend() == "python"
-    monkeypatch.setenv("CIRCSHELL_KERNELS", "bogus")
-    with pytest.raises(RuntimeError):
-        kernels.backend()
-
-
-def test_backend_numba_requested_but_missing(monkeypatch):
-    monkeypatch.setenv("CIRCSHELL_KERNELS", "numba")
-    if kernels.HAVE_NUMBA:
-        assert kernels.backend() == "numba"
-    else:
-        with pytest.raises(RuntimeError):
-            kernels.backend()
-
-
 @settings(max_examples=150, deadline=None)
 @given(graphs_strategy(6))
 def test_alpha_python_matches_oracle(g):
     assert kernels.alpha_py(g.n, list(g.adjacency_masks)) == oracles.alpha_naive(g)
-
-
-@pytest.mark.skipif(not kernels.HAVE_NUMBA, reason="numba unavailable")
-@settings(max_examples=100, deadline=None)
-@given(graphs_strategy(6))
-def test_alpha_backends_agree(g):
-    import os
-
-    adj = list(g.adjacency_masks)
-    saved = os.environ.get("CIRCSHELL_KERNELS")
-    try:
-        os.environ["CIRCSHELL_KERNELS"] = "numba"
-        via_numba = kernels.alpha(g.n, adj)
-        os.environ["CIRCSHELL_KERNELS"] = "python"
-        via_python = kernels.alpha(g.n, adj)
-    finally:
-        if saved is None:
-            os.environ.pop("CIRCSHELL_KERNELS", None)
-        else:
-            os.environ["CIRCSHELL_KERNELS"] = saved
-    assert via_numba == via_python == kernels.alpha_py(g.n, adj)
 
 
 def test_alpha_circulant_values():
@@ -76,7 +35,11 @@ def test_alpha_circulant_values():
         assert kernels.alpha(g.n, list(g.adjacency_masks)) == want
 
 
-def test_product_scan_finds_no_failures_small(monkeypatch):
+def test_alpha_of_the_empty_graph_is_zero():
+    assert kernels.alpha(0, []) == 0
+
+
+def test_product_scan_finds_no_failures_small():
     gs = []
     for n in range(1, 4):
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -85,10 +48,7 @@ def test_product_scan_finds_no_failures_small(monkeypatch):
                 n, [pairs[t] for t in range(len(pairs)) if (bits >> t) & 1]))
     ns = [g.n for g in gs]
     adjs = [list(g.adjacency_masks) for g in gs]
-    assert kernels.alpha_product_scan_py(ns, adjs) == []
-    if kernels.HAVE_NUMBA:
-        monkeypatch.setenv("CIRCSHELL_KERNELS", "numba")
-        assert kernels.alpha_product_failures(ns, adjs) == []
+    assert kernels.alpha_product_failures(ns, adjs) == []
 
 
 def test_product_scan_reports_planted_failure(monkeypatch):
@@ -106,7 +66,7 @@ def test_product_scan_reports_planted_failure(monkeypatch):
     g = complete(2)
     ns = [g.n, g.n]
     adjs = [list(g.adjacency_masks)] * 2
-    bad = kernels.alpha_product_scan_py(ns, adjs)
+    bad = kernels.alpha_product_failures(ns, adjs)
     assert bad == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 

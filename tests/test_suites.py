@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from circshell import checkers, suites
+from circshell import checkers, homology, suites
 from circshell.homology import BudgetError
 from circshell.complexes import independence_complex
 from circshell.graphs import circulant, CirculantSpec
@@ -150,6 +150,13 @@ def test_family_records_and_certificates(tmp_path):
     assert checkers.verify_shelling(d, cert)
 
 
+def test_family_records_the_cm_face_cap_reason():
+    report = explore_family(4, 4, RunConfig(face_cap=10))
+    rec = report.records[0]
+    assert rec["status"] == "unknown" and rec["verdicts"]["cm"] == "unknown"
+    assert "more than 10 faces" in rec["stats"]["cm"]["reason"]
+
+
 def test_family_budget_exhaustion_is_unknown_not_failure():
     report = explore_family(6, 6, RunConfig(timeout_s=0.05))
     rec = report.records[0]
@@ -171,7 +178,7 @@ def test_chain_records_cm_budget_exhaustion_as_unknown(monkeypatch):
             raise BudgetError("out of budget")
         return True
 
-    monkeypatch.setattr(suites, "is_cohen_macaulay", out_of_budget)
+    monkeypatch.setattr(homology, "is_cohen_macaulay", out_of_budget)
     report = suite_chain(RunConfig(timeout_s=1.0))
     pure = sum(1 for n in range(1, 4) for g in small(n)
                if independence_complex(g).is_pure())
