@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from . import complexes
-from .complexes import Complex, _rotate_mask
+from .complexes import Complex
 
 _BUDGET_PROBE = 256  # nodes between deadline checks
 
@@ -139,6 +139,14 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
     witness among the placed ones.  Dead prefix *sets* are memoised.
     The first facet ranges over the canonical order; later candidates
     are tried richest witness set first, ties in canonical order.
+
+    The legal set is kept from node to node rather than rescanned:
+    placing c can only add a witness to c's ridge neighbours, so every
+    other candidate stays legal iff one of its witnesses lies outside c.
+    A node costs one OR per vertex outside c and one update per ridge
+    neighbour of c, each on an s-bit integer for s facets, and
+    candidates are drawn lazily from per-witness-count bitsets, so no
+    frame holds a candidate list.
     """
     _require_pure(d)
     start = time.monotonic()
@@ -203,16 +211,24 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
         cover[1 << v] = c
 
     full = (1 << s) - 1
+    k = masks[0].bit_count()
     dead: set[int] = set()
     order: list[int] = []
-    n_masks = [0] * s  # current union of singleton diffs vs placed neighbours
-    cov = [0] * s  # union of cover[w] over the witnesses w in n_masks[c]
+    # Per facet c: n_masks[c] = its witnesses (singleton diffs against
+    # placed neighbours) and cov[c] = the union of cover[w] over them.
+    # has_w[w] = facets with witness w, by_count[j] = facets with j
+    # witnesses.  All four change only when a facet is placed, and are
+    # undone with it.
+    n_masks = [0] * s
+    cov = [0] * s
+    has_w = dict.fromkeys(cover, 0)
+    by_count = [full] + [0] * k
     nodes = 0
     hits = 0
 
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * s + 1000))
 
-    def dfs(placed: int) -> bool:
+    def dfs(placed: int, legal: int) -> bool:
         nonlocal nodes, hits
         nodes += 1
         if deadline is not None and nodes % _BUDGET_PROBE == 0:
@@ -223,37 +239,60 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
         if placed in dead:
             hits += 1
             return False
-        if placed == 0:
-            cands = list(range(s))
-        else:
-            # c is legal iff its witnesses cover every placed facet.
-            # Richest witness set first: the candidate whose constraint
-            # is loosest rarely needs undoing.  The sort is stable, and a
-            # bare int list keeps the frames on the recursion stack small.
-            cands = sorted(
-                (c for c in range(s)
-                 if not (placed >> c) & 1 and not placed & ~cov[c]),
-                key=lambda c: -n_masks[c].bit_count())
-        for c in cands:
-            after = placed | (1 << c)
-            order.append(c)
-            undo = []
-            for t in _bit_indices(nbr[c] & ~after):
-                w = diff[t][c]
-                undo.append((t, n_masks[t], cov[t]))
-                n_masks[t] |= w
-                cov[t] |= cover[w]
-            if dfs(after):
-                return True
-            for t, old_n, old_cov in undo:
-                n_masks[t] = old_n
-                cov[t] = old_cov
-            order.pop()
+        # Richest witness set first: the candidate whose constraint is
+        # loosest rarely needs undoing.  Buckets are restored before the
+        # next one is read, so this is a stable sort by witness count.
+        for j in range(k, -1, -1):
+            bucket = by_count[j] & legal
+            while bucket:
+                cb = bucket & -bucket
+                bucket ^= cb
+                c = cb.bit_length() - 1
+                after = placed | cb
+                # a non-neighbour keeps its witnesses, so it stays legal
+                # iff one of them lies outside F_c
+                keep = 0
+                rest = union & ~masks[c]
+                while rest:
+                    w = rest & -rest
+                    keep |= has_w[w]
+                    rest ^= w
+                child = legal & keep & ~nbr[c]
+                order.append(c)
+                undo = []
+                todo = nbr[c] & ~after
+                while todo:
+                    tb = todo & -todo
+                    todo ^= tb
+                    t = tb.bit_length() - 1
+                    old = n_masks[t]
+                    w = diff[t][c]
+                    if not old & w:
+                        undo.append((t, old, cov[t], w))
+                        n_masks[t] = old | w
+                        cov[t] |= cover[w]
+                        has_w[w] |= tb
+                        i = old.bit_count()
+                        by_count[i] ^= tb
+                        by_count[i + 1] ^= tb
+                    if not after & ~cov[t]:
+                        child |= tb
+                if dfs(after, child):
+                    return True
+                for t, old, old_cov, w in undo:
+                    tb = 1 << t
+                    n_masks[t] = old
+                    cov[t] = old_cov
+                    has_w[w] ^= tb
+                    i = old.bit_count()
+                    by_count[i] ^= tb
+                    by_count[i + 1] ^= tb
+                order.pop()
         dead.add(placed)
         return False
 
     try:
-        found = dfs(0)
+        found = dfs(0, full)
     except _BudgetExceeded:
         return CheckOutcome("unknown", None, {
             "nodes": nodes, "memo_hits": hits,
@@ -271,26 +310,35 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
 
 
 def verify_shelling(d: Complex, cert: ShellingCertificate) -> bool:
-    """Check the shelling condition verbatim for the certified order.
+    """Check the shelling condition for the certified order.
 
-    Independent of the search: O(s^2) direct set computations straight
-    from the definition.  Malformed permutations are an error.
+    Independent of the search.  Vertex v of F_i is a witness iff the
+    ridge F_i - v lies in an earlier facet, i.e. F_i \\ F_j = {v} for
+    some j < i.  The order fails at F_i iff some earlier facet contains
+    every witness: the AND of the witnesses' bitsets of earlier
+    positions is nonzero.  One pass in order, O(s k) ridge lookups and
+    ANDs of s-bit integers.  Malformed permutations are an error.
     """
     _require_pure(d)
     masks = d.facet_masks
     s = len(masks)
     if sorted(cert.order) != list(range(s)):
         raise ValueError(f"certificate is not a permutation of 0..{s - 1}")
-    seq = [masks[i] for i in cert.order]
-    for i in range(1, s):
-        witnesses = 0
-        for kk in range(i):
-            delta = seq[i] & ~seq[kk]
-            if delta.bit_count() == 1:
-                witnesses |= delta
-        for j in range(i):
-            if witnesses & ~seq[j] == 0:
-                return False
+    ridges: set[int] = set()  # ridges of the facets placed so far
+    at = [0] * d.n  # at[v] = positions placed so far whose facet has v
+    for pos, i in enumerate(cert.order):
+        m = masks[i]
+        bit = 1 << pos
+        common = bit - 1  # earlier facets holding every witness
+        for v in d.facets[i]:
+            r = m ^ (1 << v)
+            if r in ridges:
+                common &= at[v]
+            else:
+                ridges.add(r)
+            at[v] |= bit  # ``common`` never holds this position's bit
+        if common:
+            return False
     return True
 
 
@@ -314,41 +362,35 @@ def vertex_decomposition(
 ) -> CheckOutcome:
     """Search for a shed tree witnessing pure vertex decomposability.
 
-    A vertex x sheds iff some facet avoids x and every facet containing
-    x stays inside one of those after dropping x (deletion pure, same
-    dimension; the link of a vertex in a pure complex is always pure).
-    Candidates are tried in ascending label order; subcomplexes are
-    memoised by their exact facet family.  When the facet family is
-    invariant under the cyclic rotation v -> v + 1 (mod n), as for every
-    circulant's independence complex, memo keys are canonicalised under
-    rotation of the ambient labels; ``stats["rotations"]`` says which
-    memo ran.  Decomposability does not change under relabelling, so
-    either memo gives the same verdict.
+    Every node of the search is pure: the root is checked, a shedding
+    vertex leaves a pure deletion, and a vertex link of a pure complex
+    is pure.  So x sheds iff, for each facet F containing x, the ridge
+    F - x lies in a second facet (which then avoids x); one pass that
+    counts each facet's ridges finds every vertex that fails.
+    Candidates are tried in ascending label order.
+
+    Subcomplexes are memoised by their facet family.  When the complex
+    is flag (see ``Complex.is_flag``) every node is the subcomplex
+    induced on its vertex set, and when it is also invariant under the
+    rotation v -> v + 1 (mod n), as every circulant's independence
+    complex is, the memo key is the least rotation of that vertex mask;
+    ``stats["rotations"]`` says whether that memo ran.  Decomposability
+    does not change under relabelling, so either memo gives the same
+    verdict.
     """
     _require_pure(d)
     start = time.monotonic()
     deadline = start + budget_s if budget_s is not None else None
     n = d.n
-    root = tuple(sorted(d.facet_masks))
-    rotations = d.rotation_invariant
-    memo: dict[tuple[int, ...], tuple[bool, ShedTree | None, int]] = {}
+    full = (1 << n) - 1
+    rotations = d.rotation_invariant and d.is_flag
+    memo: dict[object, tuple[bool, ShedTree | None, int]] = {}
     nodes = 0
     hits = 0
 
-    def canonical(fmasks: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-        """Memo key and the rotation that reaches it from ``fmasks``."""
-        if not rotations:
-            return fmasks, 0
-        best, best_r = fmasks, 0
-        for r in range(1, n):
-            cand = tuple(sorted(_rotate_mask(m, r, n) for m in fmasks))
-            if cand < best:
-                best, best_r = cand, r
-        return best, best_r
-
     sys.setrecursionlimit(max(sys.getrecursionlimit(), 8000))
 
-    def solve(fmasks: tuple[int, ...]) -> tuple[bool, ShedTree | None]:
+    def solve(fmasks: list[int]) -> tuple[bool, ShedTree | None]:
         nonlocal nodes, hits
         nodes += 1
         if deadline is not None and nodes % _BUDGET_PROBE == 0:
@@ -356,35 +398,48 @@ def vertex_decomposition(
                 raise _BudgetExceeded
         if not fmasks:
             return True, ShedLeaf("void")
-        if fmasks == (0,):
-            return True, ShedLeaf("empty-face")
         if len(fmasks) == 1:
-            return True, ShedLeaf("simplex")
-        key, rot = canonical(fmasks)
+            return True, ShedLeaf("simplex" if fmasks[0] else "empty-face")
+        verts = 0
+        for m in fmasks:
+            verts |= m
+        if rotations:
+            # key and the rotation that reaches it from this node; the
+            # rotation is ``complexes._rotate_mask`` inlined, as it runs
+            # n - 1 times per node
+            key, rot = verts, 0
+            for r in range(1, n):
+                cand = ((verts << r) | (verts >> (n - r))) & full
+                if cand < key:
+                    key, rot = cand, r
+        else:
+            key, rot = tuple(sorted(fmasks)), 0
         if key in memo:
             hits += 1
             ok, tree, stored_rot = memo[key]
             if ok and (rot or stored_rot):
                 tree = _rotate_tree(tree, (stored_rot - rot) % n, n)
             return ok, tree
-        verts_any = 0
-        verts_all = ~0
+        # lone[r] = the vertex F - r when ridge r lies in one facet F only
+        # (that vertex cannot shed), 0 when it lies in two or more
+        lone: dict[int, int] = {}
         for m in fmasks:
-            verts_any |= m
-            verts_all &= m
+            mm = m
+            while mm:
+                b = mm & -mm
+                r = m ^ b
+                lone[r] = 0 if r in lone else b
+                mm ^= b
+        stuck = 0
+        for b in lone.values():
+            stuck |= b
         result: tuple[bool, ShedTree | None] = (False, None)
-        for x in _bit_indices(verts_any & ~verts_all):
+        for x in _bit_indices(verts & ~stuck):
             xb = 1 << x
-            with_x = [m & ~xb for m in fmasks if m & xb]
-            without = [m for m in fmasks if not m & xb]
-            # deletion stays pure of full dimension iff every trimmed
-            # facet lands inside a facet that already avoided x
-            if not all(any(t | g == g for g in without) for t in with_x):
-                continue
-            ok_del, tree_del = solve(tuple(sorted(without)))
+            ok_del, tree_del = solve([m for m in fmasks if not m & xb])
             if not ok_del:
                 continue
-            ok_link, tree_link = solve(tuple(sorted(with_x)))
+            ok_link, tree_link = solve([m ^ xb for m in fmasks if m & xb])
             if not ok_link:
                 continue
             result = (True, ShedNode(x, tree_del, tree_link))
@@ -393,7 +448,7 @@ def vertex_decomposition(
         return result
 
     try:
-        ok, tree = solve(root)
+        ok, tree = solve(list(d.facet_masks))
     except _BudgetExceeded:
         return CheckOutcome("unknown", None, {
             "nodes": nodes, "memo_hits": hits, "rotations": rotations,

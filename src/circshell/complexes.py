@@ -14,6 +14,7 @@ least zero vertices is never void: the empty set is independent.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -54,6 +55,48 @@ def _from_masks(n: int, masks: Iterable[int]) -> "Complex":
 
 class FaceLimitError(RuntimeError):
     """Face enumeration exceeded the configured resource cap."""
+
+
+class BudgetError(RuntimeError):
+    """A budgeted computation ran out of wall-clock time."""
+
+
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetError("homology computation ran out of budget")
+
+
+def _maximal_cliques(nbr: list[int], p: int) -> list[int]:
+    """Maximal cliques, as masks, of the graph ``nbr`` restricted to ``p``.
+
+    Bron-Kerbosch with pivoting; ``nbr[v]`` must not contain ``v``.
+    """
+    cliques = []
+
+    def expand(r: int, p: int, x: int) -> None:
+        if p == 0 and x == 0:
+            cliques.append(r)
+            return
+        # pivot: vertex of P|X with most neighbours inside P
+        pivot, best = -1, -1
+        m = p | x
+        while m:
+            u = (m & -m).bit_length() - 1
+            m &= m - 1
+            d = (nbr[u] & p).bit_count()
+            if d > best:
+                pivot, best = u, d
+        cand = p & ~nbr[pivot]
+        while cand:
+            vbit = cand & -cand
+            v = vbit.bit_length() - 1
+            cand &= cand - 1
+            expand(r | vbit, p & nbr[v], x & nbr[v])
+            p &= ~vbit
+            x |= vbit
+
+    expand(0, p, 0)
+    return cliques
 
 
 @dataclass(frozen=True)
@@ -115,6 +158,28 @@ class Complex:
         family = set(self.facet_masks)
         return n > 1 and all(_rotate_mask(m, 1, n) in family for m in family)
 
+    @cached_property
+    def is_flag(self) -> bool:
+        """Whether every clique of the 1-skeleton is a face.
+
+        Equivalently, the complex is Ind of the graph, on its vertices,
+        of the pairs that no facet contains; every independence complex
+        is flag.  Then every complex reached from it by vertex deletions
+        and vertex links is the subcomplex induced on its own vertex
+        set, so that set determines it.  The void complex is not flag.
+        """
+        nbr = [0] * self.n
+        verts = 0
+        for m in self.facet_masks:
+            verts |= m
+            mm = m
+            while mm:
+                b = mm & -mm
+                nbr[b.bit_length() - 1] |= m
+                mm ^= b
+        nbr = [m & ~(1 << v) for v, m in enumerate(nbr)]
+        return set(_maximal_cliques(nbr, verts)) == set(self.facet_masks)
+
     @property
     def is_void(self) -> bool:
         return not self.facets
@@ -140,13 +205,18 @@ class Complex:
             m |= fm
         return _tuple_of(m)
 
-    def face_masks(self, cap: int | None = None) -> set[int]:
+    def face_masks(
+        self, cap: int | None = None, deadline: float | None = None
+    ) -> set[int]:
         """Every face as a bitmask, the empty face included.
 
-        Raises :class:`FaceLimitError` once more than ``cap`` faces appear.
+        Raises :class:`FaceLimitError` once more than ``cap`` faces appear,
+        and :class:`BudgetError` once ``time.monotonic()`` passes
+        ``deadline`` (probed once per facet).
         """
         seen: set[int] = set()
         for fm in self.facet_masks:
+            _check_deadline(deadline)
             stack = [fm]
             while stack:
                 m = stack.pop()
@@ -191,33 +261,8 @@ def independence_complex(g: Graph) -> Complex:
     # neighbourhoods in the complement graph: maximal independent sets of g
     # are exactly the maximal cliques of its complement
     nadj = [full & ~(m | (1 << v)) for v, m in enumerate(g.adjacency_masks)]
-    facets = []
-
-    def expand(r: int, p: int, x: int) -> None:
-        if p == 0 and x == 0:
-            facets.append(r)
-            return
-        # pivot: vertex of P|X with most complement-neighbours inside P
-        pivot, best = -1, -1
-        m = p | x
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            d = (nadj[u] & p).bit_count()
-            if d > best:
-                pivot, best = u, d
-        cand = p & ~nadj[pivot]
-        while cand:
-            vbit = cand & -cand
-            v = vbit.bit_length() - 1
-            cand &= cand - 1
-            expand(r | vbit, p & nadj[v], x & nadj[v])
-            p &= ~vbit
-            x |= vbit
-
-    expand(0, full, 0)
     # maximal independent sets are distinct and pairwise incomparable
-    return _from_masks(g.n, facets)
+    return _from_masks(g.n, _maximal_cliques(nadj, full))
 
 
 def alpha(g: Graph) -> int:

@@ -21,21 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import FaceLimitError  # re-exported; all_faces raises it
-from .complexes import Complex, _from_masks, _rotate_mask, _tuple_of
+# re-exported: all_faces and the budgeted kernels raise them
+from .complexes import BudgetError, FaceLimitError
+from .complexes import Complex, _check_deadline, _from_masks, _rotate_mask, _tuple_of
 
 DEFAULT_FACE_CAP = 5_000_000
 ORACLE_PRIME = 32003
-_DEADLINE_PROBE = 32  # pivots (columns for rank_mod_p) between deadline checks
-
-
-class BudgetError(RuntimeError):
-    """A budgeted homology computation ran out of wall-clock time."""
-
-
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise BudgetError("homology computation ran out of budget")
+_DEADLINE_PROBE = 32  # pivots or columns between deadline checks
 
 
 @dataclass(frozen=True)
@@ -64,18 +56,23 @@ class HomologyProfile:
         return json.dumps(self.to_obj())
 
 
-def all_faces(d: Complex, cap: int = DEFAULT_FACE_CAP) -> list[int]:
+def all_faces(
+    d: Complex, cap: int = DEFAULT_FACE_CAP, deadline: float | None = None
+) -> list[int]:
     """All faces of ``d`` as bitmasks (the empty face included).
 
-    Raises :class:`FaceLimitError` once more than ``cap`` faces appear.
+    Raises :class:`FaceLimitError` once more than ``cap`` faces appear,
+    and :class:`BudgetError` once ``time.monotonic()`` passes ``deadline``.
     """
-    return sorted(d.face_masks(cap))
+    return sorted(d.face_masks(cap, deadline))
 
 
-def faces_by_dim(d: Complex, cap: int = DEFAULT_FACE_CAP) -> dict[int, list[tuple[int, ...]]]:
+def faces_by_dim(
+    d: Complex, cap: int = DEFAULT_FACE_CAP, deadline: float | None = None
+) -> dict[int, list[tuple[int, ...]]]:
     """Faces grouped by dimension, each group sorted lexicographically."""
     groups: dict[int, list[tuple[int, ...]]] = {}
-    for m in all_faces(d, cap):
+    for m in all_faces(d, cap, deadline):
         groups.setdefault(m.bit_count() - 1, []).append(_tuple_of(m))
     for g in groups.values():
         g.sort()
@@ -83,17 +80,18 @@ def faces_by_dim(d: Complex, cap: int = DEFAULT_FACE_CAP) -> dict[int, list[tupl
 
 
 def boundary_matrices(
-    d: Complex, cap: int = DEFAULT_FACE_CAP
+    d: Complex, cap: int = DEFAULT_FACE_CAP, deadline: float | None = None
 ) -> dict[int, BoundaryMatrix]:
     """Signed boundary matrices of the reduced chain complex.
 
     Key ``i`` maps i-faces to (i-1)-faces with alternating signs over
     ascending vertex order; ``i`` runs from 0 (vertices to the empty
-    face) up to the dimension of the complex.
+    face) up to the dimension of the complex.  Raises
+    :class:`BudgetError` once ``time.monotonic()`` passes ``deadline``.
     """
     if d.is_void:
         return {}
-    groups = faces_by_dim(d, cap)
+    groups = faces_by_dim(d, cap, deadline)
     index = {
         dim: {f: pos for pos, f in enumerate(fs)} for dim, fs in groups.items()
     }
@@ -103,6 +101,8 @@ def boundary_matrices(
         rows_index = index.get(dim - 1, {})
         entries = []
         for col, face in enumerate(cols):
+            if col % _DEADLINE_PROBE == 0:
+                _check_deadline(deadline)
             for t in range(len(face)):
                 sub = face[:t] + face[t + 1:]
                 entries.append((rows_index[sub], col, (-1) ** t))
@@ -292,7 +292,7 @@ def _link_vanishes_below_top(
     # facets of a link are pairwise incomparable, like those of the complex
     lc = _from_masks(n, facet_masks)
     ell = lc.dim
-    mats = boundary_matrices(lc, cap)
+    mats = boundary_matrices(lc, cap, deadline)
     bound_rank = {i: rank_mod_p(m, deadline=deadline) for i, m in mats.items()}
     exact: dict[int, int] = {}
 
@@ -343,7 +343,7 @@ def is_cohen_macaulay(
     rotations = range(1, n) if d.rotation_invariant else ()
     seen_links: set[tuple[int, ...]] = set()
     # larger faces first: their links are smaller and fail faster
-    for m in sorted(all_faces(d, cap), key=lambda x: -x.bit_count()):
+    for m in sorted(all_faces(d, cap, deadline), key=lambda x: -x.bit_count()):
         if m.bit_count() > k - 2:
             continue  # link has dimension <= 0, nothing to check
         if any(_rotate_mask(m, r, n) < m for r in rotations):

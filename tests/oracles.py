@@ -45,22 +45,48 @@ def faces_naive(facets: tuple[tuple[int, ...], ...]) -> set[tuple[int, ...]]:
     return out
 
 
-def shellable_naive(facets: tuple[tuple[int, ...], ...]) -> bool:
-    """Shellability of a pure complex by trying every facet order.
+def is_shelling_order(order) -> bool:
+    """Whether the facet sequence ``order`` is a shelling.
 
     Textbook condition: for each i > 1, the faces F_j ∩ F_i (j < i)
     generate a complex pure of dimension dim F_i - 1, i.e. every
     maximal one among them has |F_i| - 1 vertices.
     """
-    def is_shelling(order) -> bool:
-        for i in range(1, len(order)):
-            meets = {frozenset(order[i]) & frozenset(f) for f in order[:i]}
-            if any(len(m) != len(order[i]) - 1 for m in meets
-                   if not any(m < other for other in meets)):
-                return False
-        return True
+    for i in range(1, len(order)):
+        meets = {frozenset(order[i]) & frozenset(f) for f in order[:i]}
+        if any(len(m) != len(order[i]) - 1 for m in meets
+               if not any(m < other for other in meets)):
+            return False
+    return True
 
-    return any(is_shelling(order) for order in permutations(facets))
+
+def shellable_naive(facets: tuple[tuple[int, ...], ...]) -> bool:
+    """Shellability of a pure complex by trying every facet order."""
+    return any(is_shelling_order(order) for order in permutations(facets))
+
+
+def vd_naive(facets) -> bool:
+    """Pure vertex decomposability straight from Provan-Billera's definition.
+
+    A pure complex is vertex decomposable if it is a simplex (the void
+    complex and {()} included) or some vertex x has a deletion pure of
+    the same dimension and both deletion and link vertex decomposable.
+    Faces are frozensets; the deletion's facets are found by discarding
+    every face contained in another.  No memo, no shortcut.
+    """
+    fs = {frozenset(f) for f in facets}
+    if len(fs) <= 1:
+        return True
+    size = len(next(iter(fs)))
+    for x in set().union(*fs):
+        trimmed = {f - {x} for f in fs}
+        deletion = {f for f in trimmed if not any(f < g for g in trimmed)}
+        if any(len(f) != size for f in deletion):
+            continue
+        link = {f - {x} for f in fs if x in f}
+        if vd_naive(deletion) and vd_naive(link):
+            return True
+    return False
 
 
 def rank_fraction(rows: int, cols: int, entries: dict[tuple[int, int], int]) -> int:

@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,18 @@ def _ind_c5():
 
 def _two_disjoint_edges():
     return Complex.from_facets(4, [(0, 2), (1, 3)])
+
+
+def _moebius():
+    # rotation-invariant, and not flag: its 1-skeleton is K_5
+    return Complex.from_facets(
+        5, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3, 4), (0, 1, 4)])
+
+
+def _small_pure_ind():
+    """Every pure Ind(G) with n <= 5 (387 complexes, at most 6 facets)."""
+    return [d for n in range(1, 6) for g in labeled_graphs(n)
+            if (d := independence_complex(g)).is_pure()]
 
 
 def graphs_strategy(nmax=5):
@@ -75,6 +89,21 @@ def test_verify_shelling_requires_pure():
         verify_shelling(d, ShellingCertificate((0, 1)))
 
 
+def test_verify_shelling_matches_naive_order_check():
+    # seeded random facet orders of every small pure Ind(G), scored by the
+    # textbook condition; most orders of the larger complexes are rejected
+    rng = random.Random(6)
+    verdicts = {True: 0, False: 0}
+    for d in _small_pure_ind():
+        s = len(d.facets)
+        for _ in range(6):
+            order = tuple(rng.sample(range(s), s))
+            want = oracles.is_shelling_order([d.facets[i] for i in order])
+            assert verify_shelling(d, ShellingCertificate(order)) is want, (d, order)
+            verdicts[want] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
+
+
 def test_verify_shelling_trivial_sizes():
     assert verify_shelling(Complex.from_facets(2, [(0, 1)]),
                            ShellingCertificate((0,)))
@@ -94,13 +123,19 @@ def test_shelling_yes_cases():
 def test_shelling_milestones_need_no_backtracking():
     # one node per placed facet plus the root: the large-complex
     # candidate order shells the paper's circulants without undoing
-    for name, nodes in (("C16(1,4,8)", 81), ("C20(1,5,10)", 245),
-                        ("C24(1,6,12)", 729)):
-        d = independence_complex(circulant(CirculantSpec.parse(name)))
-        out = shelling(d)
-        assert out.verdict == "yes"
-        assert out.stats["nodes"] == nodes
-        assert verify_shelling(d, out.certificate)
+    limit = sys.getrecursionlimit()
+    try:
+        for name, nodes in (("C16(1,4,8)", 81), ("C20(1,5,10)", 245),
+                            ("C24(1,6,12)", 729), ("C28(1,7,14)", 2189)):
+            d = independence_complex(circulant(CirculantSpec.parse(name)))
+            out = shelling(d)
+            assert out.verdict == "yes"
+            assert out.stats["nodes"] == nodes
+            assert verify_shelling(d, out.certificate)
+    finally:
+        # the search raises the process-wide limit to 4s + 1000 (9,752 for
+        # C28); put it back so later tests start from the usual limit
+        sys.setrecursionlimit(limit)
 
 
 def test_shelling_trivial_cases():
@@ -121,8 +156,7 @@ def test_shelling_no_by_exhaustion():
     # Moebius band on 5 vertices: ridge graph is a 5-cycle (connected), so
     # the refutation must come from exhausting every prefix, and it is
     # genuinely non-shellable (homotopy equivalent to a circle)
-    d = Complex.from_facets(
-        5, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3, 4), (0, 1, 4)])
+    d = _moebius()
     out = shelling(d)
     assert out.verdict == "no"
     assert out.stats.get("reason") != "ridge graph disconnected"
@@ -130,18 +164,13 @@ def test_shelling_no_by_exhaustion():
 
 def test_shelling_matches_brute_force_on_every_small_pure_ind():
     # every pure Ind(G) with n <= 5: at most 6 facets, so all orders are tried
-    checked = 0
-    for n in range(1, 6):
-        for g in labeled_graphs(n):
-            d = independence_complex(g)
-            if not d.is_pure():
-                continue
-            checked += 1
-            out = shelling(d)
-            assert out.verdict == ("yes" if oracles.shellable_naive(d.facets) else "no"), g
-            if out.verdict == "yes":
-                assert verify_shelling(d, out.certificate), g
-    assert checked == 387
+    small = _small_pure_ind()
+    for d in small:
+        out = shelling(d)
+        assert out.verdict == ("yes" if oracles.shellable_naive(d.facets) else "no"), d
+        if out.verdict == "yes":
+            assert verify_shelling(d, out.certificate), d
+    assert len(small) == 387
 
 
 def test_shelling_requires_pure():
@@ -182,6 +211,39 @@ def test_vd_base_cases():
     assert vertex_decomposition(Complex.from_facets(2, [])).verdict == "yes"
     assert vertex_decomposition(Complex.from_facets(2, [()])).verdict == "yes"
     assert vertex_decomposition(Complex.from_facets(3, [(0, 1, 2)])).verdict == "yes"
+
+
+def test_vd_matches_definition_on_small_complexes():
+    # every small pure Ind(G) (all flag), then complexes given by their
+    # facets: the Moebius band and the boundaries of a triangle and of a
+    # tetrahedron, none of them flag, and two disjoint edges
+    others = [
+        _moebius(),
+        Complex.from_facets(3, [(0, 1), (1, 2), (0, 2)]),
+        Complex.from_facets(4, list(itertools.combinations(range(4), 3))),
+        _two_disjoint_edges(),
+    ]
+    verdicts = {"yes": 0, "no": 0}
+    for d in _small_pure_ind() + others:
+        out = vertex_decomposition(d)
+        assert out.verdict == ("yes" if oracles.vd_naive(d.facets) else "no"), d
+        if out.verdict == "yes":
+            assert verify_shed_tree(d, out.certificate), d
+        verdicts[out.verdict] += 1
+    assert [vertex_decomposition(d).verdict for d in others] == ["no", "yes", "yes", "no"]
+    assert verdicts["yes"] > 0 and verdicts["no"] > 0
+
+
+def test_vd_milestones_search_stats():
+    # the memo is keyed by rotation class, so these counts pin both the
+    # key and the candidate order
+    for name, nodes, hits in (("C16(1,4,8)", 759, 351),
+                              ("C20(1,5,10)", 6483, 3655)):
+        d = independence_complex(circulant(CirculantSpec.parse(name)))
+        out = vertex_decomposition(d)
+        assert out.verdict == "no"
+        assert out.stats["rotations"] is True
+        assert (out.stats["nodes"], out.stats["memo_hits"]) == (nodes, hits)
 
 
 def test_vd_two_disjoint_edges_no():
@@ -230,6 +292,16 @@ def test_vd_rotation_memo_agrees_with_relabelled_plain_memo():
                     assert verify_shed_tree(moved, plain.certificate)
                 plain_runs += not plain.stats["rotations"]
     assert plain_runs > 0
+
+
+def test_vd_rotation_invariant_non_flag_complex_runs_plain_keys():
+    d = _moebius()
+    assert d.rotation_invariant and not d.is_flag
+    moved = Complex.from_facets(5, [[{0: 1, 1: 0}.get(v, v) for v in f]
+                                    for f in d.facets])
+    out, again = vertex_decomposition(d), vertex_decomposition(moved)
+    assert out.stats["rotations"] is False
+    assert out.verdict == again.verdict == "no"
 
 
 def test_vd_certificate_round_trip():

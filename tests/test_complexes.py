@@ -146,6 +146,28 @@ def test_rotation_invariant():
     assert not Complex.from_facets(4, [(0, 2), (1, 2)]).rotation_invariant
 
 
+def test_is_flag():
+    # every independence complex is flag
+    for n in range(0, 5):
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for bits in range(1 << len(pairs)):
+            g = Graph.from_edges(
+                n, [pairs[t] for t in range(len(pairs)) if (bits >> t) & 1])
+            assert independence_complex(g).is_flag, g
+    assert Complex.from_facets(4, [(0, 2), (1, 3)]).is_flag
+    assert Complex.from_facets(3, [(0, 1, 2)]).is_flag  # a simplex
+    assert Complex.from_facets(6, [(0, 1), (4,)]).is_flag  # unused vertices
+    assert Complex.from_facets(2, [()]).is_flag
+    assert not Complex.from_facets(2, []).is_flag  # void
+    # each has a clique of its 1-skeleton that is not a face
+    assert not Complex.from_facets(3, [(0, 1), (1, 2), (0, 2)]).is_flag
+    assert not Complex.from_facets(
+        4, list(itertools.combinations(range(4), 3))).is_flag
+    assert not Complex.from_facets(
+        5, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3, 4), (0, 1, 4)]).is_flag
+    assert not Complex.from_facets(4, [(0, 1, 2), (0, 3), (1, 3), (2, 3)]).is_flag
+
+
 @settings(max_examples=150, deadline=None)
 @given(graphs_strategy(5))
 def test_alpha_matches_dim(g):

@@ -16,6 +16,7 @@ from circshell.homology import (
     FaceLimitError,
     all_faces,
     boundary_matrices,
+    cm_verdict,
     exact_rank,
     is_cohen_macaulay,
     rank_mod_p,
@@ -159,6 +160,21 @@ def test_long_kernels_honour_a_passed_deadline():
         smith_invariant_factors(top, deadline=passed)
     with pytest.raises(BudgetError):
         exact_rank(top, deadline=passed)
+
+
+def test_face_enumeration_honours_a_passed_deadline():
+    d = independence_complex(circulant(CirculantSpec.parse("C24(1,6,12)")))
+    passed = time.monotonic() - 1.0
+    with pytest.raises(BudgetError):
+        all_faces(d, deadline=passed)
+    with pytest.raises(BudgetError):
+        boundary_matrices(d, deadline=passed)
+    # The whole-complex face walk comes before the first link.  Past the
+    # cap it would end in the face-cap error, so an out-of-budget reason
+    # shows the budget stopped the walk first.
+    verdict, reason = cm_verdict(d, cap=1000, budget_s=0.0)
+    assert verdict == "unknown"
+    assert "budget" in reason
 
 
 # --- reduced homology -----------------------------------------------------------
