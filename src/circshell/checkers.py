@@ -226,8 +226,6 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
     nodes = 0
     hits = 0
 
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * s + 1000))
-
     def dfs(placed: int, legal: int) -> bool:
         nonlocal nodes, hits
         nodes += 1
@@ -291,6 +289,8 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
         dead.add(placed)
         return False
 
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 4 * s + 1000))
     try:
         found = dfs(0, full)
     except _BudgetExceeded:
@@ -299,6 +299,8 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
             "elapsed_s": time.monotonic() - start,
             "reason": "budget exhausted",
         })
+    finally:
+        sys.setrecursionlimit(limit)
     stats = {
         "nodes": nodes,
         "memo_hits": hits,
@@ -388,8 +390,6 @@ def vertex_decomposition(
     nodes = 0
     hits = 0
 
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), 8000))
-
     def solve(fmasks: list[int]) -> tuple[bool, ShedTree | None]:
         nonlocal nodes, hits
         nodes += 1
@@ -447,6 +447,8 @@ def vertex_decomposition(
         memo[key] = (result[0], result[1], rot)
         return result
 
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 8000))
     try:
         ok, tree = solve(list(d.facet_masks))
     except _BudgetExceeded:
@@ -455,6 +457,8 @@ def vertex_decomposition(
             "elapsed_s": time.monotonic() - start,
             "reason": "budget exhausted",
         })
+    finally:
+        sys.setrecursionlimit(limit)
     stats = {
         "nodes": nodes,
         "memo_hits": hits,

@@ -12,7 +12,8 @@ JSON object: a graph ``{"n": ..., "edges": [...]}`` or, for the complex
 checks, a complex ``{"n": ..., "facets": [...]}``.
 
 Exit codes: 0 when the checked property holds (or the suite passes),
-1 when it fails to hold, 2 for unknown verdicts, unusable input, or
+1 when it fails to hold, 2 for unknown verdicts, a yes whose
+certificate the independent verifier rejects, unusable input, or
 errors.
 """
 
@@ -109,8 +110,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         return 0 if ok else 1
 
     verdict, detail = run_check(
-        args.kind, item, timeout_s=args.timeout, face_cap=args.face_cap)
+        args.kind, item if d is None else d,
+        timeout_s=args.timeout, face_cap=args.face_cap)
     outcome = detail.pop("outcome", None)
+    if outcome is not None and not suites._certified(d, outcome, args.kind):
+        verdict = "certificate rejected"  # a yes is reported only once verified
 
     cert_path = None
     if args.certificate and outcome is not None and verdict == "yes":

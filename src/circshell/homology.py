@@ -9,7 +9,9 @@ every face's link must have vanishing reduced homology strictly below
 its dimension.  A fast sound filter bounds Betti numbers via ranks over
 Z/32003 (a rank over a prime field never exceeds the rational rank, so
 a zero bound is conclusive); only nonzero bounds escalate to exact
-integer ranks.
+integer ranks.  Both ranks work on the same sparse entries of a
+``BoundaryMatrix`` in pure Python: the mod-p rank by column reduction
+with lowest-row pivots, the exact rank by Smith normal form.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ import json
 import math
 import time
 from dataclasses import dataclass
-
-import numpy as np
 
 # re-exported: all_faces and the budgeted kernels raise them
 from .complexes import BudgetError, FaceLimitError
@@ -225,34 +225,40 @@ def exact_rank(mat: BoundaryMatrix, deadline: float | None = None) -> int:
 def rank_mod_p(
     mat: BoundaryMatrix, p: int = ORACLE_PRIME, deadline: float | None = None
 ) -> int:
-    """Rank over Z/p by dense elimination; never exceeds the exact rank.
+    """Rank over Z/p by sparse column reduction; never exceeds the exact rank.
 
-    Raises :class:`BudgetError` once ``time.monotonic()`` passes ``deadline``.
+    Each column, a ``{row: value mod p}`` dict, is reduced against the
+    earlier pivot columns, keyed by their largest row index, until it
+    is empty or its largest row is new; the rank is the number of
+    pivots.  Raises :class:`BudgetError` once ``time.monotonic()``
+    passes ``deadline``.
     """
-    if not mat.entries or mat.rows == 0 or mat.cols == 0:
-        return 0
-    a = np.zeros((mat.rows, mat.cols), dtype=np.int64)
+    cols: dict[int, dict[int, int]] = {}
     for r, c, v in mat.entries:
-        a[r, c] = v % p
-    rank = 0
-    for c in range(mat.cols):
-        if rank == mat.rows:
-            break
-        if c % _DEADLINE_PROBE == 0:
+        v %= p
+        if v:
+            cols.setdefault(c, {})[r] = v
+    # pivots[low] is a reduced column whose largest row is low, scaled
+    # so that its entry there is 1
+    pivots: dict[int, dict[int, int]] = {}
+    for done, col in enumerate(cols.values()):
+        if done % _DEADLINE_PROBE == 0:
             _check_deadline(deadline)
-        nz = np.nonzero(a[rank:, c])[0]
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, c]), p - 2, p)
-        a[rank] = (a[rank] * inv) % p
-        below = rank + 1 + np.nonzero(a[rank + 1:, c])[0]
-        if below.size:
-            a[below] = (a[below] - np.outer(a[below, c], a[rank])) % p
-        rank += 1
-    return rank
+        while col:
+            low = max(col)
+            piv = pivots.get(low)
+            if piv is None:
+                inv = pow(col[low], -1, p)
+                pivots[low] = {r: v * inv % p for r, v in col.items()}
+                break
+            q = col[low]
+            for r, v in piv.items():
+                nv = (col.get(r, 0) - q * v) % p
+                if nv:
+                    col[r] = nv
+                else:
+                    del col[r]
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------

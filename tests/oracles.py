@@ -114,6 +114,30 @@ def rank_fraction(rows: int, cols: int, entries: dict[tuple[int, int], int]) -> 
     return rank
 
 
+def rank_mod_p_naive(rows: int, cols: int, entries: dict[tuple[int, int], int],
+                     p: int) -> int:
+    """Matrix rank over Z/p (p prime) by dense Gaussian elimination."""
+    mat = [[0] * cols for _ in range(rows)]
+    for (i, j), v in entries.items():
+        mat[i][j] = v % p
+    rank = 0
+    for col in range(cols):
+        pivot = next((r for r in range(rank, rows) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = pow(mat[rank][col], p - 2, p)
+        mat[rank] = [x * inv % p for x in mat[rank]]
+        for r in range(rows):
+            if r != rank and mat[r][col]:
+                factor = mat[r][col]
+                mat[r] = [(a - factor * b) % p for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
 def betti_naive(facets: tuple[tuple[int, ...], ...]) -> dict[int, int]:
     """Reduced Betti numbers over the rationals by dense exact linear algebra.
 

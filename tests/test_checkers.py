@@ -124,18 +124,15 @@ def test_shelling_milestones_need_no_backtracking():
     # one node per placed facet plus the root: the large-complex
     # candidate order shells the paper's circulants without undoing
     limit = sys.getrecursionlimit()
-    try:
-        for name, nodes in (("C16(1,4,8)", 81), ("C20(1,5,10)", 245),
-                            ("C24(1,6,12)", 729), ("C28(1,7,14)", 2189)):
-            d = independence_complex(circulant(CirculantSpec.parse(name)))
-            out = shelling(d)
-            assert out.verdict == "yes"
-            assert out.stats["nodes"] == nodes
-            assert verify_shelling(d, out.certificate)
-    finally:
-        # the search raises the process-wide limit to 4s + 1000 (9,752 for
-        # C28); put it back so later tests start from the usual limit
-        sys.setrecursionlimit(limit)
+    for name, nodes in (("C16(1,4,8)", 81), ("C20(1,5,10)", 245),
+                        ("C24(1,6,12)", 729), ("C28(1,7,14)", 2189)):
+        d = independence_complex(circulant(CirculantSpec.parse(name)))
+        out = shelling(d)
+        assert out.verdict == "yes"
+        assert out.stats["nodes"] == nodes
+        assert verify_shelling(d, out.certificate)
+        # raised to 4s + 1000 only while the search runs
+        assert sys.getrecursionlimit() == limit
 
 
 def test_shelling_trivial_cases():
@@ -180,7 +177,9 @@ def test_shelling_requires_pure():
 
 def test_shelling_timeout_reports_unknown():
     d = independence_complex(circulant(CirculantSpec.parse("C24(1,6,12)")))
+    limit = sys.getrecursionlimit()
     out = shelling(d, budget_s=0.0)
+    assert sys.getrecursionlimit() == limit
     assert out.verdict == "unknown"
     assert out.certificate is None
     assert out.stats.get("reason") == "budget exhausted"
@@ -237,6 +236,7 @@ def test_vd_matches_definition_on_small_complexes():
 def test_vd_milestones_search_stats():
     # the memo is keyed by rotation class, so these counts pin both the
     # key and the candidate order
+    limit = sys.getrecursionlimit()
     for name, nodes, hits in (("C16(1,4,8)", 759, 351),
                               ("C20(1,5,10)", 6483, 3655)):
         d = independence_complex(circulant(CirculantSpec.parse(name)))
@@ -244,6 +244,7 @@ def test_vd_milestones_search_stats():
         assert out.verdict == "no"
         assert out.stats["rotations"] is True
         assert (out.stats["nodes"], out.stats["memo_hits"]) == (nodes, hits)
+        assert sys.getrecursionlimit() == limit
 
 
 def test_vd_two_disjoint_edges_no():
@@ -259,7 +260,9 @@ def test_vd_requires_pure():
 
 def test_vd_timeout_reports_unknown():
     d = independence_complex(circulant(CirculantSpec.parse("C20(1,5,10)")))
+    limit = sys.getrecursionlimit()
     out = vertex_decomposition(d, budget_s=0.0)
+    assert sys.getrecursionlimit() == limit
     assert out.verdict == "unknown"
 
 

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from circshell import checkers
 from circshell.cli import main
 
 
@@ -103,6 +104,19 @@ def test_check_vd_yes_certificate_roundtrip(capsys, tmp_path):
     code, out, _ = run(capsys, "check", "vd", "C5(1)",
                        "--verify-only", str(cert))
     assert code == 0 and "accepted" in out
+
+
+@pytest.mark.parametrize("kind, verifier", [
+    ("shellable", "verify_shelling"), ("vd", "verify_shed_tree")])
+def test_check_yes_needs_its_certificate_verified(
+        capsys, tmp_path, monkeypatch, kind, verifier):
+    monkeypatch.setattr(checkers, verifier, lambda d, cert: False)
+    cert = tmp_path / "cert.json"
+    code, out, _ = run(capsys, "check", kind, "C5(1)",
+                       "--certificate", str(cert))
+    assert code == 2
+    assert f"{kind}: certificate rejected" in out
+    assert not cert.exists()
 
 
 def test_check_vd_no(capsys):

@@ -1,12 +1,16 @@
 """Boundary matrices, Smith normal form, reduced homology, Cohen-Macaulayness."""
 
 import itertools
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import circshell
 import oracles
 from circshell.complexes import Complex, independence_complex
 from circshell.graphs import Graph, circulant, CirculantSpec, complete, cycle
@@ -147,6 +151,38 @@ def test_rank_mod_p_matches_exact_rank(d):
         return
     for mat in boundary_matrices(d).values():
         assert rank_mod_p(mat) == exact_rank(mat)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+def test_rank_mod_p_matches_dense_reference(p):
+    import random
+    rng = random.Random(p)
+    # multiples of p vanish mod p but not over the integers
+    values = [p, -p, 2 * p, 1, -1, 2, -3, 5, p + 1, 7 * p - 1]
+    for _ in range(60):
+        rows, cols = rng.randint(1, 8), rng.randint(1, 8)
+        entries = {(r, c): rng.choice(values)
+                   for r in range(rows) for c in range(cols)
+                   if rng.random() < 0.5}
+        mat = BoundaryMatrix(
+            rows, cols, tuple((r, c, v) for (r, c), v in entries.items()))
+        assert rank_mod_p(mat, p) == oracles.rank_mod_p_naive(
+            rows, cols, entries, p)
+    # the bound is sound but not exact: [[p]] has rational rank 1
+    mat = BoundaryMatrix(1, 1, ((0, 0, p),))
+    assert rank_mod_p(mat, p) == 0
+    assert exact_rank(mat) == 1
+
+
+def test_import_does_not_load_numpy():
+    # the mod-p filter is pure Python: importing the package and its CLI
+    # in a fresh interpreter must not pull numpy in
+    src = str(Path(circshell.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import circshell.cli; "
+            "print('numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_long_kernels_honour_a_passed_deadline():

@@ -1,11 +1,12 @@
 """Suite execution, report mechanics, reproducibility, and the explorer."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from circshell import checkers, homology, suites
+from circshell import checkers, homology, kernels, suites
 from circshell.homology import BudgetError
 from circshell.complexes import independence_complex
 from circshell.graphs import circulant, CirculantSpec
@@ -16,6 +17,7 @@ from circshell.suites import (
     explore_family,
     labeled_graphs,
     run_suite,
+    suite_alpha_product,
     suite_chain,
     suite_main_a,
     suite_paper_milestones,
@@ -157,6 +159,21 @@ def test_family_records_the_cm_face_cap_reason():
     assert "more than 10 faces" in rec["stats"]["cm"]["reason"]
 
 
+def test_family_s7_finishes_within_its_budget(tmp_path):
+    limit = sys.getrecursionlimit()
+    report = explore_family(7, 7, RunConfig(timeout_s=1.0, out_dir=str(tmp_path)))
+    assert sys.getrecursionlimit() == limit
+    assert report.elapsed_s < 60
+    rec = report.records[0]
+    assert rec["instance"] == "C28(1,7,14)"
+    assert rec["verdicts"]["shellable"] == "yes"
+    assert all(v in ("yes", "no", "unknown") for v in rec["verdicts"].values())
+    cert = checkers.certificate_from_json(
+        Path(rec["stats"]["shellable"]["certificate"]).read_text())
+    d = independence_complex(circulant(CirculantSpec.parse("C28(1,7,14)")))
+    assert checkers.verify_shelling(d, cert)
+
+
 def test_family_budget_exhaustion_is_unknown_not_failure():
     report = explore_family(6, 6, RunConfig(timeout_s=0.05))
     rec = report.records[0]
@@ -185,3 +202,16 @@ def test_chain_records_cm_budget_exhaustion_as_unknown(monkeypatch):
     assert len(report.unknowns) == pure > 0
     assert not report.failures and not report.passed
     assert all(r["verdicts"]["cm"] == "unknown" for r in report.unknowns)
+
+
+def test_alpha_product_reports_every_failing_pair_sorted(monkeypatch):
+    # two pairs, given out of instance order
+    monkeypatch.setattr(kernels, "alpha_product_failures",
+                        lambda ns, adjs: [(5, 3), (2, 7)])
+    report = suite_alpha_product(RunConfig())
+    assert not report.passed
+    assert report.aggregated and report.records == []
+    gs = suites._graphs_upto(5)
+    want = sorted(f"{suites._desc(gs[g])} lex {suites._desc(gs[h])}"
+                  for g, h in ((5, 3), (2, 7)))
+    assert [r["instance"] for r in report.failures] == want
