@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass
 from typing import Union
 
-from . import complexes
 from .complexes import Complex
 
 _BUDGET_PROBE = 256  # nodes between deadline checks
@@ -469,33 +468,46 @@ def vertex_decomposition(
 
 
 def verify_shed_tree(d: Complex, t: ShedTree) -> bool:
-    """Recheck a shed tree from scratch using the generic complex ops.
+    """Recheck a shed tree from scratch against Provan-Billera's definition.
 
-    Recomputes deletion and link at every node and verifies purity,
-    dimension preservation, and the leaf base cases.  Malformed trees
-    return ``False`` rather than raising.
+    Walks the tree on facet families held as sets of vertex bitmasks,
+    sharing no code with the search: at every node it recomputes the
+    deletion and link of the shed vertex and checks that the node is
+    pure, that the vertex lies in a facet, that the deletion is pure of
+    the node's facet size and that the link is pure; leaves must match
+    their family.  Malformed trees return ``False`` rather than raising.
     """
     try:
-        return _verify_tree(d, t)
+        return _verify_tree(frozenset(d.facet_masks), t)
     except (ValueError, RecursionError):
         return False
 
 
-def _verify_tree(d: Complex, t: ShedTree) -> bool:
+def _verify_tree(family: frozenset[int], t: ShedTree) -> bool:
     if isinstance(t, ShedLeaf):
         if t.kind == "void":
-            return d.is_void
+            return not family
         if t.kind == "empty-face":
-            return d.facets == ((),)
+            return family == {0}
         if t.kind == "simplex":
-            return len(d.facets) == 1
+            return len(family) == 1
         return False
     if not isinstance(t, ShedNode):
         return False
-    if not d.is_pure() or not d.has_face((t.vertex,)):
+    xb = 1 << t.vertex  # ValueError for a negative vertex
+    sizes = {m.bit_count() for m in family}
+    if len(sizes) != 1 or not any(m & xb for m in family):
         return False
-    del_ = complexes.deletion(d, t.vertex)
-    link_ = complexes.link(d, (t.vertex,))
-    if not del_.is_pure() or del_.dim != d.dim or not link_.is_pure():
+    avoid = [m for m in family if not m & xb]
+    link_ = frozenset(m ^ xb for m in family if m & xb)
+    # The faces avoiding x are the subsets of the facets minus x.  Since
+    # facets form an antichain, F - x never lies in another G - x (F
+    # would lie in G), so the maximal ones are the facets avoiding x
+    # plus each F - x that lies in no facet avoiding x.
+    del_ = frozenset(avoid).union(
+        r for r in link_ if not any(r | m == m for m in avoid))
+    if {m.bit_count() for m in del_} != sizes:
+        return False
+    if len({m.bit_count() for m in link_}) != 1:
         return False
     return _verify_tree(del_, t.deletion) and _verify_tree(link_, t.link)

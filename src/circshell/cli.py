@@ -99,10 +99,13 @@ def cmd_check(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
         cert = checkers.certificate_from_json(Path(args.verify_only).read_text())
-        if args.kind == "shellable":
-            if not isinstance(cert, checkers.ShellingCertificate):
-                print("error: certificate is not a shelling order", file=sys.stderr)
-                return 2
+        checkers._require_pure(d)
+        shellable = args.kind == "shellable"
+        if isinstance(cert, checkers.ShellingCertificate) != shellable:
+            want = "shelling order" if shellable else "shed tree"
+            print(f"error: certificate is not a {want}", file=sys.stderr)
+            return 2
+        if shellable:
             ok = checkers.verify_shelling(d, cert)
         else:
             ok = checkers.verify_shed_tree(d, cert)

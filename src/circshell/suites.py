@@ -441,16 +441,17 @@ def suite_expansion(cfg: RunConfig) -> SuiteReport:
         pure_g = ind_g.is_pure()
         if pure_g:
             sh_g, vd_g, cert_g = _checked_verdicts(ind_g, cfg)
+        desc = _desc(g)
         out = []
         for s in vectors:
-            instance = f"{_desc(g)} expand {list(s)}"
+            instance = f"{desc} expand {list(s)}"
             ind_s = independence_complex(expansion(g, s))
             if not pure_g:
-                ok = not ind_s.is_pure()
+                pure_s = ind_s.is_pure()
                 out.append({
                     "instance": instance,
-                    "status": "ok" if ok else "fail",
-                    "verdicts": {"pure_G": False, "pure_expansion": ind_s.is_pure()},
+                    "status": "fail" if pure_s else "ok",
+                    "verdicts": {"pure_G": False, "pure_expansion": pure_s},
                     "note": "non-pure on both sides; decomposability not defined",
                 })
                 continue

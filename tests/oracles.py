@@ -10,6 +10,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 
+from circshell import complexes
+from circshell.checkers import ShedLeaf, ShedNode
+from circshell.complexes import Complex
 from circshell.graphs import Graph
 
 
@@ -87,6 +90,41 @@ def vd_naive(facets) -> bool:
         if vd_naive(deletion) and vd_naive(link):
             return True
     return False
+
+
+def shed_tree_ok_naive(d: Complex, t) -> bool:
+    """Whether ``t`` is a shed tree of ``d``, on validated ``Complex`` objects.
+
+    At each node the deletion and link come from ``complexes.deletion``
+    and ``complexes.link``, which rebuild and re-validate the complex;
+    the node must be pure and contain the vertex, the deletion must be
+    pure of the same dimension and the link pure.  Malformed trees are
+    rejected rather than raising.
+    """
+    try:
+        return _shed_tree_ok(d, t)
+    except (ValueError, RecursionError):
+        return False
+
+
+def _shed_tree_ok(d: Complex, t) -> bool:
+    if isinstance(t, ShedLeaf):
+        if t.kind == "void":
+            return d.is_void
+        if t.kind == "empty-face":
+            return d.facets == ((),)
+        if t.kind == "simplex":
+            return len(d.facets) == 1
+        return False
+    if not isinstance(t, ShedNode):
+        return False
+    if not d.is_pure() or not d.has_face((t.vertex,)):
+        return False
+    del_ = complexes.deletion(d, t.vertex)
+    link_ = complexes.link(d, (t.vertex,))
+    if not del_.is_pure() or del_.dim != d.dim or not link_.is_pure():
+        return False
+    return _shed_tree_ok(del_, t.deletion) and _shed_tree_ok(link_, t.link)
 
 
 def rank_fraction(rows: int, cols: int, entries: dict[tuple[int, int], int]) -> int:

@@ -4,6 +4,7 @@ import itertools
 import json
 import random
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -266,6 +267,17 @@ def test_vd_timeout_reports_unknown():
     assert out.verdict == "unknown"
 
 
+def test_vd_budget_is_honoured_while_it_runs():
+    d = independence_complex(circulant(CirculantSpec.parse("C24(1,6,12)")))
+    limit = sys.getrecursionlimit()
+    started = time.monotonic()
+    out = vertex_decomposition(d, budget_s=0.5)
+    assert time.monotonic() - started < 2.0
+    assert sys.getrecursionlimit() == limit
+    assert out.verdict == "unknown"
+    assert out.stats["reason"] == "budget exhausted" and out.stats["nodes"] > 0
+
+
 def _rotation_invariant(d):
     return {tuple(sorted((v + 1) % d.n for v in f)) for f in d.facets} == set(d.facets)
 
@@ -328,6 +340,60 @@ def test_verify_shed_tree_rejects_wrong_trees():
     assert not verify_shed_tree(d, swapped)
     # shedding a vertex that is not a face
     assert not verify_shed_tree(d, ShedNode(7, good.deletion, good.link))
+
+
+def _subtrees(t, path=()):
+    """Every subtree of ``t`` with its path of "deletion"/"link" steps."""
+    yield path, t
+    if isinstance(t, ShedNode):
+        yield from _subtrees(t.deletion, path + ("deletion",))
+        yield from _subtrees(t.link, path + ("link",))
+
+
+def _replace(t, path, new):
+    if not path:
+        return new
+    if path[0] == "deletion":
+        return ShedNode(t.vertex, _replace(t.deletion, path[1:], new), t.link)
+    return ShedNode(t.vertex, t.deletion, _replace(t.link, path[1:], new))
+
+
+def _mutants(t, n, rng):
+    """At a leaf: each other leaf kind, and a node on a random vertex with
+    two copies of the leaf below it (shedding a vertex of a simplex, which
+    only the deletion's dimension rules out).  At a node: the vertex
+    replaced by -1, by n and by a random other vertex, the subtrees
+    swapped, and the node replaced by each leaf."""
+    kinds = ("simplex", "void", "empty-face")
+    for path, sub in _subtrees(t):
+        if isinstance(sub, ShedLeaf):
+            news = [ShedLeaf(k) for k in kinds if k != sub.kind]
+            news.append(ShedNode(rng.randrange(n), sub, sub))
+        else:
+            other = (sub.vertex + 1 + rng.randrange(n - 1)) % n
+            news = [ShedNode(v, sub.deletion, sub.link) for v in (-1, n, other)]
+            news.append(ShedNode(sub.vertex, sub.link, sub.deletion))
+            news.extend(ShedLeaf(k) for k in kinds)
+        for new in news:
+            yield _replace(t, path, new)
+
+
+def test_verify_shed_tree_matches_the_complex_based_oracle():
+    # every VD certificate of a small pure Ind(G), and mutants of each
+    rng = random.Random(8)
+    certified = 0
+    seen = {True: 0, False: 0}
+    for d in _small_pure_ind():
+        out = vertex_decomposition(d)
+        if out.verdict != "yes":
+            continue
+        certified += 1
+        for t in [out.certificate, *_mutants(out.certificate, d.n, rng)]:
+            want = oracles.shed_tree_ok_naive(d, t)
+            assert verify_shed_tree(d, t) is want, (d, t)
+            seen[want] += 1
+    assert certified == 339
+    assert seen[True] > certified and seen[False] > 0
 
 
 # --- shellable but not vertex-decomposable ---------------------------------------

@@ -106,6 +106,30 @@ def test_check_vd_yes_certificate_roundtrip(capsys, tmp_path):
     assert code == 0 and "accepted" in out
 
 
+@pytest.mark.parametrize("kind, cert_obj", [
+    ("shellable", {"order": [0, 1]}), ("vd", {"leaf": "simplex"})])
+def test_check_verify_only_on_a_non_pure_complex_is_error(
+        capsys, tmp_path, kind, cert_obj):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(cert_obj))
+    desc = json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]})
+    code, out, err = run(capsys, "check", kind, desc, "--verify-only", str(cert))
+    assert code == 2 and out == ""
+    assert "not pure" in err
+
+
+@pytest.mark.parametrize("kind, cert_obj, message", [
+    ("shellable", {"leaf": "simplex"}, "certificate is not a shelling order"),
+    ("vd", {"order": [0, 1, 2, 3, 4]}, "certificate is not a shed tree")])
+def test_check_verify_only_rejects_the_other_kind_of_certificate(
+        capsys, tmp_path, kind, cert_obj, message):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(cert_obj))
+    code, out, err = run(capsys, "check", kind, "C5(1)", "--verify-only", str(cert))
+    assert code == 2 and out == ""
+    assert message in err
+
+
 @pytest.mark.parametrize("kind, verifier", [
     ("shellable", "verify_shelling"), ("vd", "verify_shed_tree")])
 def test_check_yes_needs_its_certificate_verified(

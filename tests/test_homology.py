@@ -213,6 +213,16 @@ def test_face_enumeration_honours_a_passed_deadline():
     assert "budget" in reason
 
 
+def test_cm_budget_is_honoured_while_it_runs():
+    # the deadline passes while the test is working, not before it
+    # starts, and the verdict still comes back within a small factor
+    d = independence_complex(circulant(CirculantSpec.parse("C28(1,7,14)")))
+    started = time.monotonic()
+    verdict, reason = cm_verdict(d, budget_s=0.5)
+    assert verdict == "unknown" and "budget" in reason
+    assert time.monotonic() - started < 2.0
+
+
 # --- reduced homology -----------------------------------------------------------
 
 
