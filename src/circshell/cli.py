@@ -78,8 +78,9 @@ def run_check(kind: str, item: Graph | Complex, *,
         profile = homology.reduced_homology(d, face_cap)
         return "yes", {"profile": profile.to_obj()}
     if kind == "cm":
-        verdict, reason = homology.cm_verdict(d, face_cap, budget_s=timeout_s)
-        return verdict, ({"reason": reason} if reason else {})
+        verdict, reason, counts = homology.cm_verdict(d, face_cap, budget_s=timeout_s)
+        return verdict, ({"stats": counts, "reason": reason} if reason
+                         else {"stats": counts})
     if kind == "shellable":
         out = checkers.shelling(d, budget_s=timeout_s)
         return out.verdict, {"stats": out.stats, "outcome": out}

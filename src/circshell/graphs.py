@@ -12,6 +12,7 @@ Labelling contracts (relied on by tests and certificates):
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -179,16 +180,15 @@ def expansion(g: Graph, sizes: tuple[int, ...]) -> Graph:
     for i in range(1, g.n):
         offsets[i] = offsets[i - 1] + sizes[i - 1]
     total = offsets[-1] + sizes[-1] if g.n else 0
-    edges = []
-    for i in range(g.n):
-        for a in range(sizes[i]):
-            for b in range(a + 1, sizes[i]):
-                edges.append((offsets[i] + a, offsets[i] + b))
+    blobs = [range(o, o + s) for o, s in zip(offsets, sizes)]
+    # in range, loop-free and sorted as built: a < b inside a blob, and
+    # blob i lies below blob j for every edge (i, j), i < j, of g
+    edges: set[tuple[int, int]] = set()
+    for blob in blobs:
+        edges.update(itertools.combinations(blob, 2))
     for i, j in g.edges:
-        for a in range(sizes[i]):
-            for b in range(sizes[j]):
-                edges.append((offsets[i] + a, offsets[j] + b))
-    return Graph.from_edges(total, edges)
+        edges.update(itertools.product(blobs[i], blobs[j]))
+    return Graph(total, frozenset(edges))
 
 
 def circulant_lex_connection(s1: CirculantSpec, s2: CirculantSpec) -> CirculantSpec:

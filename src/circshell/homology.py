@@ -6,12 +6,18 @@ floating point); torsion invariant factors are reported alongside.
 
 ``is_cohen_macaulay`` applies Reisner's criterion over the rationals:
 every face's link must have vanishing reduced homology strictly below
-its dimension.  A fast sound filter bounds Betti numbers via ranks over
+its dimension.  A cone link passes at once.  H~_0 of any other link
+comes from its connected components, grown over the facet bitmasks: a
+disconnected link fails, and a connected 1-dimensional link passes
+with no faces or matrices built.  For a connected link, rank d_0 = 1
+and rank d_1 = f_0 - 1 over every field, so only d_i with i >= 2 are
+ranked.  A fast sound filter bounds those Betti numbers via ranks over
 Z/32003 (a rank over a prime field never exceeds the rational rank, so
 a zero bound is conclusive); only nonzero bounds escalate to exact
 integer ranks.  Both ranks work on the same sparse entries of a
 ``BoundaryMatrix`` in pure Python: the mod-p rank by column reduction
 with lowest-row pivots, the exact rank by Smith normal form.
+``cm_verdict`` reports how many links each of these steps settled.
 """
 
 from __future__ import annotations
@@ -286,36 +292,65 @@ def reduced_homology(d: Complex, cap: int = DEFAULT_FACE_CAP) -> HomologyProfile
     return HomologyProfile(betti, torsion)
 
 
+def _cm_stats() -> dict:
+    """Zeroed counters for one Cohen-Macaulay test (see ``cm_verdict``)."""
+    return {"links": 0, "cones": 0, "connectivity": 0, "ranked": 0,
+            "escalations": 0, "largest_matrix": [0, 0]}
+
+
 def _link_vanishes_below_top(
-    facet_masks: tuple[int, ...], n: int, cap: int, deadline: float | None
+    facet_masks: tuple[int, ...], n: int, cap: int, deadline: float | None,
+    stats: dict,
 ) -> bool:
-    """Reduced rational homology of the pure link is zero below its dim."""
+    """Reduced rational homology of the pure link is zero below its dim.
+
+    A cone is acyclic.  Otherwise H~_0 comes from connected components,
+    grown over the facet masks: a disconnected link fails, and a
+    connected 1-dimensional link passes with no faces or matrices built.
+    For a connected link of dimension >= 2, rank d_0 = 1 and rank d_1 =
+    f_0 - 1 over every field, so only d_i with i >= 2 are ranked: mod p
+    first, and exactly only where the mod-p bound leaves a Betti number
+    nonzero.
+    """
+    stats["links"] += 1
     apex = ~0
+    union = 0
     for m in facet_masks:
         apex &= m
+        union |= m
     if apex:
+        stats["cones"] += 1
         return True  # cone: acyclic in every dimension
+    # the component of the first facet, swept until it stops growing
+    reach, grown = facet_masks[0], 0
+    while grown != reach:
+        grown = reach
+        for m in facet_masks:
+            if m & reach:
+                reach |= m
+    ell = facet_masks[0].bit_count() - 1  # links of a pure complex are pure
+    if reach != union or ell == 1:
+        stats["connectivity"] += 1
+        return reach == union
+    stats["ranked"] += 1
     # facets of a link are pairwise incomparable, like those of the complex
-    lc = _from_masks(n, facet_masks)
-    ell = lc.dim
-    mats = boundary_matrices(lc, cap, deadline)
-    bound_rank = {i: rank_mod_p(m, deadline=deadline) for i, m in mats.items()}
-    exact: dict[int, int] = {}
-
-    def rank_at(i: int, exactly: bool) -> int:
-        if i < 0 or i > ell:
-            return 0
-        if not exactly:
-            return bound_rank[i]
-        if i not in exact:
-            exact[i] = exact_rank(mats[i], deadline)
-        return exact[i]
-
-    for i in range(-1, ell):
-        f_i = 1 if i == -1 else mats[i].cols
-        if f_i - rank_at(i, False) - rank_at(i + 1, False) == 0:
-            continue  # mod-p bound already forces the rational rank to 0
-        if f_i - rank_at(i, True) - rank_at(i + 1, True) != 0:
+    mats = boundary_matrices(_from_masks(n, facet_masks), cap, deadline)
+    exact = {0: 1, 1: mats[0].cols - 1}  # connected: exact over every field
+    bound = dict(exact)
+    for i in range(2, ell + 1):
+        rows, cols = stats["largest_matrix"]
+        if mats[i].rows * mats[i].cols > rows * cols:
+            stats["largest_matrix"] = [mats[i].rows, mats[i].cols]
+        bound[i] = rank_mod_p(mats[i], deadline=deadline)
+    for i in range(1, ell):
+        f_i = mats[i].cols
+        if f_i - bound[i] - bound[i + 1] == 0:
+            continue  # mod-p bound already forces the rational Betti number to 0
+        for j in (i, i + 1):
+            if j not in exact:
+                stats["escalations"] += 1
+                exact[j] = exact_rank(mats[j], deadline)
+        if f_i - exact[i] - exact[i + 1] != 0:
             return False
     return True
 
@@ -336,6 +371,13 @@ def is_cohen_macaulay(
     rotation orbit is checked: the link of a rotated face is the rotated
     link, with the same homology.
     """
+    return _reisner(d, cap, budget_s, _cm_stats())
+
+
+def _reisner(
+    d: Complex, cap: int, budget_s: float | None, stats: dict
+) -> bool:
+    """``is_cohen_macaulay``, counting the links it examines into ``stats``."""
     if d.is_void or not d.is_pure():
         return False
     top = d.dim
@@ -361,20 +403,28 @@ def is_cohen_macaulay(
         if link_masks in seen_links:
             continue
         seen_links.add(link_masks)
-        if not _link_vanishes_below_top(link_masks, d.n, cap, deadline):
+        if not _link_vanishes_below_top(link_masks, n, cap, deadline, stats):
             return False
     return True
 
 
 def cm_verdict(
     d: Complex, cap: int = DEFAULT_FACE_CAP, budget_s: float | None = None
-) -> tuple[str, str | None]:
-    """``is_cohen_macaulay`` as a verdict: ``("yes" | "no" | "unknown", reason)``.
+) -> tuple[str, str | None, dict]:
+    """``is_cohen_macaulay`` as ``("yes" | "no" | "unknown", reason, counts)``.
 
     Running out of budget or past ``cap`` faces gives ``"unknown"`` with
     the error's message as the reason; otherwise the reason is ``None``.
+    ``counts`` says what the test did, up to its verdict or its stop:
+    ``links`` examined (one per distinct link), of which ``cones`` were
+    cones, ``connectivity`` were settled by their connected components
+    and ``ranked`` had boundary matrices ranked; ``escalations`` counts
+    exact ranks taken after a nonzero mod-p bound, and
+    ``largest_matrix`` is ``[rows, cols]`` of the largest matrix ranked.
     """
+    stats = _cm_stats()
     try:
-        return ("yes" if is_cohen_macaulay(d, cap, budget_s=budget_s) else "no"), None
+        ok = _reisner(d, cap, budget_s, stats)
     except (BudgetError, FaceLimitError) as e:
-        return "unknown", str(e)
+        return "unknown", str(e), stats
+    return ("yes" if ok else "no"), None, stats

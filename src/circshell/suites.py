@@ -591,8 +591,8 @@ def suite_paper_milestones(cfg: RunConfig) -> SuiteReport:
                 return {"instance": instance, "status": "fail",
                         "verdicts": {kind: "certificate rejected"}}
         else:  # cm
-            got, _ = cm_verdict(d, cfg.face_cap, budget_s=cfg.timeout_s)
-            stats = {}
+            got, _, counts = cm_verdict(d, cfg.face_cap, budget_s=cfg.timeout_s)
+            stats = {"cm": counts}
         status = "unknown" if got == "unknown" else (
             "ok" if got == expect else "fail")
         rec = {"instance": instance, "status": status,
@@ -643,7 +643,7 @@ def suite_chain(cfg: RunConfig) -> SuiteReport:
                     "verdicts": {"pure": False}}
         vd = vertex_decomposition(ind, budget_s=cfg.timeout_s)
         sh = shelling(ind, budget_s=cfg.timeout_s)
-        cm, _ = cm_verdict(ind, cfg.face_cap, budget_s=cfg.timeout_s)
+        cm, _, _ = cm_verdict(ind, cfg.face_cap, budget_s=cfg.timeout_s)
         verdicts = {"vd": vd.verdict, "shellable": sh.verdict, "cm": cm}
         if "unknown" in verdicts.values():
             return {"instance": instance, "status": "unknown",
@@ -712,9 +712,9 @@ def explore_family(s_min: int, s_max: int, cfg: RunConfig) -> SuiteReport:
                     cert = _write_cert(cfg, instance, kind, out)
                     if cert:
                         stats[kind]["certificate"] = cert
-            verdicts["cm"], reason = cm_verdict(ind, cfg.face_cap, budget_s=budget)
-            if reason:
-                stats["cm"] = {"reason": reason}
+            verdicts["cm"], reason, counts = cm_verdict(
+                ind, cfg.face_cap, budget_s=budget)
+            stats["cm"] = dict(counts, reason=reason) if reason else counts
         else:
             verdicts.update({"shellable": "not-pure", "vd": "not-pure",
                              "cm": "no"})

@@ -50,6 +50,10 @@ def test_criterion_2_deep_milestones():
     assert verdicts["C20(1,5,10) vd"]["vd"] == "no"
     assert verdicts["C24(1,6,12) vd"]["vd"] == "no"
     assert verdicts["C24(1,6,12) cm"]["cm"] == "yes"
+    stats = {r["instance"]: r.get("stats") for r in report.records}
+    # one link per rotation orbit; none needs an exact rank
+    assert stats["C24(1,6,12) cm"]["cm"]["links"] == 115
+    assert stats["C24(1,6,12) cm"]["cm"]["escalations"] == 0
     print(f"CRITERION 2: PASS — C20 vd=no, C24 vd=no, C24 cm=yes, "
           f"{time.monotonic() - start:.1f}s")
 

@@ -278,6 +278,19 @@ def test_vd_budget_is_honoured_while_it_runs():
     assert out.stats["reason"] == "budget exhausted" and out.stats["nodes"] > 0
 
 
+def test_shelling_budget_is_honoured_while_it_backtracks():
+    # C32(1,8,16), 6,560 facets, is the first family member whose
+    # shelling search backtracks; unbudgeted it runs for minutes
+    d = independence_complex(circulant(CirculantSpec.parse("C32(1,8,16)")))
+    limit = sys.getrecursionlimit()
+    started = time.monotonic()
+    out = shelling(d, budget_s=0.5)
+    assert time.monotonic() - started < 2.0
+    assert sys.getrecursionlimit() == limit
+    assert out.verdict == "unknown"
+    assert out.stats["reason"] == "budget exhausted" and out.stats["memo_hits"] > 0
+
+
 def _rotation_invariant(d):
     return {tuple(sorted((v + 1) % d.n for v in f)) for f in d.facets} == set(d.facets)
 

@@ -151,6 +151,8 @@ def test_check_vd_no(capsys):
 def test_check_cm(capsys):
     code, out, _ = run(capsys, "check", "cm", "C5(1)")
     assert code == 0 and "cm: yes" in out
+    # the only link examined is the pentagon itself: connected, 1-dimensional
+    assert "links: 1" in out and "connectivity: 1" in out and "ranked: 0" in out
 
 
 def test_check_cm_past_the_face_cap_is_unknown_with_reason(capsys):

@@ -27,6 +27,7 @@ from circshell.homology import (
     reduced_homology,
     smith_invariant_factors,
 )
+from circshell.suites import labeled_graphs
 
 RP2 = Complex.from_facets(6, [
     (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 5), (0, 3, 4),
@@ -208,9 +209,10 @@ def test_face_enumeration_honours_a_passed_deadline():
     # The whole-complex face walk comes before the first link.  Past the
     # cap it would end in the face-cap error, so an out-of-budget reason
     # shows the budget stopped the walk first.
-    verdict, reason = cm_verdict(d, cap=1000, budget_s=0.0)
+    verdict, reason, counts = cm_verdict(d, cap=1000, budget_s=0.0)
     assert verdict == "unknown"
     assert "budget" in reason
+    assert counts["links"] == 0
 
 
 def test_cm_budget_is_honoured_while_it_runs():
@@ -218,7 +220,7 @@ def test_cm_budget_is_honoured_while_it_runs():
     # starts, and the verdict still comes back within a small factor
     d = independence_complex(circulant(CirculantSpec.parse("C28(1,7,14)")))
     started = time.monotonic()
-    verdict, reason = cm_verdict(d, budget_s=0.5)
+    verdict, reason, _ = cm_verdict(d, budget_s=0.5)
     assert verdict == "unknown" and "budget" in reason
     assert time.monotonic() - started < 2.0
 
@@ -349,6 +351,82 @@ def _cm_naive(d):
 @given(complexes_strategy(5))
 def test_cm_matches_fraction_oracle(d):
     assert is_cohen_macaulay(d) == _cm_naive(d)
+
+
+def _counts_add_up(counts):
+    # every link examined is settled by exactly one of the three steps
+    return counts["links"] == (
+        counts["cones"] + counts["connectivity"] + counts["ranked"])
+
+
+def test_cm_matches_fraction_oracle_on_every_small_pure_ind():
+    checked = 0
+    for n in range(1, 6):
+        for g in labeled_graphs(n):
+            d = independence_complex(g)
+            if not d.is_pure():
+                continue
+            verdict, reason, counts = cm_verdict(d)
+            assert reason is None and _counts_add_up(counts), d
+            assert is_cohen_macaulay(d) == (verdict == "yes") == _cm_naive(d), d
+            checked += 1
+    assert checked == 387
+
+
+def _cone(d):
+    """The cone over ``d`` with apex ``d.n``."""
+    return Complex.from_facets(d.n + 1, [f + (d.n,) for f in d.facets])
+
+
+# an annulus: outer triangle 0 1 2, inner triangle 3 4 5
+ANNULUS = Complex.from_facets(6, [
+    (0, 1, 3), (1, 3, 4), (1, 2, 4), (2, 4, 5), (0, 2, 5), (0, 3, 5)])
+
+
+def test_cm_fails_on_a_disconnected_vertex_link():
+    # two triangles sharing vertex 0: lk(0) is two disjoint edges
+    d = Complex.from_facets(5, [(0, 1, 2), (0, 3, 4)])
+    assert _cm_naive(d) is False
+    verdict, _, counts = cm_verdict(d)
+    assert verdict == "no"
+    assert counts["connectivity"] == 1 and counts["ranked"] == 0
+
+
+def test_cm_fails_on_a_disconnected_pure_2_complex():
+    # every vertex link is one edge; the empty face's link, the whole
+    # complex, is 2-dimensional and has two components
+    d = Complex.from_facets(6, [(0, 1, 2), (3, 4, 5)])
+    assert _cm_naive(d) is False
+    verdict, _, counts = cm_verdict(d)
+    assert verdict == "no"
+    assert counts["connectivity"] == 1 and counts["ranked"] == 0
+
+
+@pytest.mark.parametrize("base", [MOEBIUS, ANNULUS], ids=["moebius", "annulus"])
+def test_cm_fails_on_a_connected_2_dimensional_link_with_a_loop(base):
+    # the apex's link is the base: connected, with H~_1 of rank 1
+    assert oracles.betti_naive(base.facets) == {-1: 0, 0: 0, 1: 1, 2: 0}
+    d = _cone(base)
+    assert _cm_naive(d) is False
+    verdict, _, counts = cm_verdict(d)
+    assert verdict == "no"
+    # rank d_2 over Z/p leaves H~_1 nonzero, so it is taken exactly too
+    assert counts["ranked"] == 1 and counts["escalations"] >= 1
+    assert counts["largest_matrix"] == [base.f_vector()[1], base.f_vector()[2]]
+
+
+def test_cm_passes_on_cones():
+    # a disc (the cone over the pentagon Ind(C5)) and the cone over RP^2
+    disc = _cone(independence_complex(cycle(5)))
+    verdict, _, counts = cm_verdict(disc)
+    assert verdict == "yes" and _cm_naive(disc)
+    assert counts["cones"] >= 1 and counts["ranked"] == 0
+    assert _counts_add_up(counts)
+    # lk(apex) = RP^2 is ranked; its H~_1 is torsion, zero mod p already
+    verdict, _, counts = cm_verdict(_cone(RP2))
+    assert verdict == "yes"
+    assert counts["ranked"] == 1 and counts["escalations"] == 0
+    assert _counts_add_up(counts)
 
 
 def test_cm_c16():

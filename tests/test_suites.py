@@ -144,6 +144,9 @@ def test_family_records_and_certificates(tmp_path):
     assert rec["instance"] == "C16(1,4,8)"
     assert rec["verdicts"] == {
         "pure": "yes", "shellable": "yes", "vd": "no", "cm": "yes"}
+    assert rec["stats"]["cm"] == {
+        "links": 7, "cones": 0, "connectivity": 5, "ranked": 2,
+        "escalations": 0, "largest_matrix": [80, 144]}
     cert_path = Path(rec["stats"]["shellable"]["certificate"])
     assert cert_path.exists()
     # the written certificate replays through the independent verifier
@@ -157,6 +160,7 @@ def test_family_records_the_cm_face_cap_reason():
     rec = report.records[0]
     assert rec["status"] == "unknown" and rec["verdicts"]["cm"] == "unknown"
     assert "more than 10 faces" in rec["stats"]["cm"]["reason"]
+    assert rec["stats"]["cm"]["links"] == 0  # stopped in the face walk
 
 
 def test_family_s7_finishes_within_its_budget(tmp_path):
@@ -190,12 +194,13 @@ def test_chain_records_cm_budget_exhaustion_as_unknown(monkeypatch):
     monkeypatch.setattr(suites, "labeled_graphs",
                         lambda n: small(n) if n <= 3 else [])
 
-    def out_of_budget(d, cap, budget_s=None):
+    def out_of_budget(d, cap, budget_s, stats):
         if budget_s is not None:
             raise BudgetError("out of budget")
         return True
 
-    monkeypatch.setattr(homology, "is_cohen_macaulay", out_of_budget)
+    # cm_verdict runs Reisner's test through this helper, which counts links
+    monkeypatch.setattr(homology, "_reisner", out_of_budget)
     report = suite_chain(RunConfig(timeout_s=1.0))
     pure = sum(1 for n in range(1, 4) for g in small(n)
                if independence_complex(g).is_pure())
