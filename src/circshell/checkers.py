@@ -358,6 +358,46 @@ def _rotate_tree(t: ShedTree, r: int, n: int) -> ShedTree:
     )
 
 
+def _root_ridge_pass(fmasks: list[int]) -> tuple[int, bool]:
+    """The vertices that cannot shed at a pure root of two or more
+    facets, and whether its ridge graph is connected.
+
+    The same pass over the facets' ridges as at every node of the
+    search, which also joins the facets sharing each ridge in a
+    union-find.
+    """
+    first: dict[int, int] = {}  # ridge -> the first facet holding it
+    lone: dict[int, int] = {}  # as in the search
+    parent = list(range(len(fmasks)))
+    parts = len(fmasks)
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, m in enumerate(fmasks):
+        mm = m
+        while mm:
+            b = mm & -mm
+            mm ^= b
+            r = m ^ b
+            j = first.setdefault(r, i)
+            if j == i:
+                lone[r] = b
+                continue
+            lone[r] = 0
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[ri] = rj
+                parts -= 1
+    stuck = 0
+    for b in lone.values():
+        stuck |= b
+    return stuck, parts == 1
+
+
 def vertex_decomposition(
     d: Complex, *, budget_s: float | None = None
 ) -> CheckOutcome:
@@ -370,13 +410,19 @@ def vertex_decomposition(
     counts each facet's ridges finds every vertex that fails.
     Candidates are tried in ascending label order.
 
-    Subcomplexes are memoised by their facet family.  When the complex
-    is flag (see ``Complex.is_flag``) every node is the subcomplex
-    induced on its vertex set, and when it is also invariant under the
+    A pure vertex decomposable complex is shellable, so a root of two
+    or more facets whose ridge graph is disconnected is refused with no
+    search (``nodes == 0``); its components come from the root's own
+    ridge pass.
+
+    When the complex is flag (see ``Complex.is_flag``) every node is the
+    subcomplex induced on its vertex set, so subcomplexes are memoised
+    by that vertex mask; other complexes are memoised by their sorted
+    facet family.  When a flag complex is also invariant under the
     rotation v -> v + 1 (mod n), as every circulant's independence
-    complex is, the memo key is the least rotation of that vertex mask;
+    complex is, the key is the least rotation of the vertex mask;
     ``stats["rotations"]`` says whether that memo ran.  Decomposability
-    does not change under relabelling, so either memo gives the same
+    does not change under relabelling, so every memo gives the same
     verdict.
     """
     _require_pure(d)
@@ -384,12 +430,16 @@ def vertex_decomposition(
     deadline = start + budget_s if budget_s is not None else None
     n = d.n
     full = (1 << n) - 1
-    rotations = d.rotation_invariant and d.is_flag
+    flag = d.is_flag
+    rotations = flag and d.rotation_invariant
     memo: dict[object, tuple[bool, ShedTree | None, int]] = {}
     nodes = 0
     hits = 0
 
-    def solve(fmasks: list[int]) -> tuple[bool, ShedTree | None]:
+    def solve(
+        fmasks: list[int], stuck: int | None = None
+    ) -> tuple[bool, ShedTree | None]:
+        # ``stuck``: the vertices that cannot shed, when already known
         nonlocal nodes, hits
         nodes += 1
         if deadline is not None and nodes % _BUDGET_PROBE == 0:
@@ -411,6 +461,8 @@ def vertex_decomposition(
                 cand = ((verts << r) | (verts >> (n - r))) & full
                 if cand < key:
                     key, rot = cand, r
+        elif flag:
+            key, rot = verts, 0
         else:
             key, rot = tuple(sorted(fmasks)), 0
         if key in memo:
@@ -419,19 +471,20 @@ def vertex_decomposition(
             if ok and (rot or stored_rot):
                 tree = _rotate_tree(tree, (stored_rot - rot) % n, n)
             return ok, tree
-        # lone[r] = the vertex F - r when ridge r lies in one facet F only
-        # (that vertex cannot shed), 0 when it lies in two or more
-        lone: dict[int, int] = {}
-        for m in fmasks:
-            mm = m
-            while mm:
-                b = mm & -mm
-                r = m ^ b
-                lone[r] = 0 if r in lone else b
-                mm ^= b
-        stuck = 0
-        for b in lone.values():
-            stuck |= b
+        if stuck is None:
+            # lone[r] = the vertex F - r when ridge r lies in one facet F
+            # only (that vertex cannot shed), 0 when it lies in two or more
+            lone: dict[int, int] = {}
+            for m in fmasks:
+                mm = m
+                while mm:
+                    b = mm & -mm
+                    r = m ^ b
+                    lone[r] = 0 if r in lone else b
+                    mm ^= b
+            stuck = 0
+            for b in lone.values():
+                stuck |= b
         result: tuple[bool, ShedTree | None] = (False, None)
         for x in _bit_indices(verts & ~stuck):
             xb = 1 << x
@@ -446,10 +499,20 @@ def vertex_decomposition(
         memo[key] = (result[0], result[1], rot)
         return result
 
+    root = list(d.facet_masks)
+    stuck = None
+    if len(root) >= 2:
+        stuck, connected = _root_ridge_pass(root)
+        if not connected:
+            return CheckOutcome("no", None, {
+                "nodes": 0, "memo_hits": 0, "rotations": rotations,
+                "elapsed_s": time.monotonic() - start,
+                "reason": "ridge graph disconnected",
+            })
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 8000))
     try:
-        ok, tree = solve(list(d.facet_masks))
+        ok, tree = solve(root, stuck)
     except _BudgetExceeded:
         return CheckOutcome("unknown", None, {
             "nodes": nodes, "memo_hits": hits, "rotations": rotations,
@@ -511,3 +574,30 @@ def _verify_tree(family: frozenset[int], t: ShedTree) -> bool:
     if len({m.bit_count() for m in link_}) != 1:
         return False
     return _verify_tree(del_, t.deletion) and _verify_tree(link_, t.link)
+
+
+def shelling_from_shed_tree(d: Complex, t: ShedTree) -> ShellingCertificate:
+    """The shelling order a shed tree implies (Provan-Billera 1980).
+
+    If x sheds from a pure complex, a shelling of its deletion followed
+    by x joined to each facet of a shelling of its link, in that order,
+    shells the complex; a simplex or {()} leaf gives its one facet and
+    the void leaf none.  Every tree of nodes on nonnegative vertices
+    gives a permutation of the facets, since each node splits its
+    facets into those avoiding and those containing x; only a tree that
+    ``verify_shed_tree`` accepts is sure to give a shelling, and the
+    order, like any certificate, counts only once ``verify_shelling``
+    accepts it.
+    """
+    index = {m: i for i, m in enumerate(d.facet_masks)}
+    return ShellingCertificate(tuple(
+        index[m] for m in _shed_order(list(d.facet_masks), t)))
+
+
+def _shed_order(family: list[int], t: ShedTree) -> list[int]:
+    if isinstance(t, ShedLeaf):
+        return family
+    xb = 1 << t.vertex  # ValueError for a negative vertex
+    return _shed_order([m for m in family if not m & xb], t.deletion) + [
+        m | xb
+        for m in _shed_order([m ^ xb for m in family if m & xb], t.link)]

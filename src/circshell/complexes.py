@@ -255,14 +255,18 @@ def independence_complex(g: Graph) -> Complex:
     """Independence complex Ind(G): faces are the independent vertex sets.
 
     Facets (maximal independent sets) are enumerated with Bron-Kerbosch
-    with pivoting on the complement graph.
+    with pivoting on the complement graph.  The result is marked flag
+    (``Complex.is_flag``), as every independence complex is, so no clique
+    search runs on its 1-skeleton.
     """
     full = (1 << g.n) - 1
     # neighbourhoods in the complement graph: maximal independent sets of g
     # are exactly the maximal cliques of its complement
     nadj = [full & ~(m | (1 << v)) for v, m in enumerate(g.adjacency_masks)]
     # maximal independent sets are distinct and pairwise incomparable
-    return _from_masks(g.n, _maximal_cliques(nadj, full))
+    d = _from_masks(g.n, _maximal_cliques(nadj, full))
+    d.__dict__["is_flag"] = True  # fills the cached property
+    return d
 
 
 def alpha(g: Graph) -> int:

@@ -22,6 +22,7 @@ with lowest-row pivots, the exact rank by Smith normal form.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -365,6 +366,9 @@ def is_cohen_macaulay(
     the link's dimension.  Non-pure complexes are never Cohen-Macaulay
     here: facet size gaps already violate the criterion.  With
     ``budget_s`` set, raises :class:`BudgetError` when time runs out.
+    ``cap`` bounds the faces walked, which are only those of at most
+    dim - 1 vertices (the others have links of dimension <= 0); past
+    it, raises :class:`FaceLimitError`.
 
     When the facet family is invariant under ``v -> v + 1 (mod n)`` (see
     ``Complex.rotation_invariant``), only the face of least mask in each
@@ -386,26 +390,66 @@ def _reisner(
         # except connectedness of a nonvoid vertex set, which holds
         return True
     deadline = time.monotonic() + budget_s if budget_s is not None else None
-    k = top + 1
     n = d.n
     rotations = range(1, n) if d.rotation_invariant else ()
     seen_links: set[tuple[int, ...]] = set()
-    # larger faces first: their links are smaller and fail faster
-    for m in sorted(all_faces(d, cap, deadline), key=lambda x: -x.bit_count()):
-        if m.bit_count() > k - 2:
-            continue  # link has dimension <= 0, nothing to check
-        if any(_rotate_mask(m, r, n) < m for r in rotations):
-            continue  # another face of the orbit stands for this one
-        _check_deadline(deadline)
-        link_masks = tuple(
-            sorted(fm & ~m for fm in d.facet_masks if (m | fm) == fm)
-        )
-        if link_masks in seen_links:
-            continue
-        seen_links.add(link_masks)
-        if not _link_vanishes_below_top(link_masks, n, cap, deadline, stats):
-            return False
+    for level in _faces_below_ridges(d, cap, deadline):
+        for m in level:
+            if any(_rotate_mask(m, r, n) < m for r in rotations):
+                continue  # another face of the orbit stands for this one
+            _check_deadline(deadline)
+            link_masks = tuple(
+                sorted(fm & ~m for fm in d.facet_masks if (m | fm) == fm)
+            )
+            if link_masks in seen_links:
+                continue
+            seen_links.add(link_masks)
+            if not _link_vanishes_below_top(link_masks, n, cap, deadline, stats):
+                return False
     return True
+
+
+def _faces_below_ridges(d: Complex, cap: int, deadline: float | None):
+    """The faces of at most k - 2 vertices of ``d``, pure with facets of
+    k >= 2 vertices: one ascending list per size, largest size first.
+
+    Larger faces come first because their links are smaller and fail
+    faster; faces of k - 1 or k vertices have links of dimension <= 0,
+    with nothing to check, and are never walked.  The faces of k - 2
+    vertices are the facets minus two vertices, and each smaller size
+    is the size above minus one vertex, since every face lies in a
+    facet.  A size is built only once the caller is done with the one
+    above.  Raises :class:`FaceLimitError` once more than ``cap`` faces
+    have been walked and :class:`BudgetError` once ``time.monotonic()``
+    passes ``deadline`` (probed once per facet or face a size is built
+    from).
+    """
+    walked = 0
+    size = len(d.facets[0]) - 2
+    level: set[int] = set()
+    for p in d.facet_masks:
+        for a, b in itertools.combinations(_tuple_of(p), 2):
+            level.add(p ^ (1 << a) ^ (1 << b))
+        _probe_walk(walked + len(level), cap, deadline)
+    while True:
+        walked += len(level)
+        faces = sorted(level)
+        yield faces
+        if size == 0:
+            return
+        size -= 1
+        level = set()
+        for p in faces:
+            for v in _tuple_of(p):
+                level.add(p ^ (1 << v))
+            _probe_walk(walked + len(level), cap, deadline)
+
+
+def _probe_walk(walked: int, cap: int, deadline: float | None) -> None:
+    _check_deadline(deadline)
+    if walked > cap:
+        raise FaceLimitError(
+            f"complex has more than {cap} faces; raise the face cap to proceed")
 
 
 def cm_verdict(
@@ -413,8 +457,9 @@ def cm_verdict(
 ) -> tuple[str, str | None, dict]:
     """``is_cohen_macaulay`` as ``("yes" | "no" | "unknown", reason, counts)``.
 
-    Running out of budget or past ``cap`` faces gives ``"unknown"`` with
-    the error's message as the reason; otherwise the reason is ``None``.
+    Running out of budget or walking past ``cap`` faces gives
+    ``"unknown"`` with the error's message as the reason; otherwise the
+    reason is ``None``.
     ``counts`` says what the test did, up to its verdict or its stop:
     ``links`` examined (one per distinct link), of which ``cones`` were
     cones, ``connectivity`` were settled by their connected components

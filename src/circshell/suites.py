@@ -204,10 +204,21 @@ def _write_cert(
 
 def _checked_verdicts(d: Complex, cfg: RunConfig) -> tuple[str, str, bool]:
     """Shellability and decomposability verdicts with inline certificate
-    verification; the bool is False when a search lied about a yes."""
-    sh = shelling(d, budget_s=cfg.timeout_s)
+    verification; the bool is False when a search lied about a yes.
+
+    The VD search runs first.  A shed tree that ``verify_shed_tree``
+    accepts implies a shelling order (``shelling_from_shed_tree``), so
+    the shelling search runs only when there is no such tree; either
+    order counts only once ``verify_shelling`` accepts it.
+    """
     vd = vertex_decomposition(d, budget_s=cfg.timeout_s)
-    ok = _certified(d, sh, "shellable") and _certified(d, vd, "vd")
+    vd_ok = _certified(d, vd, "vd")
+    if vd.verdict == "yes" and vd_ok:
+        sh = checkers.CheckOutcome(
+            "yes", checkers.shelling_from_shed_tree(d, vd.certificate), {})
+    else:
+        sh = shelling(d, budget_s=cfg.timeout_s)
+    ok = vd_ok and _certified(d, sh, "shellable")
     return sh.verdict, vd.verdict, ok
 
 

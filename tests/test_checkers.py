@@ -19,6 +19,7 @@ from circshell.checkers import (
     certificate_from_json,
     certificate_to_json,
     shelling,
+    shelling_from_shed_tree,
     verify_shed_tree,
     verify_shelling,
     vertex_decomposition,
@@ -249,9 +250,12 @@ def test_vd_milestones_search_stats():
 
 
 def test_vd_two_disjoint_edges_no():
-    # no shedding vertex exists: deleting any vertex drops the dimension
+    # pure VD implies shellable, which needs a connected ridge graph, so
+    # the root is refused before any node is searched
     out = vertex_decomposition(_two_disjoint_edges())
     assert out.verdict == "no" and out.certificate is None
+    assert out.stats["nodes"] == 0
+    assert out.stats["reason"] == "ridge graph disconnected"
 
 
 def test_vd_requires_pure():
@@ -435,6 +439,45 @@ def test_vd_implies_shellable_sampled(g):
         assert sh.verdict == "yes"
         assert verify_shed_tree(d, vd.certificate)
         assert verify_shelling(d, sh.certificate)
+        assert verify_shelling(d, shelling_from_shed_tree(d, vd.certificate))
+
+
+def test_every_small_shed_tree_gives_a_shelling():
+    # Provan-Billera: the deletion's shelling, then x joined to each facet
+    # of the link's shelling, on every VD Ind(G) with n <= 6
+    derived = 0
+    for n in range(1, 7):
+        for g in labeled_graphs(n):
+            d = independence_complex(g)
+            if not d.is_pure():
+                continue
+            vd = vertex_decomposition(d)
+            if vd.verdict == "yes":
+                assert verify_shelling(d, shelling_from_shed_tree(d, vd.certificate)), g
+                derived += 1
+    assert derived == 6434
+
+
+def test_shelling_from_shed_tree_small_cases():
+    d = _ind_c5()
+    tree = vertex_decomposition(d).certificate
+    cert = shelling_from_shed_tree(d, tree)
+    assert sorted(cert.order) == list(range(5)) and verify_shelling(d, cert)
+    # leaves: a simplex and {()} are one facet, the void complex none
+    for facets, kind in (([(0, 1, 2)], "simplex"), ([()], "empty-face"),
+                         ([], "void")):
+        d = Complex.from_facets(3, facets)
+        assert vertex_decomposition(d).certificate == ShedLeaf(kind)
+        assert shelling_from_shed_tree(d, ShedLeaf(kind)).order == tuple(
+            range(len(facets)))
+    # any tree gives a permutation of the facets, a shelling or not:
+    # shedding 0 from two disjoint edges leaves a deletion that is not
+    # pure (the edge 13 and the vertex 2)
+    d = _two_disjoint_edges()
+    bad = ShedNode(0, ShedLeaf("simplex"), ShedLeaf("simplex"))
+    assert not verify_shed_tree(d, bad)
+    cert = shelling_from_shed_tree(d, bad)
+    assert sorted(cert.order) == [0, 1] and not verify_shelling(d, cert)
 
 
 @settings(max_examples=80, deadline=None)

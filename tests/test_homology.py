@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import circshell
 import oracles
+from circshell import homology
 from circshell.complexes import Complex, independence_complex
 from circshell.graphs import Graph, circulant, CirculantSpec, complete, cycle
 from circshell.homology import (
@@ -206,9 +207,9 @@ def test_face_enumeration_honours_a_passed_deadline():
         all_faces(d, deadline=passed)
     with pytest.raises(BudgetError):
         boundary_matrices(d, deadline=passed)
-    # The whole-complex face walk comes before the first link.  Past the
-    # cap it would end in the face-cap error, so an out-of-budget reason
-    # shows the budget stopped the walk first.
+    # The walk of the largest faces comes before the first link.  Past
+    # the cap it would end in the face-cap error, so an out-of-budget
+    # reason shows the budget stopped the walk first.
     verdict, reason, counts = cm_verdict(d, cap=1000, budget_s=0.0)
     assert verdict == "unknown"
     assert "budget" in reason
@@ -371,6 +372,27 @@ def test_cm_matches_fraction_oracle_on_every_small_pure_ind():
             assert is_cohen_macaulay(d) == (verdict == "yes") == _cm_naive(d), d
             checked += 1
     assert checked == 387
+
+
+def test_cm_walks_only_faces_below_the_ridges():
+    # the faces of at most k - 2 vertices, larger first and ascending
+    # within a size: the order of a sorted walk over every face
+    for d in [independence_complex(g) for n in range(1, 6)
+              for g in labeled_graphs(n)] + [RP2, MOEBIUS]:
+        if not d.is_pure() or d.dim < 1:
+            continue
+        k = d.dim + 1
+        want = [m for m in sorted(all_faces(d), key=lambda m: -m.bit_count())
+                if m.bit_count() <= k - 2]
+        levels = list(homology._faces_below_ridges(d, 10**6, None))
+        assert [m for level in levels for m in level] == want, d
+    # the cap counts faces walked: Ind(C5) has 11 faces, of which only
+    # the empty face has a link of dimension >= 1
+    d = independence_complex(cycle(5))
+    assert len(all_faces(d)) == 11
+    assert cm_verdict(d, cap=1)[0] == "yes"
+    verdict, reason, _ = cm_verdict(d, cap=0)
+    assert verdict == "unknown" and "more than 0 faces" in reason
 
 
 def _cone(d):

@@ -209,6 +209,38 @@ def test_chain_records_cm_budget_exhaustion_as_unknown(monkeypatch):
     assert all(r["verdicts"]["cm"] == "unknown" for r in report.unknowns)
 
 
+def test_checked_verdicts_reads_shellability_off_a_verified_shed_tree(monkeypatch):
+    d = independence_complex(circulant(CirculantSpec.parse("C5(1)")))
+
+    def no_search(d, **kwargs):
+        raise AssertionError("the shed tree implies the shelling")
+
+    monkeypatch.setattr(suites, "shelling", no_search)
+    assert suites._checked_verdicts(d, RunConfig()) == ("yes", "yes", True)
+
+
+def test_checked_verdicts_fails_on_a_rejected_shed_tree(monkeypatch):
+    # a VD search that lies: the void leaf fits no independence complex
+    d = independence_complex(circulant(CirculantSpec.parse("C5(1)")))
+    wrong = checkers.ShedLeaf("void")
+    assert not checkers.verify_shed_tree(d, wrong)
+
+    def lying_vd(d, **kwargs):
+        return checkers.CheckOutcome("yes", wrong, {})
+
+    def no_derivation(d, tree):
+        raise AssertionError("no order may come from a rejected tree")
+
+    monkeypatch.setattr(suites, "vertex_decomposition", lying_vd)
+    monkeypatch.setattr(checkers, "shelling_from_shed_tree", no_derivation)
+    sh, vd, ok = suites._checked_verdicts(d, RunConfig())
+    assert (sh, vd, ok) == ("yes", "yes", False)  # shellability searched
+    monkeypatch.setattr(suites, "labeled_graphs",
+                        lambda n: labeled_graphs(n) if n <= 2 else [])
+    report = suite_main_a(RunConfig())
+    assert len(report.failures) == report.total > 0 and not report.passed
+
+
 def test_alpha_product_reports_every_failing_pair_sorted(monkeypatch):
     # two pairs, given out of instance order
     monkeypatch.setattr(kernels, "alpha_product_failures",
