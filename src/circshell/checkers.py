@@ -534,14 +534,17 @@ def verify_shed_tree(d: Complex, t: ShedTree) -> bool:
     """Recheck a shed tree from scratch against Provan-Billera's definition.
 
     Walks the tree on facet families held as sets of vertex bitmasks,
-    sharing no code with the search: at every node it recomputes the
-    deletion and link of the shed vertex and checks that the node is
-    pure, that the vertex lies in a facet, that the deletion is pure of
-    the node's facet size and that the link is pure; leaves must match
-    their family.  Malformed trees return ``False`` rather than raising.
+    sharing no code with the search.  A non-pure complex is rejected; at
+    every node it recomputes the deletion and link of the shed vertex and
+    checks that the vertex lies in a facet and that the deletion is pure
+    of the node's facet size; leaves must match their family.  Malformed
+    trees return ``False`` rather than raising.
     """
+    family = frozenset(d.facet_masks)
+    if len({m.bit_count() for m in family}) > 1:
+        return False
     try:
-        return _verify_tree(frozenset(d.facet_masks), t)
+        return _verify_tree(family, t)
     except (ValueError, RecursionError):
         return False
 
@@ -558,22 +561,17 @@ def _verify_tree(family: frozenset[int], t: ShedTree) -> bool:
     if not isinstance(t, ShedNode):
         return False
     xb = 1 << t.vertex  # ValueError for a negative vertex
-    sizes = {m.bit_count() for m in family}
-    if len(sizes) != 1 or not any(m & xb for m in family):
-        return False
-    avoid = [m for m in family if not m & xb]
+    # ``family`` is pure.  The faces avoiding x are the subsets of the
+    # facets minus x, so the deletion is pure of the node's size iff every
+    # F - x lies in a facet avoiding x, and its facets are then exactly
+    # the facets avoiding x: a pure subfamily, as is the link, which drops
+    # x from every facet holding it.  So purity needs no check below the
+    # root.
+    avoid = frozenset(m for m in family if not m & xb)
     link_ = frozenset(m ^ xb for m in family if m & xb)
-    # The faces avoiding x are the subsets of the facets minus x.  Since
-    # facets form an antichain, F - x never lies in another G - x (F
-    # would lie in G), so the maximal ones are the facets avoiding x
-    # plus each F - x that lies in no facet avoiding x.
-    del_ = frozenset(avoid).union(
-        r for r in link_ if not any(r | m == m for m in avoid))
-    if {m.bit_count() for m in del_} != sizes:
+    if not link_ or not all(any(r | m == m for m in avoid) for r in link_):
         return False
-    if len({m.bit_count() for m in link_}) != 1:
-        return False
-    return _verify_tree(del_, t.deletion) and _verify_tree(link_, t.link)
+    return _verify_tree(avoid, t.deletion) and _verify_tree(link_, t.link)
 
 
 def shelling_from_shed_tree(d: Complex, t: ShedTree) -> ShellingCertificate:

@@ -13,6 +13,7 @@ least zero vertices is never void: the empty set is independent.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from dataclasses import dataclass
@@ -49,8 +50,12 @@ def _from_masks(n: int, masks: Iterable[int]) -> "Complex":
     Trusted: nothing is validated.  For facets that are maximal by
     construction; outside input goes through ``Complex.from_facets``.
     """
-    tuples = sorted(map(_tuple_of, masks), key=lambda t: (len(t), t))
-    return Complex(n, tuple(tuples))
+    return _from_tuples(n, map(_tuple_of, masks))
+
+
+def _from_tuples(n: int, tuples: Iterable[tuple[int, ...]]) -> "Complex":
+    """``_from_masks`` for facets already given as sorted vertex tuples."""
+    return Complex(n, tuple(sorted(tuples, key=lambda t: (len(t), t))))
 
 
 class FaceLimitError(RuntimeError):
@@ -266,6 +271,37 @@ def independence_complex(g: Graph) -> Complex:
     # maximal independent sets are distinct and pairwise incomparable
     d = _from_masks(g.n, _maximal_cliques(nadj, full))
     d.__dict__["is_flag"] = True  # fills the cached property
+    return d
+
+
+def expansion_complex(ind_g: Complex, sizes: tuple[int, ...]) -> Complex:
+    """Ind of the clique expansion ``graphs.expansion(g, sizes)``, from Ind(g).
+
+    Blob ``i`` is the ``sizes[i]`` vertices that follow blobs ``0 .. i-1``,
+    as ``graphs.expansion`` numbers them.  Every blob is a clique
+    whose vertices share one outside neighbourhood, so an independent set
+    takes at most one vertex per blob, and the facets are the facets F of
+    ``ind_g`` with one vertex chosen from the blob of each v in F.  No
+    graph is built and no clique search runs.  The result is flag exactly
+    when ``ind_g`` is (no facet holds two vertices of a blob, so the
+    cliques of its 1-skeleton are lifts of cliques of ``ind_g``'s), and
+    is marked so; for ``ind_g`` from ``independence_complex`` that costs
+    no clique search either.
+    """
+    if len(sizes) != ind_g.n:
+        raise ValueError(f"need {ind_g.n} blob sizes, got {len(sizes)}")
+    if any(s < 1 for s in sizes):
+        raise ValueError("blob sizes must be at least 1")
+    blobs, total = [], 0
+    for s in sizes:
+        blobs.append(range(total, total + s))
+        total += s
+    # blob i lies below blob j for i < j, so each choice from a sorted facet
+    # is a sorted tuple; the choices are distinct and pairwise incomparable,
+    # as a containment between two would project to one between facets
+    d = _from_tuples(total, (choice for f in ind_g.facets
+                             for choice in itertools.product(*[blobs[v] for v in f])))
+    d.__dict__["is_flag"] = ind_g.is_flag  # fills the cached property
     return d
 
 

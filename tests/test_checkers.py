@@ -357,6 +357,26 @@ def test_verify_shed_tree_rejects_wrong_trees():
     assert not verify_shed_tree(d, swapped)
     # shedding a vertex that is not a face
     assert not verify_shed_tree(d, ShedNode(7, good.deletion, good.link))
+    # ... even when its deletion (the whole complex) and link (void) check
+    assert not verify_shed_tree(d, ShedNode(7, good, ShedLeaf("void")))
+
+
+def test_verify_shed_tree_rejects_a_non_pure_complex():
+    # purity is checked at the root only, so a non-pure complex needs its
+    # own case: Ind(P3) has facets {0,2} and {1}
+    d = independence_complex(Graph.from_edges(3, [(0, 1), (1, 2)]))
+    assert d.facets == ((1,), (0, 2))
+    for kind in ("simplex", "void", "empty-face"):
+        assert not verify_shed_tree(d, ShedLeaf(kind))
+    # shedding 1 leaves the simplex {0,2} and the link {()}: each part is
+    # a leaf, but the node is not pure
+    assert not verify_shed_tree(
+        d, ShedNode(1, ShedLeaf("simplex"), ShedLeaf("empty-face")))
+    # the search's tree for a pure complex on the same vertices
+    pure = independence_complex(Graph.from_edges(3, [(0, 1)]))
+    tree = vertex_decomposition(pure).certificate
+    assert verify_shed_tree(pure, tree)
+    assert not verify_shed_tree(d, tree)
 
 
 def _subtrees(t, path=()):

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +13,11 @@ from circshell.complexes import (
     Complex,
     alpha,
     deletion,
+    expansion_complex,
     independence_complex,
     link,
 )
-from circshell.graphs import Graph, complete, cycle, edgeless
+from circshell.graphs import Graph, complete, cycle, edgeless, expansion
 
 
 def _p4():
@@ -136,6 +138,32 @@ def test_ind_equals_validated_construction():
             for edges in itertools.combinations(pairs, r):
                 d = independence_complex(Graph.from_edges(n, edges))
                 assert d == Complex.from_facets(n, d.facets)
+
+
+def test_expansion_complex_equals_bron_kerbosch_on_the_expansion_graph():
+    pairs_checked = 0
+    for n in range(5):
+        pairs = list(itertools.combinations(range(n), 2))
+        for r in range(len(pairs) + 1):
+            for edges in itertools.combinations(pairs, r):
+                g = Graph.from_edges(n, edges)
+                ind_g = independence_complex(g)
+                for s in itertools.product((1, 2, 3), repeat=n):
+                    got = expansion_complex(ind_g, s)
+                    assert got == independence_complex(expansion(g, s)), (g, s)
+                    assert got.is_flag is True
+                    assert len(got.facets) == sum(
+                        math.prod(s[v] for v in f) for f in ind_g.facets)
+                    pairs_checked += 1
+    assert pairs_checked == 5422
+    # the flag mark is exact for any input, not only for Ind(G)
+    hollow = Complex.from_facets(3, [(0, 1), (1, 2), (0, 2)])
+    got = expansion_complex(hollow, (2, 1, 1))
+    assert got.is_flag is Complex.from_facets(4, got.facets).is_flag is False
+    ind_p3 = independence_complex(Graph.from_edges(3, [(0, 1), (1, 2)]))
+    for bad in [(1, 1), (1, 1, 1, 1), (1, 0, 1), (2, -1, 1)]:
+        with pytest.raises(ValueError):
+            expansion_complex(ind_p3, bad)
 
 
 def test_rotation_invariant():
