@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 from typing import Union
 
-from .complexes import Complex
+from .complexes import Complex, _tuple_of
 
 _BUDGET_PROBE = 256  # nodes between deadline checks
 
@@ -113,16 +113,8 @@ class CheckOutcome:
 
 def _require_pure(d: Complex) -> None:
     if not d.is_pure():
-        sizes = sorted({len(f) for f in d.facets})
+        sizes = sorted({m.bit_count() for m in d.facet_masks})
         raise NotPureError(f"complex is not pure: facet sizes {sizes}")
-
-
-def _bit_indices(mask: int) -> list[int]:
-    out = []
-    while mask:
-        out.append((mask & -mask).bit_length() - 1)
-        mask &= mask - 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +180,7 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
             seen_new |= nbr[i]
         seen_new &= ~seen
         seen |= seen_new
-        frontier = _bit_indices(seen_new)
+        frontier = _tuple_of(seen_new)
     if seen != (1 << s) - 1:
         return CheckOutcome("no", None, {
             "nodes": 0, "memo_hits": 0,
@@ -202,7 +194,7 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
     for m in masks:
         union |= m
     cover = {}
-    for v in _bit_indices(union):
+    for v in _tuple_of(union):
         c = 0
         for i, m in enumerate(masks):
             if not (m >> v) & 1:
@@ -331,8 +323,12 @@ def verify_shelling(d: Complex, cert: ShellingCertificate) -> bool:
         m = masks[i]
         bit = 1 << pos
         common = bit - 1  # earlier facets holding every witness
-        for v in d.facets[i]:
-            r = m ^ (1 << v)
+        mm = m
+        while mm:
+            b = mm & -mm
+            mm ^= b
+            v = b.bit_length() - 1
+            r = m ^ b
             if r in ridges:
                 common &= at[v]
             else:
@@ -486,7 +482,7 @@ def vertex_decomposition(
             for b in lone.values():
                 stuck |= b
         result: tuple[bool, ShedTree | None] = (False, None)
-        for x in _bit_indices(verts & ~stuck):
+        for x in _tuple_of(verts & ~stuck):
             xb = 1 << x
             ok_del, tree_del = solve([m for m in fmasks if not m & xb])
             if not ok_del:

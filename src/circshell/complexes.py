@@ -1,8 +1,11 @@
 """Simplicial complexes presented by their facets, and independence complexes.
 
-A complex on ambient vertex set ``0..n-1`` is stored as the canonical
-tuple of its facets, each facet a sorted vertex tuple, ordered by
-(size, lexicographic).  Two degenerate complexes are kept distinct:
+A complex on ambient vertex set ``0..n-1`` stores only its facets as
+vertex bitmasks (bit ``v`` for vertex ``v``), in the canonical order of
+shelling certificates: by size, then lexicographic on the sorted vertex
+tuples, which ``Complex.facets`` derives.  Faces are walked one size at
+a time from the facets down (``Complex.face_levels``).  Two degenerate
+complexes are kept distinct:
 
 * the void complex (no faces at all): ``facets == ()``
 * the empty-face complex ``{()}``: ``facets == ((,),)``
@@ -18,10 +21,10 @@ import json
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import kernels
-from .graphs import Graph
+from .graphs import Graph, _is_int
 
 
 def _mask_of(face: Iterable[int]) -> int:
@@ -44,18 +47,31 @@ def _rotate_mask(m: int, r: int, n: int) -> int:
     return (((m << r) | (m >> (n - r))) & ((1 << n) - 1)) if r else m
 
 
+def _canonical(n: int, masks: Iterable[int]) -> list[int]:
+    """Masks of vertices ``< n`` by size, then lexicographic on their tuples.
+
+    Of two sets of one size, the lexicographically smaller holds the least
+    vertex where they differ, so its complement's bits, read from vertex 0
+    up, are the smaller string.
+    """
+    full = (1 << n) - 1
+    fmt = f"0{n}b"
+    lex = sorted(masks, key=lambda m: format(full ^ m, fmt)[::-1])
+    return sorted(lex, key=int.bit_count)  # stable: keeps lex within a size
+
+
 def _from_masks(n: int, masks: Iterable[int]) -> "Complex":
     """Canonical complex of distinct, pairwise incomparable facet masks.
 
     Trusted: nothing is validated.  For facets that are maximal by
     construction; outside input goes through ``Complex.from_facets``.
     """
-    return _from_tuples(n, map(_tuple_of, masks))
+    return Complex(n, tuple(_canonical(n, masks)))
 
 
-def _from_tuples(n: int, tuples: Iterable[tuple[int, ...]]) -> "Complex":
-    """``_from_masks`` for facets already given as sorted vertex tuples."""
-    return Complex(n, tuple(sorted(tuples, key=lambda t: (len(t), t))))
+def _maximal(masks: list[int]) -> set[int]:
+    """The distinct masks of ``masks`` contained in no other."""
+    return {m for m in masks if not any(m != o and (m | o) == o for o in masks)}
 
 
 class FaceLimitError(RuntimeError):
@@ -69,6 +85,13 @@ class BudgetError(RuntimeError):
 def _check_deadline(deadline: float | None) -> None:
     if deadline is not None and time.monotonic() > deadline:
         raise BudgetError("homology computation ran out of budget")
+
+
+def _probe_faces(walked: int, cap: int | None, deadline: float | None) -> None:
+    _check_deadline(deadline)
+    if cap is not None and walked > cap:
+        raise FaceLimitError(
+            f"complex has more than {cap} faces; raise the face cap to proceed")
 
 
 def _maximal_cliques(nbr: list[int], p: int) -> list[int]:
@@ -106,10 +129,10 @@ def _maximal_cliques(nbr: list[int], p: int) -> list[int]:
 
 @dataclass(frozen=True)
 class Complex:
-    """Immutable simplicial complex given by its facet list."""
+    """Immutable simplicial complex given by its facets as vertex bitmasks."""
 
     n: int
-    facets: tuple[tuple[int, ...], ...]
+    facet_masks: tuple[int, ...]
 
     @staticmethod
     def from_facets(
@@ -120,36 +143,32 @@ class Complex:
         With ``maximalize`` the faces are filtered down to the maximal
         ones; otherwise strict containment or duplication is an error.
         """
+        if not _is_int(n) or n < 0:
+            raise ValueError(f"vertex count must be a nonnegative int, got {n!r}")
         masks = []
         for f in faces:
             f = tuple(f)  # read once: ``f`` may be a one-shot iterator
-            fs = sorted(set(f))
-            if fs and not (0 <= fs[0] and fs[-1] < n):
-                raise ValueError(f"face {fs} out of range for n={n}")
-            if len(fs) != len(f):
+            m = 0
+            for v in f:
+                if not _is_int(v) or not 0 <= v < n:
+                    raise ValueError(f"face {f}: {v!r} is not a vertex in 0..{n - 1}")
+                m |= 1 << v
+            if m.bit_count() != len(f):
                 raise ValueError(f"face {f} has repeated vertices")
-            masks.append(_mask_of(fs))
+            masks.append(m)
         if maximalize:
-            masks = [
-                m
-                for i, m in enumerate(masks)
-                if not any(
-                    (m | o) == o and (m != o or j < i) for j, o in enumerate(masks)
-                )
-            ]
-        else:
-            for i, m in enumerate(masks):
-                for j, o in enumerate(masks):
-                    if i != j and (m | o) == o:
-                        kind = "duplicates" if m == o else "is contained in"
-                        raise ValueError(
-                            f"facet {_tuple_of(m)} {kind} facet {_tuple_of(o)}"
-                        )
-        return _from_masks(n, set(masks))
+            return _from_masks(n, _maximal(masks))
+        for i, m in enumerate(masks):
+            for j, o in enumerate(masks):
+                if i != j and (m | o) == o:
+                    kind = "duplicates" if m == o else "is contained in"
+                    raise ValueError(f"facet {_tuple_of(m)} {kind} facet {_tuple_of(o)}")
+        return _from_masks(n, masks)
 
     @cached_property
-    def facet_masks(self) -> tuple[int, ...]:
-        return tuple(_mask_of(f) for f in self.facets)
+    def facets(self) -> tuple[tuple[int, ...], ...]:
+        """The facets as sorted vertex tuples, in the canonical order."""
+        return tuple(map(_tuple_of, self.facet_masks))
 
     @cached_property
     def rotation_invariant(self) -> bool:
@@ -187,17 +206,18 @@ class Complex:
 
     @property
     def is_void(self) -> bool:
-        return not self.facets
+        return not self.facet_masks
 
     @property
     def dim(self) -> int | None:
         """Dimension, ``None`` for the void complex (-1 for ``{()}``)."""
         if self.is_void:
             return None
-        return max(len(f) for f in self.facets) - 1
+        return self.facet_masks[-1].bit_count() - 1  # the largest facet is last
 
     def is_pure(self) -> bool:
-        return len({len(f) for f in self.facets}) <= 1
+        ms = self.facet_masks  # by size: the smallest facet first, the largest last
+        return not ms or ms[0].bit_count() == ms[-1].bit_count()
 
     def has_face(self, face: Iterable[int]) -> bool:
         m = _mask_of(face)
@@ -210,42 +230,45 @@ class Complex:
             m |= fm
         return _tuple_of(m)
 
-    def face_masks(
-        self, cap: int | None = None, deadline: float | None = None
-    ) -> set[int]:
-        """Every face as a bitmask, the empty face included.
+    def face_levels(
+        self, top: int, cap: int | None = None, deadline: float | None = None
+    ) -> Iterator[set[int]]:
+        """The faces of at most ``top`` vertices as bitmasks, one set per
+        size from ``top`` down to 0, each built once the caller is done
+        with the one above.
 
-        Raises :class:`FaceLimitError` once more than ``cap`` faces appear,
-        and :class:`BudgetError` once ``time.monotonic()`` passes
-        ``deadline`` (probed once per facet).
+        Every face lies in a facet, so the first set is the facets cut down
+        to ``top`` vertices and each later one the set above minus a vertex,
+        plus the facets of its size.  Raises :class:`FaceLimitError` once
+        more than ``cap`` faces have been walked and :class:`BudgetError`
+        once ``time.monotonic()`` passes ``deadline`` (probed once per
+        facet or face a set is built from).
         """
-        seen: set[int] = set()
-        for fm in self.facet_masks:
-            _check_deadline(deadline)
-            stack = [fm]
-            while stack:
-                m = stack.pop()
-                if m in seen:
-                    continue
-                seen.add(m)
-                if cap is not None and len(seen) > cap:
-                    raise FaceLimitError(
-                        f"complex has more than {cap} faces; raise the face "
-                        f"cap to proceed"
-                    )
-                mm = m
+        masks = self.facet_masks
+        joined, walked, level = len(masks), 0, set()  # masks[joined:] are walked
+        for size in range(top, -1, -1):
+            above, level = level, set()
+            for p in above:
+                mm = p
                 while mm:
-                    stack.append(m & ~(mm & -mm))
-                    mm &= mm - 1
-        return seen
+                    b = mm & -mm
+                    level.add(p ^ b)
+                    mm ^= b
+                _probe_faces(walked + len(level), cap, deadline)
+            while joined and masks[joined - 1].bit_count() >= size:
+                joined -= 1
+                bits = [1 << v for v in _tuple_of(masks[joined])]
+                level.update(map(sum, itertools.combinations(bits, size)))
+                _probe_faces(walked + len(level), cap, deadline)
+            walked += len(level)
+            yield level
 
     def f_vector(self) -> dict[int, int]:
         """Face counts by dimension, including ``f[-1] = 1`` when nonvoid."""
-        counts: dict[int, int] = {}
-        for m in self.face_masks():
-            d = m.bit_count() - 1
-            counts[d] = counts.get(d, 0) + 1
-        return counts
+        if self.is_void:
+            return {}
+        return {self.dim - i: len(level)
+                for i, level in enumerate(self.face_levels(self.dim + 1))}
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "facets": [list(f) for f in self.facets]})
@@ -253,7 +276,10 @@ class Complex:
     @staticmethod
     def from_json(text: str) -> "Complex":
         obj = json.loads(text)
-        return Complex.from_facets(obj["n"], obj["facets"])
+        facets = obj["facets"]
+        if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
+            raise ValueError("'facets' must be a list of vertex lists")
+        return Complex.from_facets(obj["n"], facets)
 
 
 def independence_complex(g: Graph) -> Complex:
@@ -292,15 +318,17 @@ def expansion_complex(ind_g: Complex, sizes: tuple[int, ...]) -> Complex:
         raise ValueError(f"need {ind_g.n} blob sizes, got {len(sizes)}")
     if any(s < 1 for s in sizes):
         raise ValueError("blob sizes must be at least 1")
-    blobs, total = [], 0
+    blobs, total = [], 0  # blobs[i]: the vertex bits of blob i, ascending
     for s in sizes:
-        blobs.append(range(total, total + s))
+        blobs.append([1 << v for v in range(total, total + s)])
         total += s
     # blob i lies below blob j for i < j, so each choice from a sorted facet
-    # is a sorted tuple; the choices are distinct and pairwise incomparable,
+    # is ascending, and sorting the choices by length, then lexicographically,
+    # is the canonical order; they are distinct and pairwise incomparable,
     # as a containment between two would project to one between facets
-    d = _from_tuples(total, (choice for f in ind_g.facets
-                             for choice in itertools.product(*[blobs[v] for v in f])))
+    choices = sorted(choice for f in ind_g.facets
+                     for choice in itertools.product(*[blobs[v] for v in f]))
+    d = Complex(total, tuple(map(sum, sorted(choices, key=len))))
     d.__dict__["is_flag"] = ind_g.is_flag  # fills the cached property
     return d
 
@@ -313,11 +341,11 @@ def alpha(g: Graph) -> int:
 def link(d: Complex, face: Iterable[int]) -> Complex:
     """Link of ``face``: facets are ``F - face`` over facets ``F`` containing it."""
     m = _mask_of(face)
-    if not d.has_face(_tuple_of(m)):
-        raise ValueError(f"{_tuple_of(m)} is not a face of the complex")
+    # facets containing a common face have distinct, incomparable remainders
     trimmed = [fm & ~m for fm in d.facet_masks if (m | fm) == fm]
-    # facets containing a common face have incomparable remainders
-    return Complex.from_facets(d.n, map(_tuple_of, trimmed))
+    if not trimmed:
+        raise ValueError(f"{_tuple_of(m)} is not a face of the complex")
+    return _from_masks(d.n, trimmed)
 
 
 def deletion(d: Complex, v: int) -> Complex:
@@ -329,5 +357,4 @@ def deletion(d: Complex, v: int) -> Complex:
     if not (0 <= v < d.n):
         raise ValueError(f"vertex {v} out of range for n={d.n}")
     vbit = 1 << v
-    kept = [fm & ~vbit for fm in d.facet_masks]
-    return Complex.from_facets(d.n, map(_tuple_of, kept), maximalize=True)
+    return _from_masks(d.n, _maximal([fm & ~vbit for fm in d.facet_masks]))

@@ -21,6 +21,11 @@ from functools import cached_property
 from typing import Iterable
 
 
+def _is_int(x: object) -> bool:
+    """Whether ``x`` is an int and not a bool (JSON ``true`` reads as 1)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple graph on vertex set ``0..n-1``."""
@@ -65,7 +70,12 @@ class Graph:
     @staticmethod
     def from_json(text: str) -> "Graph":
         obj = json.loads(text)
-        return Graph.from_edges(obj["n"], [tuple(e) for e in obj["edges"]])
+        n, edges = obj["n"], obj["edges"]
+        if not _is_int(n) or not isinstance(edges, list) or not all(
+                isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))
+                for e in edges):
+            raise ValueError("a graph needs an int 'n' and 'edges' of [int, int] pairs")
+        return Graph.from_edges(n, [tuple(e) for e in edges])
 
     def to_dot(self) -> str:
         """Graphviz source with vertices pinned on a circle."""

@@ -3,6 +3,10 @@
 Betti numbers are ranks over the rationals, obtained from integer
 Smith normal forms of the boundary matrices (exact arithmetic, no
 floating point); torsion invariant factors are reported alongside.
+Every face list, boundary matrix and Reisner walk comes from one walk
+over vertex bitmasks, ``Complex.face_levels``, with one face cap; a
+boundary matrix indexes faces by mask and signs an entry by the number
+of face vertices below the dropped one.
 
 ``is_cohen_macaulay`` applies Reisner's criterion over the rationals:
 every face's link must have vanishing reduced homology strictly below
@@ -22,7 +26,6 @@ with lowest-row pivots, the exact rank by Smith normal form.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import time
@@ -30,7 +33,8 @@ from dataclasses import dataclass
 
 # re-exported: all_faces and the budgeted kernels raise them
 from .complexes import BudgetError, FaceLimitError
-from .complexes import Complex, _check_deadline, _from_masks, _rotate_mask, _tuple_of
+from .complexes import (Complex, _canonical, _check_deadline, _from_masks,
+                        _rotate_mask, _tuple_of)
 
 DEFAULT_FACE_CAP = 5_000_000
 ORACLE_PRIME = 32003
@@ -66,24 +70,25 @@ class HomologyProfile:
 def all_faces(
     d: Complex, cap: int = DEFAULT_FACE_CAP, deadline: float | None = None
 ) -> list[int]:
-    """All faces of ``d`` as bitmasks (the empty face included).
+    """All faces of ``d`` as ascending bitmasks (the empty face included).
 
     Raises :class:`FaceLimitError` once more than ``cap`` faces appear,
     and :class:`BudgetError` once ``time.monotonic()`` passes ``deadline``.
     """
-    return sorted(d.face_masks(cap, deadline))
+    if d.is_void:
+        return []
+    return sorted(m for level in d.face_levels(d.dim + 1, cap, deadline)
+                  for m in level)
 
 
 def faces_by_dim(
     d: Complex, cap: int = DEFAULT_FACE_CAP, deadline: float | None = None
 ) -> dict[int, list[tuple[int, ...]]]:
     """Faces grouped by dimension, each group sorted lexicographically."""
-    groups: dict[int, list[tuple[int, ...]]] = {}
-    for m in all_faces(d, cap, deadline):
-        groups.setdefault(m.bit_count() - 1, []).append(_tuple_of(m))
-    for g in groups.values():
-        g.sort()
-    return groups
+    if d.is_void:
+        return {}
+    return {d.dim - i: list(map(_tuple_of, _canonical(d.n, level)))
+            for i, level in enumerate(d.face_levels(d.dim + 1, cap, deadline))}
 
 
 def boundary_matrices(
@@ -93,27 +98,29 @@ def boundary_matrices(
 
     Key ``i`` maps i-faces to (i-1)-faces with alternating signs over
     ascending vertex order; ``i`` runs from 0 (vertices to the empty
-    face) up to the dimension of the complex.  Raises
+    face) up to the dimension of the complex.  Faces index rows and
+    columns in lexicographic order within a dimension.  Raises
     :class:`BudgetError` once ``time.monotonic()`` passes ``deadline``.
     """
     if d.is_void:
         return {}
-    groups = faces_by_dim(d, cap, deadline)
-    index = {
-        dim: {f: pos for pos, f in enumerate(fs)} for dim, fs in groups.items()
-    }
+    levels = list(d.face_levels(d.dim + 1, cap, deadline))[::-1]
+    rows_index: dict[int, int] = {0: 0}  # the empty face
     mats: dict[int, BoundaryMatrix] = {}
-    for dim in range(0, (d.dim or 0) + 1):
-        cols = groups.get(dim, [])
-        rows_index = index.get(dim - 1, {})
+    for dim, level in enumerate(levels[1:]):
+        cols = _canonical(d.n, level)
         entries = []
         for col, face in enumerate(cols):
             if col % _DEADLINE_PROBE == 0:
                 _check_deadline(deadline)
-            for t in range(len(face)):
-                sub = face[:t] + face[t + 1:]
-                entries.append((rows_index[sub], col, (-1) ** t))
+            # dropping the t-th vertex from below has sign (-1)^t
+            sign, mm = 1, face
+            while mm:
+                b = mm & -mm
+                entries.append((rows_index[face ^ b], col, sign))
+                sign, mm = -sign, mm ^ b
         mats[dim] = BoundaryMatrix(len(rows_index), len(cols), tuple(entries))
+        rows_index = {m: i for i, m in enumerate(cols)}
     return mats
 
 
@@ -393,8 +400,9 @@ def _reisner(
     n = d.n
     rotations = range(1, n) if d.rotation_invariant else ()
     seen_links: set[tuple[int, ...]] = set()
-    for level in _faces_below_ridges(d, cap, deadline):
-        for m in level:
+    # larger faces first: their links are smaller and fail faster
+    for level in d.face_levels(top - 1, cap, deadline):
+        for m in sorted(level):
             if any(_rotate_mask(m, r, n) < m for r in rotations):
                 continue  # another face of the orbit stands for this one
             _check_deadline(deadline)
@@ -407,49 +415,6 @@ def _reisner(
             if not _link_vanishes_below_top(link_masks, n, cap, deadline, stats):
                 return False
     return True
-
-
-def _faces_below_ridges(d: Complex, cap: int, deadline: float | None):
-    """The faces of at most k - 2 vertices of ``d``, pure with facets of
-    k >= 2 vertices: one ascending list per size, largest size first.
-
-    Larger faces come first because their links are smaller and fail
-    faster; faces of k - 1 or k vertices have links of dimension <= 0,
-    with nothing to check, and are never walked.  The faces of k - 2
-    vertices are the facets minus two vertices, and each smaller size
-    is the size above minus one vertex, since every face lies in a
-    facet.  A size is built only once the caller is done with the one
-    above.  Raises :class:`FaceLimitError` once more than ``cap`` faces
-    have been walked and :class:`BudgetError` once ``time.monotonic()``
-    passes ``deadline`` (probed once per facet or face a size is built
-    from).
-    """
-    walked = 0
-    size = len(d.facets[0]) - 2
-    level: set[int] = set()
-    for p in d.facet_masks:
-        for a, b in itertools.combinations(_tuple_of(p), 2):
-            level.add(p ^ (1 << a) ^ (1 << b))
-        _probe_walk(walked + len(level), cap, deadline)
-    while True:
-        walked += len(level)
-        faces = sorted(level)
-        yield faces
-        if size == 0:
-            return
-        size -= 1
-        level = set()
-        for p in faces:
-            for v in _tuple_of(p):
-                level.add(p ^ (1 << v))
-            _probe_walk(walked + len(level), cap, deadline)
-
-
-def _probe_walk(walked: int, cap: int, deadline: float | None) -> None:
-    _check_deadline(deadline)
-    if walked > cap:
-        raise FaceLimitError(
-            f"complex has more than {cap} faces; raise the face cap to proceed")
 
 
 def cm_verdict(

@@ -534,7 +534,7 @@ def _computed_regressions() -> dict:
         ind = independence_complex(g)
         out[name] = {
             "alpha": (ind.dim if ind.dim is not None else -1) + 1,
-            "facet_count": len(ind.facets),
+            "facet_count": len(ind.facet_masks),
             "edge_count": len(g.edges),
         }
     return out

@@ -93,10 +93,11 @@ def vd_naive(facets) -> bool:
 
 
 def shed_tree_ok_naive(d: Complex, t) -> bool:
-    """Whether ``t`` is a shed tree of ``d``, on validated ``Complex`` objects.
+    """Whether ``t`` is a shed tree of ``d``, on ``Complex`` objects.
 
     At each node the deletion and link come from ``complexes.deletion``
-    and ``complexes.link``, which rebuild and re-validate the complex;
+    and ``complexes.link``, which rebuild the complex (re-maximalising
+    the deletion);
     the node must be pure and contain the vertex, the deletion must be
     pure of the same dimension and the link pure.  Malformed trees are
     rejected rather than raising.
@@ -176,30 +177,33 @@ def rank_mod_p_naive(rows: int, cols: int, entries: dict[tuple[int, int], int],
     return rank
 
 
-def betti_naive(facets: tuple[tuple[int, ...], ...]) -> dict[int, int]:
-    """Reduced Betti numbers over the rationals by dense exact linear algebra.
+def boundary_naive(facets: tuple[tuple[int, ...], ...]) -> dict[int, tuple]:
+    """Signed boundary maps of the reduced chain complex, built from scratch.
 
-    Boundary maps are built from scratch: faces ordered lexicographically
-    within each dimension, signs alternating over ascending vertex order.
+    Key ``i`` gives ``(rows, cols, entries)`` for the map from i-faces to
+    (i-1)-faces: faces ordered lexicographically within each dimension,
+    entries ``(row, col, sign)`` column by column, and dropping the t-th
+    vertex of a sorted face signed ``(-1) ** t``.
     """
-    faces = sorted(faces_naive(facets), key=lambda f: (len(f), f))
     by_dim: dict[int, list[tuple[int, ...]]] = {}
-    for f in faces:
+    for f in sorted(faces_naive(facets)):
         by_dim.setdefault(len(f) - 1, []).append(f)
-    top = max(by_dim) if by_dim else -1
-    ranks: dict[int, int] = {}
-    for i in range(0, top + 1):
-        rows_f = by_dim.get(i - 1, [])
-        cols_f = by_dim.get(i, [])
-        index = {f: r for r, f in enumerate(rows_f)}
-        entries = {}
-        for c, f in enumerate(cols_f):
-            for pos in range(len(f)):
-                sub = f[:pos] + f[pos + 1:]
-                entries[(index[sub], c)] = (-1) ** pos
-        ranks[i] = rank_fraction(len(rows_f), len(cols_f), entries)
-    betti = {}
-    for i in range(-1, top + 1):
-        f_i = len(by_dim.get(i, []))
-        betti[i] = f_i - ranks.get(i, 0) - ranks.get(i + 1, 0)
-    return betti
+    mats = {}
+    for i in range(0, max(by_dim, default=-1) + 1):
+        index = {f: r for r, f in enumerate(by_dim[i - 1])}
+        entries = [(index[f[:t] + f[t + 1:]], c, (-1) ** t)
+                   for c, f in enumerate(by_dim[i]) for t in range(len(f))]
+        mats[i] = (len(index), len(by_dim[i]), tuple(entries))
+    return mats
+
+
+def betti_naive(facets: tuple[tuple[int, ...], ...]) -> dict[int, int]:
+    """Reduced Betti numbers over the rationals by dense exact linear algebra
+    on the boundary maps of ``boundary_naive``."""
+    faces = faces_naive(facets)
+    ranks = {i: rank_fraction(rows, cols, {(r, c): v for r, c, v in entries})
+             for i, (rows, cols, entries) in boundary_naive(facets).items()}
+    top = max((len(f) - 1 for f in faces), default=-1)
+    return {i: sum(len(f) == i + 1 for f in faces)
+            - ranks.get(i, 0) - ranks.get(i + 1, 0)
+            for i in range(-1, top + 1)}

@@ -59,6 +59,25 @@ def test_check_pure_no(capsys):
     assert code == 1 and "pure: no" in out
 
 
+@pytest.mark.parametrize("desc", [
+    '{"n": 3, "facets": [[1.5]]}',
+    '{"n": 3, "facets": [[true]]}',
+    '{"n": 3, "facets": [0, 1]}',
+    '{"n": 3, "facets": "01"}',
+    '{"n": -2, "facets": []}',
+    '{"n": true, "facets": []}',
+    '{"n": 3, "edges": [[0, "x"]]}',
+    '{"n": 3, "edges": [[0, true]]}',
+    '{"n": 3, "edges": [0]}',
+    '{"n": 3, "edges": {}}',
+    '{"n": 2.0, "edges": []}',
+])
+def test_check_rejects_malformed_json_as_unusable_input(capsys, desc):
+    code, out, err = run(capsys, "check", "pure", desc)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_check_alpha(capsys):
     code, out, _ = run(capsys, "check", "alpha", "C16(1,4,8)")
     assert code == 0 and "alpha = 4" in out

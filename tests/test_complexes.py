@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from circshell.complexes import (
     Complex,
+    _tuple_of,
     alpha,
     deletion,
     expansion_complex,
@@ -138,6 +139,8 @@ def test_ind_equals_validated_construction():
             for edges in itertools.combinations(pairs, r):
                 d = independence_complex(Graph.from_edges(n, edges))
                 assert d == Complex.from_facets(n, d.facets)
+                assert list(d.facets) == sorted(d.facets, key=lambda t: (len(t), t))
+                assert d.facets == tuple(map(_tuple_of, d.facet_masks))
 
 
 def test_expansion_complex_equals_bron_kerbosch_on_the_expansion_graph():
@@ -151,6 +154,9 @@ def test_expansion_complex_equals_bron_kerbosch_on_the_expansion_graph():
                 for s in itertools.product((1, 2, 3), repeat=n):
                     got = expansion_complex(ind_g, s)
                     assert got == independence_complex(expansion(g, s)), (g, s)
+                    assert list(got.facets) == sorted(got.facets,
+                                                      key=lambda t: (len(t), t))
+                    assert got.facets == tuple(map(_tuple_of, got.facet_masks))
                     assert got.is_flag is True
                     assert len(got.facets) == sum(
                         math.prod(s[v] for v in f) for f in ind_g.facets)

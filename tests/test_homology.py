@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import circshell
 import oracles
-from circshell import homology
 from circshell.complexes import Complex, independence_complex
 from circshell.graphs import Graph, circulant, CirculantSpec, complete, cycle
 from circshell.homology import (
@@ -23,6 +22,7 @@ from circshell.homology import (
     boundary_matrices,
     cm_verdict,
     exact_rank,
+    faces_by_dim,
     is_cohen_macaulay,
     rank_mod_p,
     reduced_homology,
@@ -65,6 +65,25 @@ def complexes_strategy(nmax=5):
 def test_all_faces_counts():
     d = Complex.from_facets(3, [(0, 1, 2)])
     assert len(all_faces(d)) == 8  # every subset including the empty face
+
+
+def test_face_walk_matches_the_naive_oracle():
+    # every Ind(G) with n <= 5, non-pure ones included: the walk's smaller
+    # facets join it at their own size
+    cases = [independence_complex(g) for n in range(1, 6) for g in labeled_graphs(n)]
+    assert len(cases) == 1099
+    cases += [RP2, MOEBIUS, Complex.from_facets(4, [(0, 1), (1, 2), (3,)])]
+    assert sum(not d.is_pure() for d in cases) == 713
+    for d in cases:
+        faces = oracles.faces_naive(d.facets)
+        assert all_faces(d) == sorted(sum(1 << v for v in f) for f in faces), d
+        by_dim = {}
+        for f in sorted(faces):
+            by_dim.setdefault(len(f) - 1, []).append(f)
+        assert faces_by_dim(d) == by_dim, d
+        assert d.f_vector() == {i: len(fs) for i, fs in by_dim.items()}, d
+        got = {i: (m.rows, m.cols, m.entries) for i, m in boundary_matrices(d).items()}
+        assert got == oracles.boundary_naive(d.facets), d
 
 
 def test_face_cap_enforced():
@@ -384,7 +403,7 @@ def test_cm_walks_only_faces_below_the_ridges():
         k = d.dim + 1
         want = [m for m in sorted(all_faces(d), key=lambda m: -m.bit_count())
                 if m.bit_count() <= k - 2]
-        levels = list(homology._faces_below_ridges(d, 10**6, None))
+        levels = [sorted(level) for level in d.face_levels(k - 2)]
         assert [m for level in levels for m in level] == want, d
     # the cap counts faces walked: Ind(C5) has 11 faces, of which only
     # the empty face has a link of dimension >= 1
