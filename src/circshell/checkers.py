@@ -25,6 +25,7 @@ from typing import Union
 from .complexes import Complex, _tuple_of
 
 _BUDGET_PROBE = 256  # nodes between deadline checks
+_NEVER = float("inf")  # the next deadline check when there is no deadline
 
 
 class NotPureError(ValueError):
@@ -57,6 +58,19 @@ class ShedLeaf:
 
     def to_obj(self) -> dict:
         return {"leaf": self.kind}
+
+
+# the VD search's leaves; a leaf carries nothing but its kind
+_VOID = ShedLeaf("void")
+_SIMPLEX = ShedLeaf("simplex")
+_EMPTY_FACE = ShedLeaf("empty-face")
+
+
+def _leaf_of(fmasks: list[int]) -> ShedLeaf:
+    """The leaf witnessing a family of at most one facet."""
+    if not fmasks:
+        return _VOID
+    return _SIMPLEX if fmasks[0] else _EMPTY_FACE
 
 
 @dataclass(frozen=True)
@@ -428,23 +442,28 @@ def vertex_decomposition(
     full = (1 << n) - 1
     flag = d.is_flag
     rotations = flag and d.rotation_invariant
-    memo: dict[object, tuple[bool, ShedTree | None, int]] = {}
+    memo: dict[object, tuple[ShedTree | None, int]] = {}
     nodes = 0
     hits = 0
+    # the node count at which the deadline is next read; every node,
+    # solved or settled inline, is counted against it
+    probe_at = _BUDGET_PROBE if deadline is not None else _NEVER
 
-    def solve(
-        fmasks: list[int], stuck: int | None = None
-    ) -> tuple[bool, ShedTree | None]:
-        # ``stuck``: the vertices that cannot shed, when already known
+    def probe() -> None:
+        nonlocal probe_at
+        probe_at = nodes + _BUDGET_PROBE
+        if time.monotonic() > deadline:
+            raise _BudgetExceeded
+
+    def solve(fmasks: list[int], stuck: int | None = None) -> ShedTree | None:
+        # A node of two or more facets; its shed tree, or None.  A
+        # deletion or link of at most one facet is a leaf, settled (and
+        # counted as a node) here rather than by a call.  ``stuck``: the
+        # vertices that cannot shed, when already known.
         nonlocal nodes, hits
         nodes += 1
-        if deadline is not None and nodes % _BUDGET_PROBE == 0:
-            if time.monotonic() > deadline:
-                raise _BudgetExceeded
-        if not fmasks:
-            return True, ShedLeaf("void")
-        if len(fmasks) == 1:
-            return True, ShedLeaf("simplex" if fmasks[0] else "empty-face")
+        if nodes >= probe_at:
+            probe()
         verts = 0
         for m in fmasks:
             verts |= m
@@ -461,12 +480,13 @@ def vertex_decomposition(
             key, rot = verts, 0
         else:
             key, rot = tuple(sorted(fmasks)), 0
-        if key in memo:
+        got = memo.get(key)
+        if got is not None:
             hits += 1
-            ok, tree, stored_rot = memo[key]
-            if ok and (rot or stored_rot):
+            tree, stored_rot = got
+            if tree is not None and (rot or stored_rot):
                 tree = _rotate_tree(tree, (stored_rot - rot) % n, n)
-            return ok, tree
+            return tree
         if stuck is None:
             # lone[r] = the vertex F - r when ridge r lies in one facet F
             # only (that vertex cannot shed), 0 when it lies in two or more
@@ -481,34 +501,53 @@ def vertex_decomposition(
             stuck = 0
             for b in lone.values():
                 stuck |= b
-        result: tuple[bool, ShedTree | None] = (False, None)
-        for x in _tuple_of(verts & ~stuck):
-            xb = 1 << x
-            ok_del, tree_del = solve([m for m in fmasks if not m & xb])
-            if not ok_del:
-                continue
-            ok_link, tree_link = solve([m ^ xb for m in fmasks if m & xb])
-            if not ok_link:
-                continue
-            result = (True, ShedNode(x, tree_del, tree_link))
+        result = None
+        cands = verts & ~stuck
+        while cands:  # ascending label order
+            xb = cands & -cands
+            cands ^= xb
+            sub = [m for m in fmasks if not m & xb]
+            if len(sub) > 1:
+                tree_del = solve(sub)
+                if tree_del is None:
+                    continue
+            else:
+                nodes += 1
+                if nodes >= probe_at:
+                    probe()
+                tree_del = _leaf_of(sub)
+            sub = [m ^ xb for m in fmasks if m & xb]
+            if len(sub) > 1:
+                tree_link = solve(sub)
+                if tree_link is None:
+                    continue
+            else:
+                nodes += 1
+                if nodes >= probe_at:
+                    probe()
+                tree_link = _leaf_of(sub)
+            result = ShedNode(xb.bit_length() - 1, tree_del, tree_link)
             break
-        memo[key] = (result[0], result[1], rot)
+        memo[key] = (result, rot)
         return result
 
     root = list(d.facet_masks)
-    stuck = None
-    if len(root) >= 2:
-        stuck, connected = _root_ridge_pass(root)
-        if not connected:
-            return CheckOutcome("no", None, {
-                "nodes": 0, "memo_hits": 0, "rotations": rotations,
-                "elapsed_s": time.monotonic() - start,
-                "reason": "ridge graph disconnected",
-            })
+    if len(root) <= 1:
+        return CheckOutcome("yes", _leaf_of(root), {
+            "nodes": 1, "memo_hits": 0, "rotations": rotations,
+            "elapsed_s": time.monotonic() - start,
+        })
+    stuck, connected = _root_ridge_pass(root)
+    if not connected:
+        return CheckOutcome("no", None, {
+            "nodes": 0, "memo_hits": 0, "rotations": rotations,
+            "elapsed_s": time.monotonic() - start,
+            "reason": "ridge graph disconnected",
+        })
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 8000))
     try:
-        ok, tree = solve(root, stuck)
+        tree = solve(root, stuck)
     except _BudgetExceeded:
         return CheckOutcome("unknown", None, {
             "nodes": nodes, "memo_hits": hits, "rotations": rotations,
@@ -523,75 +562,97 @@ def vertex_decomposition(
         "rotations": rotations,
         "elapsed_s": time.monotonic() - start,
     }
-    return CheckOutcome("yes" if ok else "no", tree if ok else None, stats)
+    return CheckOutcome("no" if tree is None else "yes", tree, stats)
 
 
 def verify_shed_tree(d: Complex, t: ShedTree) -> bool:
     """Recheck a shed tree from scratch against Provan-Billera's definition.
 
-    Walks the tree on facet families held as sets of vertex bitmasks,
-    sharing no code with the search.  A non-pure complex is rejected; at
-    every node it recomputes the deletion and link of the shed vertex and
-    checks that the vertex lies in a facet and that the deletion is pure
-    of the node's facet size; leaves must match their family.  Malformed
-    trees return ``False`` rather than raising.
+    A non-pure complex is rejected.  At every node the shed vertex must
+    lie in a facet and the deletion must be pure of the node's facet
+    size; every leaf must match its family.  The walk
+    (``_walk_shed_tree``) runs once, on plain lists of facet bitmasks,
+    shares no code with the search, and also reads off the order that
+    ``shelling_from_shed_tree`` returns.  Malformed trees return
+    ``False`` rather than raising.
     """
-    family = frozenset(d.facet_masks)
-    if len({m.bit_count() for m in family}) > 1:
-        return False
-    try:
-        return _verify_tree(family, t)
-    except (ValueError, RecursionError):
-        return False
+    return _walk_shed_tree(d, t) is not None
 
 
-def _verify_tree(family: frozenset[int], t: ShedTree) -> bool:
-    if isinstance(t, ShedLeaf):
-        if t.kind == "void":
-            return not family
-        if t.kind == "empty-face":
-            return family == {0}
-        if t.kind == "simplex":
-            return len(family) == 1
-        return False
-    if not isinstance(t, ShedNode):
-        return False
-    xb = 1 << t.vertex  # ValueError for a negative vertex
-    # ``family`` is pure.  The faces avoiding x are the subsets of the
-    # facets minus x, so the deletion is pure of the node's size iff every
-    # F - x lies in a facet avoiding x, and its facets are then exactly
-    # the facets avoiding x: a pure subfamily, as is the link, which drops
-    # x from every facet holding it.  So purity needs no check below the
-    # root.
-    avoid = frozenset(m for m in family if not m & xb)
-    link_ = frozenset(m ^ xb for m in family if m & xb)
-    if not link_ or not all(any(r | m == m for m in avoid) for r in link_):
-        return False
-    return _verify_tree(avoid, t.deletion) and _verify_tree(link_, t.link)
-
-
-def shelling_from_shed_tree(d: Complex, t: ShedTree) -> ShellingCertificate:
-    """The shelling order a shed tree implies (Provan-Billera 1980).
+def shelling_from_shed_tree(
+    d: Complex, t: ShedTree
+) -> ShellingCertificate | None:
+    """The shelling order a shed tree implies (Provan-Billera 1980), or
+    ``None`` when ``verify_shed_tree`` rejects the tree.
 
     If x sheds from a pure complex, a shelling of its deletion followed
     by x joined to each facet of a shelling of its link, in that order,
     shells the complex; a simplex or {()} leaf gives its one facet and
-    the void leaf none.  Every tree of nodes on nonnegative vertices
-    gives a permutation of the facets, since each node splits its
-    facets into those avoiding and those containing x; only a tree that
-    ``verify_shed_tree`` accepts is sure to give a shelling, and the
-    order, like any certificate, counts only once ``verify_shelling``
-    accepts it.
+    the void leaf none.  The order is read off during the same walk that
+    checks the tree, and, like any certificate, counts only once
+    ``verify_shelling`` accepts it.
     """
+    order = _walk_shed_tree(d, t)
+    if order is None:
+        return None
     index = {m: i for i, m in enumerate(d.facet_masks)}
-    return ShellingCertificate(tuple(
-        index[m] for m in _shed_order(list(d.facet_masks), t)))
+    return ShellingCertificate(tuple(index[m] for m in order))
 
 
-def _shed_order(family: list[int], t: ShedTree) -> list[int]:
+def _walk_shed_tree(d: Complex, t: ShedTree) -> list[int] | None:
+    """The facets of ``d`` in the order the shed tree ``t`` gives, or
+    ``None`` when ``t`` is not a shed tree of ``d`` (a non-pure complex
+    has none)."""
+    family = list(d.facet_masks)
+    if len({m.bit_count() for m in family}) > 1:
+        return None
+    out: list[int] = []
+    try:
+        ok = _walk(family, t, 0, out)
+    except (ValueError, RecursionError):
+        return None
+    return out if ok else None
+
+
+def _walk(family: list[int], t: ShedTree, above: int, out: list[int]) -> bool:
+    # ``family``: a pure facet family of the node; ``above``: the vertices
+    # shed on the way down to it through links, which each facet of a
+    # leaf is joined with as it is appended to ``out``
     if isinstance(t, ShedLeaf):
-        return family
+        kind = t.kind
+        if kind == "void":
+            ok = not family
+        elif kind == "empty-face":
+            ok = family == [0]
+        elif kind == "simplex":
+            ok = len(family) == 1
+        else:
+            return False
+        if ok and family:  # one facet at most
+            out.append(family[0] | above)
+        return ok
+    if not isinstance(t, ShedNode):
+        return False
     xb = 1 << t.vertex  # ValueError for a negative vertex
-    return _shed_order([m for m in family if not m & xb], t.deletion) + [
-        m | xb
-        for m in _shed_order([m ^ xb for m in family if m & xb], t.link)]
+    # The faces avoiding x are the subsets of the facets minus x, so the
+    # deletion is pure of the node's size iff every F - x lies in a facet
+    # avoiding x, and its facets are then exactly the facets avoiding x: a
+    # pure subfamily, as is the link, which drops x from every facet
+    # holding it.  So purity needs no check below the root.
+    avoid: list[int] = []
+    link_: list[int] = []
+    for m in family:
+        if m & xb:
+            link_.append(m ^ xb)
+        else:
+            avoid.append(m)
+    if not link_:
+        return False
+    for r in link_:
+        for m in avoid:
+            if r | m == m:
+                break
+        else:
+            return False
+    return (_walk(avoid, t.deletion, above, out)
+            and _walk(link_, t.link, above | xb, out))

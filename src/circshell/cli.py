@@ -64,8 +64,9 @@ def run_check(kind: str, item: Graph | Complex, *,
               face_cap: int = homology.DEFAULT_FACE_CAP) -> tuple[str, dict]:
     """Run one property check; returns (verdict, detail).
 
-    Verdicts are "yes"/"no"/"unknown" except alpha and homology, which
-    always succeed and report their value under "yes".
+    Verdicts are "yes"/"no"/"unknown".  Alpha always succeeds, and
+    homology does unless it runs out of time or faces; both report their
+    value under "yes".
     """
     if kind == "alpha":
         if not isinstance(item, Graph):
@@ -75,7 +76,10 @@ def run_check(kind: str, item: Graph | Complex, *,
     if kind == "pure":
         return ("yes" if d.is_pure() else "no"), {}
     if kind == "homology":
-        profile = homology.reduced_homology(d, face_cap)
+        try:
+            profile = homology.reduced_homology(d, face_cap, budget_s=timeout_s)
+        except (homology.BudgetError, homology.FaceLimitError) as e:
+            return "unknown", {"reason": str(e)}
         return "yes", {"profile": profile.to_obj()}
     if kind == "cm":
         verdict, reason, counts = homology.cm_verdict(d, face_cap, budget_s=timeout_s)
@@ -135,7 +139,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     else:
         if args.kind == "alpha":
             print(f"alpha = {detail['alpha']}")
-        elif args.kind == "homology":
+        elif args.kind == "homology" and verdict == "yes":
             print(json.dumps(detail["profile"], indent=2))
         else:
             print(f"{args.kind}: {verdict}")

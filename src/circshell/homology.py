@@ -280,12 +280,19 @@ def rank_mod_p(
 # ---------------------------------------------------------------------------
 
 
-def reduced_homology(d: Complex, cap: int = DEFAULT_FACE_CAP) -> HomologyProfile:
-    """Exact reduced homology profile of a nonvoid complex."""
+def reduced_homology(
+    d: Complex, cap: int = DEFAULT_FACE_CAP, budget_s: float | None = None
+) -> HomologyProfile:
+    """Exact reduced homology profile of a nonvoid complex.
+
+    Raises :class:`FaceLimitError` past ``cap`` faces and, with
+    ``budget_s`` set, :class:`BudgetError` when time runs out.
+    """
     if d.is_void:
         raise ValueError("the void complex has no homology profile")
-    mats = boundary_matrices(d, cap)
-    factors = {i: smith_invariant_factors(m) for i, m in mats.items()}
+    deadline = time.monotonic() + budget_s if budget_s is not None else None
+    mats = boundary_matrices(d, cap, deadline)
+    factors = {i: smith_invariant_factors(m, deadline) for i, m in mats.items()}
     rank = {i: len(f) for i, f in factors.items()}
     top = d.dim
     betti: dict[int, int] = {}

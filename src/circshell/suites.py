@@ -205,18 +205,22 @@ def _checked_verdicts(d: Complex, cfg: RunConfig) -> tuple[str, str, bool]:
     """Shellability and decomposability verdicts with inline certificate
     verification; the bool is False when a search lied about a yes.
 
-    The VD search runs first.  A shed tree that ``verify_shed_tree``
-    accepts implies a shelling order (``shelling_from_shed_tree``), so
-    the shelling search runs only when there is no such tree; either
-    order counts only once ``verify_shelling`` accepts it.
+    The VD search runs first.  A yes is checked by
+    ``shelling_from_shed_tree``, which rechecks the shed tree and reads
+    off the shelling order it implies in one walk, or gives ``None``
+    when it rejects the tree.  The shelling search runs only when there
+    is no such order; either order counts only once ``verify_shelling``
+    accepts it.
     """
     vd = vertex_decomposition(d, budget_s=cfg.timeout_s)
-    vd_ok = _certified(d, vd, "vd")
-    if vd.verdict == "yes" and vd_ok:
-        sh = checkers.CheckOutcome(
-            "yes", checkers.shelling_from_shed_tree(d, vd.certificate), {})
+    order = None
+    if vd.verdict == "yes":
+        order = checkers.shelling_from_shed_tree(d, vd.certificate)
+    if order is not None:
+        sh = checkers.CheckOutcome("yes", order, {})
     else:
         sh = shelling(d, budget_s=cfg.timeout_s)
+    vd_ok = vd.verdict != "yes" or order is not None
     ok = vd_ok and _certified(d, sh, "shellable")
     return sh.verdict, vd.verdict, ok
 

@@ -128,6 +128,21 @@ def _shed_tree_ok(d: Complex, t) -> bool:
     return _shed_tree_ok(del_, t.deletion) and _shed_tree_ok(link_, t.link)
 
 
+def shed_order_naive(family: list[int], t) -> list[int]:
+    """The facet bitmasks of ``family`` in the order the shed tree ``t``
+    gives (Provan-Billera 1980): the order of the deletion's subtree,
+    then the shed vertex joined to each facet of the link's.  Each node
+    rebuilds its deletion and link as fresh lists and a leaf returns its
+    family as it is; the tree is not checked.
+    """
+    if isinstance(t, ShedLeaf):
+        return family
+    xb = 1 << t.vertex
+    return shed_order_naive([m for m in family if not m & xb], t.deletion) + [
+        m | xb
+        for m in shed_order_naive([m ^ xb for m in family if m & xb], t.link)]
+
+
 def rank_fraction(rows: int, cols: int, entries: dict[tuple[int, int], int]) -> int:
     """Matrix rank by Gaussian elimination over exact rationals."""
     mat = [[Fraction(0)] * cols for _ in range(rows)]

@@ -24,7 +24,7 @@ from circshell.checkers import (
     verify_shelling,
     vertex_decomposition,
 )
-from circshell.complexes import Complex, independence_complex
+from circshell.complexes import Complex, expansion_complex, independence_complex
 from circshell.graphs import Graph, circulant, CirculantSpec, cycle
 from circshell.suites import labeled_graphs
 
@@ -249,6 +249,34 @@ def test_vd_milestones_search_stats():
         assert sys.getrecursionlimit() == limit
 
 
+def _vd_totals(ds):
+    nodes = hits = 0
+    for d in ds:
+        out = vertex_decomposition(d)
+        nodes += out.stats["nodes"]
+        hits += out.stats["memo_hits"]
+    return len(ds), nodes, hits
+
+
+def test_vd_search_totals_on_small_and_expansion_complexes():
+    # Leaves are settled inline but still counted, so these totals pin
+    # the search's shape over many small inputs: every pure Ind(G) with
+    # n <= 6, and every complex the expansion suite searches (each pure
+    # Ind(G) with n <= 5 and its expansions by vectors in {1, 2}^n)
+    chain = [d for n in range(1, 7) for g in labeled_graphs(n)
+             if (d := independence_complex(g)).is_pure()]
+    assert _vd_totals(chain) == (7332, 62158, 419)
+    expansion = []
+    for n in range(1, 6):
+        for g in labeled_graphs(n):
+            d = independence_complex(g)
+            if d.is_pure():
+                expansion.append(d)
+                expansion.extend(expansion_complex(d, s) for s in
+                                 itertools.product((1, 2), repeat=n))
+    assert _vd_totals(expansion) == (12085, 186837, 17379)
+
+
 def test_vd_two_disjoint_edges_no():
     # pure VD implies shellable, which needs a connected ridge graph, so
     # the root is refused before any node is searched
@@ -280,6 +308,10 @@ def test_vd_budget_is_honoured_while_it_runs():
     assert sys.getrecursionlimit() == limit
     assert out.verdict == "unknown"
     assert out.stats["reason"] == "budget exhausted" and out.stats["nodes"] > 0
+    # the deadline is read every 256 nodes, leaves settled inline included,
+    # so a spent budget stops the search at its 256th node
+    out = vertex_decomposition(d, budget_s=0.0)
+    assert out.verdict == "unknown" and out.stats["nodes"] == 256
 
 
 def test_shelling_budget_is_honoured_while_it_backtracks():
@@ -425,9 +457,16 @@ def test_verify_shed_tree_matches_the_complex_based_oracle():
         if out.verdict != "yes":
             continue
         certified += 1
+        index = {m: i for i, m in enumerate(d.facet_masks)}
         for t in [out.certificate, *_mutants(out.certificate, d.n, rng)]:
             want = oracles.shed_tree_ok_naive(d, t)
             assert verify_shed_tree(d, t) is want, (d, t)
+            cert = shelling_from_shed_tree(d, t)
+            assert (cert is not None) is want, (d, t)
+            if want:
+                naive = oracles.shed_order_naive(list(d.facet_masks), t)
+                assert cert.order == tuple(index[m] for m in naive), (d, t)
+                assert verify_shelling(d, cert), (d, t)
             seen[want] += 1
     assert certified == 339
     assert seen[True] > certified and seen[False] > 0
@@ -490,14 +529,16 @@ def test_shelling_from_shed_tree_small_cases():
         assert vertex_decomposition(d).certificate == ShedLeaf(kind)
         assert shelling_from_shed_tree(d, ShedLeaf(kind)).order == tuple(
             range(len(facets)))
-    # any tree gives a permutation of the facets, a shelling or not:
-    # shedding 0 from two disjoint edges leaves a deletion that is not
-    # pure (the edge 13 and the vertex 2)
+    # a rejected tree gives no order: shedding 0 from two disjoint edges
+    # leaves a deletion that is not pure (the edge 13 and the vertex 2),
+    # though the tree splits the facets into a permutation
     d = _two_disjoint_edges()
     bad = ShedNode(0, ShedLeaf("simplex"), ShedLeaf("simplex"))
     assert not verify_shed_tree(d, bad)
-    cert = shelling_from_shed_tree(d, bad)
-    assert sorted(cert.order) == [0, 1] and not verify_shelling(d, cert)
+    assert shelling_from_shed_tree(d, bad) is None
+    # so does a non-pure complex, whatever the tree
+    d = Complex.from_facets(3, [(0, 1), (2,)])
+    assert shelling_from_shed_tree(d, ShedLeaf("simplex")) is None
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour: parsing, exit codes, files."""
 
 import json
+import time
 
 import pytest
 
@@ -92,6 +93,23 @@ def test_check_homology_profile(capsys):
     code, out, _ = run(capsys, "check", "homology", "C5(1)")
     assert code == 0
     assert json.loads(out) == {"betti": {"-1": 0, "0": 0, "1": 1}, "torsion": {}}
+
+
+def test_check_homology_honours_the_timeout(capsys):
+    # unbudgeted, the homology of C28(1,7,14) takes about 35 s
+    started = time.monotonic()
+    code, out, _ = run(capsys, "check", "homology", "C28(1,7,14)",
+                       "--timeout", "0.01")
+    assert time.monotonic() - started < 5.0
+    assert code == 2 and "homology: unknown" in out
+    assert "reason: homology computation ran out of budget" in out
+
+
+def test_check_homology_past_the_face_cap_is_unknown_with_reason(capsys):
+    code, out, _ = run(capsys, "check", "homology", "C16(1,4,8)",
+                       "--face-cap", "10")
+    assert code == 2 and "homology: unknown" in out
+    assert "reason: complex has more than 10 faces" in out
 
 
 def test_check_shellable_with_certificate(capsys, tmp_path):
