@@ -64,9 +64,10 @@ def run_check(kind: str, item: Graph | Complex, *,
               face_cap: int = homology.DEFAULT_FACE_CAP) -> tuple[str, dict]:
     """Run one property check; returns (verdict, detail).
 
-    Verdicts are "yes"/"no"/"unknown".  Alpha always succeeds, and
-    homology does unless it runs out of time or faces; both report their
-    value under "yes".
+    Verdicts are "yes"/"no"/"unknown", or "certificate rejected" for a
+    shellable/vd yes that the independent verifier refuses.  Alpha
+    always succeeds, and homology does unless it runs out of time or
+    faces; both report their value under "yes".
     """
     if kind == "alpha":
         if not isinstance(item, Graph):
@@ -85,11 +86,8 @@ def run_check(kind: str, item: Graph | Complex, *,
         verdict, reason, counts = homology.cm_verdict(d, face_cap, budget_s=timeout_s)
         return verdict, ({"stats": counts, "reason": reason} if reason
                          else {"stats": counts})
-    if kind == "shellable":
-        out = checkers.shelling(d, budget_s=timeout_s)
-        return out.verdict, {"stats": out.stats, "outcome": out}
-    if kind == "vd":
-        out = checkers.vertex_decomposition(d, budget_s=timeout_s)
+    if kind in ("shellable", "vd"):
+        out = suites._search(d, kind, timeout_s)
         return out.verdict, {"stats": out.stats, "outcome": out}
     raise ValueError(f"unknown check kind {kind!r}; one of {CHECK_KINDS}")
 
@@ -121,8 +119,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         args.kind, item if d is None else d,
         timeout_s=args.timeout, face_cap=args.face_cap)
     outcome = detail.pop("outcome", None)
-    if outcome is not None and not suites._certified(d, outcome, args.kind):
-        verdict = "certificate rejected"  # a yes is reported only once verified
 
     cert_path = None
     if args.certificate and outcome is not None and verdict == "yes":

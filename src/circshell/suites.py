@@ -6,8 +6,14 @@ sizes; anything larger is seeded-random sampling with the seed embedded
 in the report) and returns a :class:`SuiteReport`.  A suite passes iff
 it has zero failures and zero unknowns — except suites declared
 *budgeted*, where timed-out instances are listed but do not fail the
-run.  Every ``yes`` verdict produced here is re-checked through the
-independent certificate verifiers before it may count as a pass.
+run.
+
+Every suite, and ``circshell check``, goes through one check step.
+``_search`` runs the shelling or decomposition search and re-checks a
+``yes`` through the independent certificate verifier; a rejected
+``yes`` becomes the verdict ``certificate rejected``.  ``_status`` turns
+a record's verdicts into its status: a rejected certificate fails the
+record even when another verdict is ``unknown``.
 """
 
 from __future__ import annotations
@@ -20,10 +26,10 @@ import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Collection, Iterable
 
 from . import checkers, kernels
-from .checkers import NotPureError, shelling, vertex_decomposition
+from .checkers import shelling, vertex_decomposition
 from .complexes import Complex, expansion_complex, independence_complex
 from .graphs import (
     CirculantSpec,
@@ -41,6 +47,8 @@ RECORD_CAP = 2000  # past this many instances, reports keep only exceptions
 TOPP_VOLKMANN_SAMPLES = 200  # seeded pairs touching 5-vertex factors
 
 FAMILY_DEFAULT_BUDGET_S = 300.0
+
+_REJECTED = "certificate rejected"  # the verdict of a yes its verifier refused
 
 
 @dataclass(frozen=True)
@@ -166,14 +174,6 @@ def _random_graph(rng: random.Random, n: int) -> Graph:
     return Graph.from_edges(n, [pairs[t] for t in range(len(pairs)) if (bits >> t) & 1])
 
 
-def _desc(g: Graph) -> str:
-    return g.to_json()
-
-
-def _is_complete(g: Graph) -> bool:
-    return len(g.edges) == g.n * (g.n - 1) // 2
-
-
 def _cert_path(out_dir: str, instance: str, kind: str) -> Path:
     digest = hashlib.sha1(f"{instance}:{kind}".encode()).hexdigest()[:10]
     safe = re.sub(r"[^A-Za-z0-9().,_-]+", "_", instance)[:60]
@@ -201,28 +201,47 @@ def _write_cert(
     return str(path)
 
 
-def _checked_verdicts(d: Complex, cfg: RunConfig) -> tuple[str, str, bool]:
-    """Shellability and decomposability verdicts with inline certificate
-    verification; the bool is False when a search lied about a yes.
+def _search(d: Complex, kind: str, budget_s: float | None) -> checkers.CheckOutcome:
+    """Run the ``shellable`` or ``vd`` search; a ``yes`` stands only once
+    the independent verifier accepts its certificate."""
+    search = shelling if kind == "shellable" else vertex_decomposition
+    out = search(d, budget_s=budget_s)
+    if not _certified(d, out, kind):
+        return checkers.CheckOutcome(_REJECTED, None, out.stats)
+    return out
+
+
+def _status(verdicts: Collection[str], holds: bool) -> str:
+    """A rejected certificate fails the record; otherwise an unknown
+    verdict leaves it unknown, and else it is ok iff the claim holds."""
+    if _REJECTED in verdicts:
+        return "fail"
+    if "unknown" in verdicts:
+        return "unknown"
+    return "ok" if holds else "fail"
+
+
+def _checked_verdicts(d: Complex, cfg: RunConfig) -> tuple[str, str]:
+    """Verified (shellable, vd) verdicts of a pure complex.
 
     The VD search runs first.  A yes is checked by
     ``shelling_from_shed_tree``, which rechecks the shed tree and reads
     off the shelling order it implies in one walk, or gives ``None``
-    when it rejects the tree.  The shelling search runs only when there
-    is no such order; either order counts only once ``verify_shelling``
-    accepts it.
+    when it rejects the tree; that order counts only once
+    ``verify_shelling`` accepts it.  A root refused for a disconnected
+    ridge graph is not shellable either, since each facet of a shelling
+    after the first meets an earlier one in a ridge.  Otherwise the
+    shelling search answers.
     """
     vd = vertex_decomposition(d, budget_s=cfg.timeout_s)
-    order = None
     if vd.verdict == "yes":
         order = checkers.shelling_from_shed_tree(d, vd.certificate)
-    if order is not None:
-        sh = checkers.CheckOutcome("yes", order, {})
-    else:
-        sh = shelling(d, budget_s=cfg.timeout_s)
-    vd_ok = vd.verdict != "yes" or order is not None
-    ok = vd_ok and _certified(d, sh, "shellable")
-    return sh.verdict, vd.verdict, ok
+        if order is None:
+            return _search(d, "shellable", cfg.timeout_s).verdict, _REJECTED
+        return ("yes" if checkers.verify_shelling(d, order) else _REJECTED), "yes"
+    if vd.stats.get("reason") == "ridge graph disconnected":
+        return "no", vd.verdict
+    return _search(d, "shellable", cfg.timeout_s).verdict, vd.verdict
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +260,7 @@ def topp_volkmann_samples(seed: int) -> list[tuple[str, Graph, Graph]]:
             ng, nh = rng.randint(1, 5), 5
         g = _random_graph(rng, ng)
         h = _random_graph(rng, nh)
-        out.append((f"sample[{t}] {_desc(g)} lex {_desc(h)}", g, h))
+        out.append((f"sample[{t}] {g.to_json()} lex {h.to_json()}", g, h))
     return out
 
 
@@ -256,23 +275,19 @@ def suite_topp_volkmann(cfg: RunConfig) -> SuiteReport:
     purity = [independence_complex(g).is_pure() for g in gs]
     pairs: list[tuple[str, Graph, Graph, bool, bool]] = []
     for (g, pg), (h, ph) in itertools.product(zip(gs, purity), repeat=2):
-        pairs.append((f"{_desc(g)} lex {_desc(h)}", g, h, pg, ph))
+        pairs.append((f"{g.to_json()} lex {h.to_json()}", g, h, pg, ph))
     for instance, g, h in topp_volkmann_samples(cfg.seed):
         pg = independence_complex(g).is_pure()
         ph = independence_complex(h).is_pure()
         pairs.append((instance, g, h, pg, ph))
-
-    def worker(item) -> dict:
-        instance, g, h, pg, ph = item
+    records = []
+    for instance, g, h, pg, ph in pairs:
         pp = independence_complex(lex_product(g, h)).is_pure()
-        ok = pp == (pg and ph)
-        return {
+        records.append({
             "instance": instance,
-            "status": "ok" if ok else "fail",
+            "status": "ok" if pp == (pg and ph) else "fail",
             "verdicts": {"pure_product": pp, "pure_G": pg, "pure_H": ph},
-        }
-
-    records = [worker(x) for x in pairs]
+        })
     return _assemble(
         "topp-volkmann", cfg, records, started,
         notes=[f"exhaustive pairs n<=4 plus {TOPP_VOLKMANN_SAMPLES} seeded "
@@ -289,7 +304,7 @@ def suite_alpha_product(cfg: RunConfig) -> SuiteReport:
     bad = kernels.alpha_product_failures(ns, adjs)
     records = [
         {
-            "instance": f"{_desc(gs[gi])} lex {_desc(gs[hi])}",
+            "instance": f"{gs[gi].to_json()} lex {gs[hi].to_json()}",
             "status": "fail",
             "verdicts": {"alpha_multiplicative": False},
         }
@@ -304,44 +319,33 @@ def suite_alpha_product(cfg: RunConfig) -> SuiteReport:
 def suite_main_a(cfg: RunConfig) -> SuiteReport:
     """Shellability/VD of Ind(kH) matches Ind(H) for k <= 3 disjoint copies."""
     started = time.monotonic()
-    hs = labeled_graphs(1) + labeled_graphs(2) + labeled_graphs(3) + labeled_graphs(4)
-    items = [(h, k) for h in hs for k in (2, 3)]
-    base: dict[Graph, tuple[str, str, bool]] = {}
-
-    def worker(item) -> dict:
-        h, k = item
-        instance = f"{k} copies of {_desc(h)}"
-        kh = h
-        for _ in range(k - 1):
-            kh = disjoint_union(kh, h)
+    records: list[dict] = []
+    for h in _graphs_upto(4):
         ind_h = independence_complex(h)
-        ind_kh = independence_complex(kh)
-        if not ind_h.is_pure():
-            ok = not ind_kh.is_pure()
-            return {
+        pure_h = ind_h.is_pure()
+        if pure_h:
+            sh_h, vd_h = _checked_verdicts(ind_h, cfg)
+        kh = h
+        for k in (2, 3):
+            instance = f"{k} copies of {h.to_json()}"
+            kh = disjoint_union(kh, h)
+            ind_kh = independence_complex(kh)
+            if not pure_h:
+                records.append({
+                    "instance": instance,
+                    "status": "fail" if ind_kh.is_pure() else "ok",
+                    "verdicts": {"pure_H": False, "pure_kH": ind_kh.is_pure()},
+                    "note": "non-pure counted as not shellable / not decomposable",
+                })
+                continue
+            sh_k, vd_k = _checked_verdicts(ind_kh, cfg)
+            records.append({
                 "instance": instance,
-                "status": "ok" if ok else "fail",
-                "verdicts": {"pure_H": False, "pure_kH": ind_kh.is_pure()},
-                "note": "non-pure counted as not shellable / not decomposable",
-            }
-        if h not in base:
-            base[h] = _checked_verdicts(ind_h, cfg)
-        sh_h, vd_h, cert_h = base[h]
-        sh_k, vd_k, cert_k = _checked_verdicts(ind_kh, cfg)
-        if not (cert_h and cert_k):
-            status = "fail"
-        elif "unknown" in (sh_h, vd_h, sh_k, vd_k):
-            status = "unknown"
-        else:
-            status = "ok" if (sh_h == sh_k and vd_h == vd_k) else "fail"
-        return {
-            "instance": instance,
-            "status": status,
-            "verdicts": {"shellable_H": sh_h, "shellable_kH": sh_k,
-                         "vd_H": vd_h, "vd_kH": vd_k},
-        }
-
-    records = [worker(x) for x in items]
+                "status": _status((sh_h, vd_h, sh_k, vd_k),
+                                  sh_h == sh_k and vd_h == vd_k),
+                "verdicts": {"shellable_H": sh_h, "shellable_kH": sh_k,
+                             "vd_H": vd_h, "vd_kH": vd_k},
+            })
     return _assemble("main-a", cfg, records, started)
 
 
@@ -352,45 +356,30 @@ def suite_main_bc(cfg: RunConfig) -> SuiteReport:
     """
     started = time.monotonic()
     records: list[dict] = []
-    items = []
     for g in _graphs_upto(5):
         ind_g = independence_complex(g)
-        if ind_g.is_pure():
-            items.append((g, ind_g))
-
-    def worker(item) -> dict | list[dict]:
-        g, ind_g = item
-        sh_g, vd_g, cert_g = _checked_verdicts(ind_g, cfg)
-        out = []
+        if not ind_g.is_pure():
+            continue
+        sh_g, vd_g = _checked_verdicts(ind_g, cfg)
         for m in (2, 3):
-            instance = f"{_desc(g)} lex K{m}"
+            instance = f"{g.to_json()} lex K{m}"
             prod = independence_complex(lex_product(g, complete(m)))
             if not prod.is_pure():
-                out.append({
+                records.append({
                     "instance": instance,
                     "status": "fail",
                     "verdicts": {"pure_product": False},
                     "note": "product of well-covered factors must stay pure",
                 })
                 continue
-            sh_p, vd_p, cert_p = _checked_verdicts(prod, cfg)
-            if not (cert_g and cert_p):
-                status = "fail"
-            elif "unknown" in (sh_g, vd_g, sh_p, vd_p):
-                status = "unknown"
-            else:
-                ok = vd_p == vd_g and (sh_g != "yes" or sh_p == "yes")
-                status = "ok" if ok else "fail"
-            out.append({
+            sh_p, vd_p = _checked_verdicts(prod, cfg)
+            records.append({
                 "instance": instance,
-                "status": status,
+                "status": _status((sh_g, vd_g, sh_p, vd_p),
+                                  vd_p == vd_g and (sh_g != "yes" or sh_p == "yes")),
                 "verdicts": {"vd_G": vd_g, "vd_product": vd_p,
                              "shellable_G": sh_g, "shellable_product": sh_p},
             })
-        return out
-
-    for item in items:
-        records.extend(worker(item))
     return _assemble(
         "main-bc", cfg, records, started,
         notes=["decomposability transfer is only claimed for well-covered G; "
@@ -402,34 +391,24 @@ def suite_nonshellable(cfg: RunConfig) -> SuiteReport:
     """Ind(G[H]) is never shellable when G has an edge and H is incomplete."""
     started = time.monotonic()
     gs = [g for g in _graphs_upto(4) if g.edges]
-    hs = [h for h in _graphs_upto(4) if not _is_complete(h)]
-    items = [(g, h) for g in gs for h in hs]
-
-    def worker(item) -> dict:
-        g, h = item
-        instance = f"{_desc(g)} lex {_desc(h)}"
+    hs = [h for h in _graphs_upto(4) if len(h.edges) < h.n * (h.n - 1) // 2]
+    records = []
+    for g, h in itertools.product(gs, hs):
+        instance = f"{g.to_json()} lex {h.to_json()}"
         ind = independence_complex(lex_product(g, h))
         if not ind.is_pure():
-            return {
+            records.append({
                 "instance": instance,
                 "status": "ok",
                 "verdicts": {"shellable": "not-pure"},
                 "note": "non-pure counted as not shellable",
-            }
-        out = shelling(ind, budget_s=cfg.timeout_s)
-        if out.verdict == "unknown":
-            return {"instance": instance, "status": "unknown",
-                    "verdicts": {"shellable": "unknown"}}
-        return {
-            "instance": instance,
-            "status": "ok" if out.verdict == "no" else "fail",
-            "verdicts": {"shellable": out.verdict},
-        }
-
-    records = [worker(x) for x in items]
+            })
+            continue
+        sh = _search(ind, "shellable", cfg.timeout_s).verdict
+        records.append({"instance": instance, "status": _status((sh,), sh == "no"),
+                        "verdicts": {"shellable": sh}})
     return _assemble(
         "nonshellable", cfg, records, started,
-        total=len(items),
         notes=["non-pure complexes counted as not shellable"],
     )
 
@@ -444,53 +423,34 @@ def suite_expansion(cfg: RunConfig) -> SuiteReport:
     graph; the tests check the two agree.
     """
     started = time.monotonic()
-    total = 0
     records: list[dict] = []
-    items = []
     for g in _graphs_upto(5):
-        vectors = list(itertools.product((1, 2), repeat=g.n))
-        total += len(vectors)
-        items.append((g, vectors))
-
-    def worker(item) -> list[dict]:
-        g, vectors = item
         ind_g = independence_complex(g)
         pure_g = ind_g.is_pure()
         if pure_g:
-            sh_g, vd_g, cert_g = _checked_verdicts(ind_g, cfg)
-        desc = _desc(g)
-        out = []
-        for s in vectors:
+            sh_g, vd_g = _checked_verdicts(ind_g, cfg)
+        desc = g.to_json()
+        for s in itertools.product((1, 2), repeat=g.n):
             instance = f"{desc} expand {list(s)}"
             ind_s = expansion_complex(ind_g, s)
             if not pure_g:
                 pure_s = ind_s.is_pure()
-                out.append({
+                records.append({
                     "instance": instance,
                     "status": "fail" if pure_s else "ok",
                     "verdicts": {"pure_G": False, "pure_expansion": pure_s},
                     "note": "non-pure on both sides; decomposability not defined",
                 })
                 continue
-            sh_s, vd_s, cert_s = _checked_verdicts(ind_s, cfg)
-            if not (cert_g and cert_s):
-                status = "fail"
-            elif "unknown" in (sh_g, vd_g, sh_s, vd_s):
-                status = "unknown"
-            else:
-                ok = vd_s == vd_g and (sh_g != "yes" or sh_s == "yes")
-                status = "ok" if ok else "fail"
-            out.append({
+            sh_s, vd_s = _checked_verdicts(ind_s, cfg)
+            records.append({
                 "instance": instance,
-                "status": status,
+                "status": _status((sh_g, vd_g, sh_s, vd_s),
+                                  vd_s == vd_g and (sh_g != "yes" or sh_s == "yes")),
                 "verdicts": {"vd_G": vd_g, "vd_expansion": vd_s,
                              "shellable_G": sh_g, "shellable_expansion": sh_s},
             })
-        return out
-
-    for item in items:
-        records.extend(worker(item))
-    return _assemble("expansion", cfg, records, started, total=total)
+    return _assemble("expansion", cfg, records, started)
 
 
 def suite_circulant_product(cfg: RunConfig) -> SuiteReport:
@@ -502,23 +462,18 @@ def suite_circulant_product(cfg: RunConfig) -> SuiteReport:
         for r in range(len(half) + 1):
             for sub in itertools.combinations(half, r):
                 specs.append(CirculantSpec(n, sub))
-    items = list(itertools.product(specs, specs))
-
-    def worker(item) -> dict:
-        a, b = item
-        instance = f"{a.name} lex {b.name}"
+    records = []
+    for a, b in itertools.product(specs, specs):
         conn = circulant_lex_connection(a, b)
         built = circulant(conn)
         direct = lex_product(circulant(a), circulant(b))
         ok = built.n == direct.n and built.edges == direct.edges
-        return {
-            "instance": instance,
+        records.append({
+            "instance": f"{a.name} lex {b.name}",
             "status": "ok" if ok else "fail",
             "verdicts": {"connection_set": conn.name, "edge_equal": ok},
-        }
-
-    records = [worker(x) for x in items]
-    return _assemble("circulant-product", cfg, records, started, total=len(items))
+        })
+    return _assemble("circulant-product", cfg, records, started)
 
 
 # --- paper-milestones ------------------------------------------------------
@@ -587,32 +542,20 @@ def suite_paper_milestones(cfg: RunConfig) -> SuiteReport:
         return ind_cache[name]
 
     def run_one(name: str, kind: str, expect: str) -> dict:
-        instance = f"{name} {kind}"
         d = ind_of(name)
         if kind == "pure":
             got = "yes" if d.is_pure() else "no"
             stats = {}
-        elif kind == "shellable":
-            out = shelling(d, budget_s=cfg.timeout_s)
+        elif kind in ("shellable", "vd"):
+            out = _search(d, kind, cfg.timeout_s)
             got, stats = out.verdict, out.stats
-            if got == "yes" and not _certified(d, out, kind):
-                return {"instance": instance, "status": "fail",
-                        "verdicts": {kind: "certificate rejected"}}
             cert = _write_cert(cfg, name, kind, out)
             if cert:
                 stats = dict(stats, certificate=cert)
-        elif kind == "vd":
-            out = vertex_decomposition(d, budget_s=cfg.timeout_s)
-            got, stats = out.verdict, out.stats
-            if got == "yes" and not _certified(d, out, kind):
-                return {"instance": instance, "status": "fail",
-                        "verdicts": {kind: "certificate rejected"}}
         else:  # cm
             got, _, counts = cm_verdict(d, cfg.face_cap, budget_s=cfg.timeout_s)
             stats = {"cm": counts}
-        status = "unknown" if got == "unknown" else (
-            "ok" if got == expect else "fail")
-        rec = {"instance": instance, "status": status,
+        rec = {"instance": f"{name} {kind}", "status": _status((got,), got == expect),
                "verdicts": {kind: got, "expected": expect}}
         if stats:
             rec["stats"] = {k: v for k, v in stats.items() if k != "reason"}
@@ -648,32 +591,22 @@ def suite_chain(cfg: RunConfig) -> SuiteReport:
     Every yes verdict must survive its independent certificate verifier.
     """
     started = time.monotonic()
-    items = []
-    for n in range(1, 7):
-        items.extend(labeled_graphs(n))
-
-    def worker(g: Graph) -> dict:
-        instance = _desc(g)
+    records = []
+    for g in _graphs_upto(6):
+        instance = g.to_json()
         ind = independence_complex(g)
         if not ind.is_pure():
-            return {"instance": instance, "status": "skipped",
-                    "verdicts": {"pure": False}}
-        vd = vertex_decomposition(ind, budget_s=cfg.timeout_s)
-        sh = shelling(ind, budget_s=cfg.timeout_s)
+            records.append({"instance": instance, "status": "skipped",
+                            "verdicts": {"pure": False}})
+            continue
+        vd = _search(ind, "vd", cfg.timeout_s).verdict
+        sh = _search(ind, "shellable", cfg.timeout_s).verdict
         cm, _, _ = cm_verdict(ind, cfg.face_cap, budget_s=cfg.timeout_s)
-        verdicts = {"vd": vd.verdict, "shellable": sh.verdict, "cm": cm}
-        if "unknown" in verdicts.values():
-            return {"instance": instance, "status": "unknown",
-                    "verdicts": verdicts}
-        if not _certified(ind, vd, "vd") or not _certified(ind, sh, "shellable"):
-            return {"instance": instance, "status": "fail",
-                    "verdicts": dict(verdicts, note="certificate rejected")}
-        ok = (vd.verdict != "yes" or sh.verdict == "yes") and (
-            sh.verdict != "yes" or cm == "yes")
-        return {"instance": instance, "status": "ok" if ok else "fail",
-                "verdicts": verdicts}
-
-    records = [worker(x) for x in items]
+        verdicts = {"vd": vd, "shellable": sh, "cm": cm}
+        holds = (vd != "yes" or sh == "yes") and (sh != "yes" or cm == "yes")
+        records.append({"instance": instance,
+                        "status": _status(verdicts.values(), holds),
+                        "verdicts": verdicts})
     pure_records = [r for r in records if r["status"] != "skipped"]
     counts = {
         "pure": len(pure_records),
@@ -683,7 +616,7 @@ def suite_chain(cfg: RunConfig) -> SuiteReport:
         "cm": sum(1 for r in pure_records if r["verdicts"].get("cm") == "yes"),
     }
     report = _assemble(
-        "chain", cfg, records, started, total=len(items),
+        "chain", cfg, records, started,
         notes=[f"counts over pure complexes: {json.dumps(counts)}",
                "non-well-covered graphs are skipped (chain undefined)"],
     )
@@ -713,31 +646,22 @@ def explore_family(s_min: int, s_max: int, cfg: RunConfig) -> SuiteReport:
         ind = independence_complex(circulant(spec))
         verdicts: dict[str, str] = {"pure": "yes" if ind.is_pure() else "no"}
         stats: dict[str, dict] = {}
-        status = "ok"
         if verdicts["pure"] == "yes":
-            for kind, run in (
-                ("shellable", lambda: shelling(ind, budget_s=budget)),
-                ("vd", lambda: vertex_decomposition(ind, budget_s=budget)),
-            ):
-                out = run()
+            for kind in ("shellable", "vd"):
+                out = _search(ind, kind, budget)
                 verdicts[kind] = out.verdict
-                stats[kind] = {k: v for k, v in out.stats.items()}
-                if out.verdict == "yes":
-                    if not _certified(ind, out, kind):
-                        verdicts[kind] = "certificate rejected"
-                        status = "fail"
-                    cert = _write_cert(cfg, instance, kind, out)
-                    if cert:
-                        stats[kind]["certificate"] = cert
+                stats[kind] = dict(out.stats)
+                cert = _write_cert(cfg, instance, kind, out)
+                if cert:
+                    stats[kind]["certificate"] = cert
             verdicts["cm"], reason, counts = cm_verdict(
                 ind, cfg.face_cap, budget_s=budget)
             stats["cm"] = dict(counts, reason=reason) if reason else counts
         else:
             verdicts.update({"shellable": "not-pure", "vd": "not-pure",
                              "cm": "no"})
-        if status != "fail" and "unknown" in verdicts.values():
-            status = "unknown"
-        records.append({"instance": instance, "status": status,
+        records.append({"instance": instance,
+                        "status": _status(verdicts.values(), True),
                         "verdicts": verdicts, "stats": stats})
     return _assemble(
         "family", cfg, records, started, budgeted=True,

@@ -209,6 +209,50 @@ def test_chain_records_cm_budget_exhaustion_as_unknown(monkeypatch):
     assert all(r["verdicts"]["cm"] == "unknown" for r in report.unknowns)
 
 
+def test_chain_fails_a_rejected_certificate_even_when_cm_is_unknown(monkeypatch):
+    small = labeled_graphs
+    monkeypatch.setattr(suites, "labeled_graphs",
+                        lambda n: small(n) if n <= 3 else [])
+    pure = [independence_complex(g) for n in range(1, 4) for g in small(n)]
+    pure = [d for d in pure if d.is_pure()]
+    vd_yes = sum(checkers.vertex_decomposition(d).verdict == "yes" for d in pure)
+
+    def out_of_budget(d, cap, budget_s, stats):
+        raise BudgetError("out of budget")
+
+    monkeypatch.setattr(homology, "_reisner", out_of_budget)
+    monkeypatch.setattr(checkers, "verify_shed_tree", lambda d, tree: False)
+    report = suite_chain(RunConfig(timeout_s=1.0))
+    rejected = [r for r in report.records
+                if r["verdicts"].get("vd") == "certificate rejected"]
+    assert len(rejected) == vd_yes > 0
+    assert all(r["status"] == "fail" and r["verdicts"]["cm"] == "unknown"
+               for r in rejected)
+    assert not any(r["verdicts"].get("vd") == "yes" for r in report.records)
+    assert report.failures == rejected and not report.passed
+
+
+@pytest.mark.parametrize("suite", ["family", "paper-milestones"])
+def test_a_rejected_shelling_is_recorded_as_a_failure_without_a_certificate(
+        tmp_path, monkeypatch, suite):
+    monkeypatch.setattr(checkers, "verify_shelling", lambda d, cert: False)
+    cfg = RunConfig(out_dir=str(tmp_path))
+    if suite == "family":
+        report = explore_family(4, 4, cfg)
+        rec = report.records[0]
+        stats = rec["stats"]["shellable"]
+    else:
+        report = suite_paper_milestones(cfg)
+        rec = next(r for r in report.records
+                   if r["instance"] == "C16(1,4,8) shellable")
+        stats = rec.get("stats", {})
+    assert rec["verdicts"]["shellable"] == "certificate rejected"
+    assert rec["status"] == "fail" and rec in report.failures
+    assert not report.passed
+    assert "certificate" not in stats
+    assert not (tmp_path / "certs").exists()
+
+
 def test_checked_verdicts_reads_shellability_off_a_verified_shed_tree(monkeypatch):
     d = independence_complex(circulant(CirculantSpec.parse("C5(1)")))
 
@@ -216,7 +260,22 @@ def test_checked_verdicts_reads_shellability_off_a_verified_shed_tree(monkeypatc
         raise AssertionError("the shed tree implies the shelling")
 
     monkeypatch.setattr(suites, "shelling", no_search)
-    assert suites._checked_verdicts(d, RunConfig()) == ("yes", "yes", True)
+    assert suites._checked_verdicts(d, RunConfig()) == ("yes", "yes")
+
+
+def test_checked_verdicts_settles_a_ridge_disconnected_root_without_search(
+        monkeypatch):
+    # Ind(C4) is two disjoint edges: the VD search refuses the root, and
+    # a complex whose ridge graph is disconnected has no shelling
+    d = independence_complex(circulant(CirculantSpec.parse("C4(1)")))
+    vd = checkers.vertex_decomposition(d)
+    assert vd.stats["reason"] == "ridge graph disconnected"
+
+    def no_search(d, **kwargs):
+        raise AssertionError("the VD refusal settles shellability")
+
+    monkeypatch.setattr(suites, "shelling", no_search)
+    assert suites._checked_verdicts(d, RunConfig()) == ("no", "no")
 
 
 def test_checked_verdicts_fails_on_a_rejected_shed_tree(monkeypatch):
@@ -231,8 +290,9 @@ def test_checked_verdicts_fails_on_a_rejected_shed_tree(monkeypatch):
         return checkers.CheckOutcome("yes", wrong, {})
 
     monkeypatch.setattr(suites, "vertex_decomposition", lying_vd)
-    sh, vd, ok = suites._checked_verdicts(d, RunConfig())
-    assert (sh, vd, ok) == ("yes", "yes", False)  # shellability searched
+    # shellability is searched and verified on its own
+    assert suites._checked_verdicts(d, RunConfig()) == (
+        "yes", "certificate rejected")
     monkeypatch.setattr(suites, "labeled_graphs",
                         lambda n: labeled_graphs(n) if n <= 2 else [])
     report = suite_main_a(RunConfig())
@@ -247,6 +307,6 @@ def test_alpha_product_reports_every_failing_pair_sorted(monkeypatch):
     assert not report.passed
     assert report.aggregated and report.records == []
     gs = suites._graphs_upto(5)
-    want = sorted(f"{suites._desc(gs[g])} lex {suites._desc(gs[h])}"
+    want = sorted(f"{gs[g].to_json()} lex {gs[h].to_json()}"
                   for g, h in ((5, 3), (2, 7)))
     assert [r["instance"] for r in report.failures] == want
