@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .complexes import Complex, _tuple_of
+from .graphs import _is_int
 
 _BUDGET_PROBE = 256  # nodes between deadline checks
 _NEVER = float("inf")  # the next deadline check when there is no deadline
@@ -47,7 +48,10 @@ class ShellingCertificate:
 
     @staticmethod
     def from_obj(obj: dict) -> "ShellingCertificate":
-        return ShellingCertificate(tuple(int(i) for i in obj["order"]))
+        order = obj.get("order") if isinstance(obj, dict) else None
+        if not isinstance(order, list) or not all(map(_is_int, order)):
+            raise ValueError("a shelling order needs an 'order' list of int facet indices")
+        return ShellingCertificate(tuple(order))
 
 
 @dataclass(frozen=True)
@@ -93,13 +97,17 @@ ShedTree = Union[ShedLeaf, ShedNode]
 
 
 def shed_tree_from_obj(obj: dict) -> ShedTree:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a shed tree node must be a JSON object, got {obj!r}")
     if "leaf" in obj:
         kind = obj["leaf"]
         if kind not in ("simplex", "void", "empty-face"):
             raise ValueError(f"unknown leaf kind {kind!r}")
         return ShedLeaf(kind)
+    if not _is_int(obj["shed"]):
+        raise ValueError(f"shed vertex must be an int, got {obj['shed']!r}")
     return ShedNode(
-        int(obj["shed"]),
+        obj["shed"],
         shed_tree_from_obj(obj["del"]),
         shed_tree_from_obj(obj["link"]),
     )
@@ -111,6 +119,8 @@ def certificate_to_json(cert: Union[ShellingCertificate, ShedTree]) -> str:
 
 def certificate_from_json(text: str) -> Union[ShellingCertificate, ShedTree]:
     obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise ValueError("a certificate must be a JSON object")
     if "order" in obj:
         return ShellingCertificate.from_obj(obj)
     return shed_tree_from_obj(obj)
@@ -608,16 +618,16 @@ def _walk_shed_tree(d: Complex, t: ShedTree) -> list[int] | None:
         return None
     out: list[int] = []
     try:
-        ok = _walk(family, t, 0, out)
-    except (ValueError, RecursionError):
+        ok = _walk(d.n, family, t, 0, out)
+    except (TypeError, RecursionError):  # TypeError: a vertex that is no int
         return None
     return out if ok else None
 
 
-def _walk(family: list[int], t: ShedTree, above: int, out: list[int]) -> bool:
-    # ``family``: a pure facet family of the node; ``above``: the vertices
-    # shed on the way down to it through links, which each facet of a
-    # leaf is joined with as it is appended to ``out``
+def _walk(n: int, family: list[int], t: ShedTree, above: int, out: list[int]) -> bool:
+    # ``family``: a pure facet family of the node, on vertices 0..n-1;
+    # ``above``: the vertices shed on the way down to it through links,
+    # which each facet of a leaf is joined with as it is appended to ``out``
     if isinstance(t, ShedLeaf):
         kind = t.kind
         if kind == "void":
@@ -631,9 +641,9 @@ def _walk(family: list[int], t: ShedTree, above: int, out: list[int]) -> bool:
         if ok and family:  # one facet at most
             out.append(family[0] | above)
         return ok
-    if not isinstance(t, ShedNode):
+    if not isinstance(t, ShedNode) or not 0 <= t.vertex < n:
         return False
-    xb = 1 << t.vertex  # ValueError for a negative vertex
+    xb = 1 << t.vertex
     # The faces avoiding x are the subsets of the facets minus x, so the
     # deletion is pure of the node's size iff every F - x lies in a facet
     # avoiding x, and its facets are then exactly the facets avoiding x: a
@@ -654,5 +664,5 @@ def _walk(family: list[int], t: ShedTree, above: int, out: list[int]) -> bool:
                 break
         else:
             return False
-    return (_walk(avoid, t.deletion, above, out)
-            and _walk(link_, t.link, above | xb, out))
+    return (_walk(n, avoid, t.deletion, above, out)
+            and _walk(n, link_, t.link, above | xb, out))

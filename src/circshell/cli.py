@@ -92,6 +92,17 @@ def run_check(kind: str, item: Graph | Complex, *,
     raise ValueError(f"unknown check kind {kind!r}; one of {CHECK_KINDS}")
 
 
+def _require_vertices(t: checkers.ShedTree, n: int) -> None:
+    """Raise ``ValueError`` if a shed vertex of ``t`` is not in ``0..n-1``."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, checkers.ShedNode):
+            if not 0 <= t.vertex < n:
+                raise ValueError(f"shed vertex {t.vertex} is not a vertex in 0..{n - 1}")
+            stack += (t.deletion, t.link)
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     item = _parse_desc(args.desc)
     d = None if args.kind == "alpha" else _as_complex(item)
@@ -109,8 +120,9 @@ def cmd_check(args: argparse.Namespace) -> int:
             print(f"error: certificate is not a {want}", file=sys.stderr)
             return 2
         if shellable:
-            ok = checkers.verify_shelling(d, cert)
+            ok = checkers.verify_shelling(d, cert)  # raises unless a permutation
         else:
+            _require_vertices(cert, d.n)
             ok = checkers.verify_shed_tree(d, cert)
         print(f"certificate {'accepted' if ok else 'rejected'}")
         return 0 if ok else 1
@@ -187,7 +199,7 @@ def _emit_report(report: suites.SuiteReport, args: argparse.Namespace) -> int:
 def cmd_suite(args: argparse.Namespace) -> int:
     cfg = suites.RunConfig(
         timeout_s=args.timeout, seed=args.seed, deep=args.deep,
-        face_cap=args.face_cap, out_dir=args.out, bless=args.bless)
+        face_cap=args.face_cap, out_dir=args.out)
     try:
         report = suites.run_suite(args.name, cfg)
     except KeyError as e:
@@ -240,8 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    metavar="N")
     s.add_argument("--out", metavar="DIR",
                    help="write the report (and certificates) under DIR")
-    s.add_argument("--bless", action="store_true",
-                   help="recompute and save the regression constants")
     s.add_argument("--json", action="store_true")
     s.set_defaults(func=cmd_suite)
 
@@ -263,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     except NotPureError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, KeyError, OSError, RecursionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

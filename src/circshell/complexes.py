@@ -135,14 +135,9 @@ class Complex:
     facet_masks: tuple[int, ...]
 
     @staticmethod
-    def from_facets(
-        n: int, faces: Iterable[Iterable[int]], *, maximalize: bool = False
-    ) -> "Complex":
-        """Build a complex from candidate facets.
-
-        With ``maximalize`` the faces are filtered down to the maximal
-        ones; otherwise strict containment or duplication is an error.
-        """
+    def from_facets(n: int, faces: Iterable[Iterable[int]]) -> "Complex":
+        """Build a complex from its facets; strict containment or
+        duplication among them is an error."""
         if not _is_int(n) or n < 0:
             raise ValueError(f"vertex count must be a nonnegative int, got {n!r}")
         masks = []
@@ -156,8 +151,6 @@ class Complex:
             if m.bit_count() != len(f):
                 raise ValueError(f"face {f} has repeated vertices")
             masks.append(m)
-        if maximalize:
-            return _from_masks(n, _maximal(masks))
         for i, m in enumerate(masks):
             for j, o in enumerate(masks):
                 if i != j and (m | o) == o:

@@ -1,7 +1,8 @@
 """Finite simple graphs: circulants, lexicographical products, expansions.
 
-Vertices are always ``0..n-1``.  Edges are stored as a frozenset of
-sorted pairs, with cached bitmask adjacency rows for the search code.
+Vertices are always ``0..n-1``.  A graph stores only its adjacency
+rows, one neighbour bitmask per vertex (``Graph.adjacency_masks``); its
+edge list is derived from them.
 
 Labelling contracts (relied on by tests and certificates):
 
@@ -12,13 +13,14 @@ Labelling contracts (relied on by tests and certificates):
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
+
+from . import kernels
 
 
 def _is_int(x: object) -> bool:
@@ -28,44 +30,51 @@ def _is_int(x: object) -> bool:
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph on vertex set ``0..n-1``."""
+    """Immutable simple graph on ``0..n-1``; row ``v`` of ``adjacency_masks``
+    is the bitmask of the neighbours of ``v``.  Nothing is validated:
+    outside input goes through ``from_edges`` or ``from_json``."""
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    adjacency_masks: tuple[int, ...]
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        norm = set()
+        adj = [0] * n
         for a, b in edges:
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"edge ({a},{b}) out of range for n={n}")
             if a == b:
                 raise ValueError(f"loop at vertex {a} not allowed")
-            norm.add((min(a, b), max(a, b)))
-        return Graph(n, frozenset(norm))
-
-    @cached_property
-    def adjacency_masks(self) -> tuple[int, ...]:
-        """Row ``v`` is the bitmask of neighbours of ``v``."""
-        adj = [0] * self.n
-        for a, b in self.edges:
             adj[a] |= 1 << b
             adj[b] |= 1 << a
-        return tuple(adj)
+        return Graph(n, tuple(adj))
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges ``(a, b)``, ``a < b``, in ascending order: rows in
+        order, and each row's neighbours above ``a`` from its low bit up."""
+        out = []
+        for a, row in enumerate(self.adjacency_masks):
+            m = row >> (a + 1) << (a + 1)
+            while m:
+                low = m & -m
+                out.append((a, low.bit_length() - 1))
+                m ^= low
+        return tuple(out)
 
     def has_edge(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.edges
+        return 0 <= a < self.n and b >= 0 and bool(self.adjacency_masks[a] >> b & 1)
 
     def degree(self, v: int) -> int:
         return self.adjacency_masks[v].bit_count()
 
     def edge_list(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return list(self.edges)
 
     def to_json(self) -> str:
-        return json.dumps({"n": self.n, "edges": [list(e) for e in self.edge_list()]})
+        return json.dumps({"n": self.n, "edges": [list(e) for e in self.edges]})
 
     @staticmethod
     def from_json(text: str) -> "Graph":
@@ -132,24 +141,24 @@ class CirculantSpec:
 
 def circulant(spec: CirculantSpec) -> Graph:
     """The circulant graph: ``i ~ j`` iff ``min(|i-j| mod n, n-|i-j| mod n)`` is a shift."""
+    # row i is row 0 rotated by i; no shift is 0 mod n, so no loops
     n = spec.n
-    edges = set()
+    full = (1 << n) - 1
+    row0 = 0
     for d in spec.shifts:
-        for i in range(n):
-            j = (i + d) % n
-            if i != j:
-                edges.add((min(i, j), max(i, j)))
-    return Graph.from_edges(n, edges)
+        row0 |= 1 << d | 1 << (n - d)
+    return Graph(n, tuple(((row0 << i) | (row0 >> (n - i))) & full for i in range(n)))
 
 
 def complete(m: int) -> Graph:
     if m < 1:
         raise ValueError(f"complete graph needs at least 1 vertex, got {m}")
-    return Graph.from_edges(m, [(i, j) for i in range(m) for j in range(i + 1, m)])
+    full = (1 << m) - 1
+    return Graph(m, tuple(full ^ (1 << v) for v in range(m)))
 
 
 def edgeless(n: int) -> Graph:
-    return Graph.from_edges(n, [])
+    return Graph.from_edges(n, ())
 
 
 def cycle(n: int) -> Graph:
@@ -159,46 +168,46 @@ def cycle(n: int) -> Graph:
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
-    edges = list(g.edges) + [(a + g.n, b + g.n) for a, b in h.edges]
-    return Graph.from_edges(g.n + h.n, edges)
+    """``g`` on ``0..g.n-1`` beside ``h`` shifted up by ``g.n``."""
+    return Graph(g.n + h.n,
+                 g.adjacency_masks + tuple(m << g.n for m in h.adjacency_masks))
 
 
 def lex_product(g: Graph, h: Graph) -> Graph:
     """Lexicographical product G[H]: ``(w,x) ~ (y,z)`` iff ``w ~ y`` in G,
     or ``w == y`` and ``x ~ z`` in H.  Vertex ``(i, j)`` is ``i + g.n * j``.
     """
-    edges = []
-    for a, b in g.edges:
-        for x in range(h.n):
-            for z in range(h.n):
-                edges.append((a + g.n * x, b + g.n * z))
-    for x, z in h.edges:
-        for i in range(g.n):
-            edges.append((i + g.n * x, i + g.n * z))
-    return Graph.from_edges(g.n * h.n, edges)
+    return Graph(g.n * h.n, tuple(kernels.product_adj_py(
+        g.n, list(g.adjacency_masks), h.n, list(h.adjacency_masks))))
 
 
 def expansion(g: Graph, sizes: tuple[int, ...]) -> Graph:
     """Clique expansion: vertex ``i`` blows up into a clique of ``sizes[i]``
-    vertices, and blobs of adjacent vertices are completely joined.
+    vertices, and blobs of adjacent vertices are completely joined: a
+    vertex's row is its blob minus itself plus its base's neighbours' blobs.
     """
     if len(sizes) != g.n:
         raise ValueError(f"need {g.n} blob sizes, got {len(sizes)}")
     if any(s < 1 for s in sizes):
         raise ValueError("blob sizes must be at least 1")
-    offsets = [0] * g.n
-    for i in range(1, g.n):
-        offsets[i] = offsets[i - 1] + sizes[i - 1]
-    total = offsets[-1] + sizes[-1] if g.n else 0
-    blobs = [range(o, o + s) for o, s in zip(offsets, sizes)]
-    # in range, loop-free and sorted as built: a < b inside a blob, and
-    # blob i lies below blob j for every edge (i, j), i < j, of g
-    edges: set[tuple[int, int]] = set()
-    for blob in blobs:
-        edges.update(itertools.combinations(blob, 2))
-    for i, j in g.edges:
-        edges.update(itertools.product(blobs[i], blobs[j]))
-    return Graph(total, frozenset(edges))
+    blobs, total = [], 0  # blobs[i]: the vertex mask of blob i
+    for s in sizes:
+        blobs.append(((1 << s) - 1) << total)
+        total += s
+    adj = []
+    for i, row in enumerate(g.adjacency_masks):
+        around = 0
+        while row:
+            low = row & -row
+            around |= blobs[low.bit_length() - 1]
+            row ^= low
+        blob = blobs[i]
+        m = blob
+        while m:
+            low = m & -m
+            adj.append((blob ^ low) | around)
+            m ^= low
+    return Graph(total, tuple(adj))
 
 
 def circulant_lex_connection(s1: CirculantSpec, s2: CirculantSpec) -> CirculantSpec:

@@ -60,7 +60,6 @@ class RunConfig:
     deep: bool = False
     face_cap: int = DEFAULT_FACE_CAP
     out_dir: str | None = None
-    bless: bool = False
 
     def to_obj(self) -> dict:
         return {
@@ -390,8 +389,9 @@ def suite_main_bc(cfg: RunConfig) -> SuiteReport:
 def suite_nonshellable(cfg: RunConfig) -> SuiteReport:
     """Ind(G[H]) is never shellable when G has an edge and H is incomplete."""
     started = time.monotonic()
-    gs = [g for g in _graphs_upto(4) if g.edges]
-    hs = [h for h in _graphs_upto(4) if len(h.edges) < h.n * (h.n - 1) // 2]
+    gs = [g for g in _graphs_upto(4) if any(g.adjacency_masks)]
+    hs = [h for h in _graphs_upto(4)
+          if sum(m.bit_count() for m in h.adjacency_masks) < h.n * (h.n - 1)]
     records = []
     for g, h in itertools.product(gs, hs):
         instance = f"{g.to_json()} lex {h.to_json()}"
@@ -465,9 +465,7 @@ def suite_circulant_product(cfg: RunConfig) -> SuiteReport:
     records = []
     for a, b in itertools.product(specs, specs):
         conn = circulant_lex_connection(a, b)
-        built = circulant(conn)
-        direct = lex_product(circulant(a), circulant(b))
-        ok = built.n == direct.n and built.edges == direct.edges
+        ok = circulant(conn) == lex_product(circulant(a), circulant(b))
         records.append({
             "instance": f"{a.name} lex {b.name}",
             "status": "ok" if ok else "fail",
@@ -478,29 +476,22 @@ def suite_circulant_product(cfg: RunConfig) -> SuiteReport:
 
 # --- paper-milestones ------------------------------------------------------
 
-_MILESTONE_SPECS = ("C16(1,4,8)", "C20(1,5,10)", "C24(1,6,12)")
+# alpha, edge count and Ind facet count of each milestone circulant
+_REGRESSIONS = {
+    "C16(1,4,8)": {"alpha": 4, "edge_count": 40, "facet_count": 80},
+    "C20(1,5,10)": {"alpha": 5, "edge_count": 50, "facet_count": 244},
+    "C24(1,6,12)": {"alpha": 6, "edge_count": 60, "facet_count": 728},
+}
 
 
-def _regressions_path() -> Path:
-    return Path(__file__).parent / "data" / "regressions.json"
-
-
-def _computed_regressions() -> dict:
-    out = {}
-    for name in _MILESTONE_SPECS:
-        spec = CirculantSpec.parse(name)
-        g = circulant(spec)
-        ind = independence_complex(g)
-        out[name] = {
-            "alpha": (ind.dim if ind.dim is not None else -1) + 1,
-            "facet_count": len(ind.facet_masks),
-            "edge_count": len(g.edges),
-        }
-    return out
+def _regression_constants(g: Graph, ind: Complex) -> dict:
+    return {"alpha": ind.dim + 1, "facet_count": len(ind.facet_masks),
+            "edge_count": len(g.edges)}
 
 
 def suite_paper_milestones(cfg: RunConfig) -> SuiteReport:
-    """The headline verdicts on C16/C20/C24 plus blessed regression constants.
+    """The headline verdicts on C16/C20/C24 plus the regression constants
+    of ``_REGRESSIONS``.
 
     Fast by default: the deep instances (C20 vd, C24 vd, C24 cm) only
     run under the deep flag and are reported as skipped otherwise.
@@ -508,41 +499,17 @@ def suite_paper_milestones(cfg: RunConfig) -> SuiteReport:
     started = time.monotonic()
     records: list[dict] = []
     notes: list[str] = []
-
-    # regression constants, compared against the blessed file
-    computed = _computed_regressions()
-    path = _regressions_path()
-    if cfg.bless:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(computed, indent=2, sort_keys=True) + "\n")
-        notes.append(f"blessed regression constants written to {path}")
-    if path.exists():
-        blessed = json.loads(path.read_text())
-        for name in sorted(computed):
-            ok = computed[name] == blessed.get(name)
-            records.append({
-                "instance": f"{name} regression constants",
-                "status": "ok" if ok else "fail",
-                "verdicts": {"computed": computed[name],
-                             "blessed": blessed.get(name)},
-            })
-    else:
-        records.append({
-            "instance": "regression constants",
-            "status": "fail",
-            "verdicts": {},
-            "note": "no blessed regression file; run once with --bless",
-        })
-
-    ind_cache: dict[str, Complex] = {}
-
-    def ind_of(name: str) -> Complex:
-        if name not in ind_cache:
-            ind_cache[name] = independence_complex(circulant(CirculantSpec.parse(name)))
-        return ind_cache[name]
+    inds: dict[str, Complex] = {}
+    for name, expected in _REGRESSIONS.items():
+        g = circulant(CirculantSpec.parse(name))
+        inds[name] = independence_complex(g)
+        got = _regression_constants(g, inds[name])
+        records.append({"instance": f"{name} regression constants",
+                        "status": "ok" if got == expected else "fail",
+                        "verdicts": {"computed": got, "expected": expected}})
 
     def run_one(name: str, kind: str, expect: str) -> dict:
-        d = ind_of(name)
+        d = inds[name]
         if kind == "pure":
             got = "yes" if d.is_pure() else "no"
             stats = {}

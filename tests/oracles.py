@@ -21,10 +21,34 @@ def independent_sets(g: Graph) -> list[frozenset[int]]:
     out = []
     for r in range(g.n + 1):
         for sub in combinations(range(g.n), r):
-            if all((a, b) not in g.edges and (b, a) not in g.edges
-                   for a, b in combinations(sub, 2)):
+            if not any(g.has_edge(a, b) for a, b in combinations(sub, 2)):
                 out.append(frozenset(sub))
     return out
+
+
+def lex_product_naive(g: Graph, h: Graph) -> Graph:
+    """G[H] from edge lists: ``(w,x) ~ (y,z)`` iff ``w ~ y`` in G, or
+    ``w == y`` and ``x ~ z`` in H; vertex ``(i, j)`` is ``i + g.n * j``."""
+    edges = []
+    for a, b in g.edges:
+        for x in range(h.n):
+            for z in range(h.n):
+                edges.append((a + g.n * x, b + g.n * z))
+    for x, z in h.edges:
+        for i in range(g.n):
+            edges.append((i + g.n * x, i + g.n * z))
+    return Graph.from_edges(g.n * h.n, edges)
+
+
+def expansion_naive(g: Graph, sizes) -> Graph:
+    """The clique expansion from edge lists: blob ``i`` holds the
+    ``sizes[i]`` vertices after blobs ``0 .. i-1``, each blob is a clique
+    and blobs of adjacent vertices are completely joined."""
+    starts = [sum(sizes[:i]) for i in range(g.n)]
+    blobs = [range(o, o + s) for o, s in zip(starts, sizes)]
+    edges = [e for blob in blobs for e in combinations(blob, 2)]
+    edges += [(a, b) for i, j in g.edges for a in blobs[i] for b in blobs[j]]
+    return Graph.from_edges(sum(sizes), edges)
 
 
 def maximal_independent_sets(g: Graph) -> set[frozenset[int]]:

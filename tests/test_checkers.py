@@ -391,6 +391,11 @@ def test_verify_shed_tree_rejects_wrong_trees():
     assert not verify_shed_tree(d, ShedNode(7, good.deletion, good.link))
     # ... even when its deletion (the whole complex) and link (void) check
     assert not verify_shed_tree(d, ShedNode(7, good, ShedLeaf("void")))
+    # a vertex outside 0..n-1 is refused before its bit is built
+    assert not verify_shed_tree(d, ShedNode(-1, good.deletion, good.link))
+    assert not verify_shed_tree(d, ShedNode(10**13, good.deletion, good.link))
+    assert not verify_shed_tree(d, ShedNode(0.5, good.deletion, good.link))
+    assert not verify_shed_tree(d, ShedNode("0", good.deletion, good.link))
 
 
 def test_verify_shed_tree_rejects_a_non_pure_complex():

@@ -167,6 +167,39 @@ def test_check_verify_only_rejects_the_other_kind_of_certificate(
     assert message in err
 
 
+@pytest.mark.parametrize("kind, desc, cert_obj", [
+    ("shellable", "C4(1)", [1, 2]),
+    ("vd", "C4(1)", [1, 2]),
+    ("shellable", "C4(1)", 5),
+    ("vd", "C4(1)", 5),
+    ("shellable", "C4(1)", {"order": None}),
+    ("vd", "C4(1)", {"order": None}),
+    ("shellable", "C5(1)", {"order": [0.9, "1", 2, 3, 4]}),
+    ("vd", "C4(1)", {"shed": True, "del": {"leaf": "void"},
+                     "link": {"leaf": "void"}}),
+    ("vd", "C4(1)", {"shed": 10000000000000, "del": {"leaf": "void"},
+                     "link": {"leaf": "void"}}),
+])
+def test_check_verify_only_refuses_a_malformed_certificate(
+        capsys, tmp_path, kind, desc, cert_obj):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps(cert_obj))
+    code, out, err = run(capsys, "check", kind, desc, "--verify-only", str(cert))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_check_verify_only_refuses_a_shed_tree_nested_past_the_recursion_limit(
+        capsys, tmp_path):
+    depth = 5000
+    cert = tmp_path / "cert.json"
+    cert.write_text('{"shed": 0, "link": {"leaf": "void"}, "del": ' * depth
+                    + '{"leaf": "void"}' + "}" * depth)
+    code, out, err = run(capsys, "check", "vd", "C4(1)", "--verify-only", str(cert))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 @pytest.mark.parametrize("kind, verifier", [
     ("shellable", "verify_shelling"), ("vd", "verify_shed_tree")])
 def test_check_yes_needs_its_certificate_verified(

@@ -45,11 +45,11 @@ def test_from_facets_sorts_canonically():
     assert d.dim == 1 and d.is_pure()
 
 
-def test_from_facets_rejects_containment_unless_maximalize():
+def test_from_facets_rejects_containment():
     with pytest.raises(ValueError):
         Complex.from_facets(3, [(0,), (0, 1)])
-    d = Complex.from_facets(3, [(0,), (0, 1)], maximalize=True)
-    assert d.facets == ((0, 1),)
+    with pytest.raises(ValueError):
+        Complex.from_facets(3, [(0, 1), (1, 0)])
 
 
 def test_from_facets_validates():

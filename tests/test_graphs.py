@@ -1,5 +1,7 @@
 """Graph constructors, circulant specs, products, expansions, and formats."""
 
+import dataclasses
+import itertools
 import json
 
 import pytest
@@ -18,6 +20,9 @@ from circshell.graphs import (
     expansion,
     lex_product,
 )
+from circshell.suites import labeled_graphs
+
+import oracles
 
 
 # --- Graph basics ----------------------------------------------------------
@@ -25,7 +30,7 @@ from circshell.graphs import (
 
 def test_from_edges_normalizes_and_validates():
     g = Graph.from_edges(3, [(2, 0), (0, 1)])
-    assert g.edges == frozenset({(0, 2), (0, 1)})
+    assert g.edges == ((0, 1), (0, 2))
     assert g.has_edge(2, 0) and g.has_edge(1, 0)
     assert not g.has_edge(1, 2)
     assert g.degree(0) == 2 and g.degree(2) == 1
@@ -40,6 +45,21 @@ def test_from_edges_normalizes_and_validates():
 def test_adjacency_masks():
     g = Graph.from_edges(4, [(0, 1), (1, 2)])
     assert list(g.adjacency_masks) == [0b0010, 0b0101, 0b0010, 0b0000]
+
+
+def test_a_graph_is_its_vertex_count_and_adjacency_rows():
+    assert [f.name for f in dataclasses.fields(Graph)] == ["n", "adjacency_masks"]
+    g = Graph(3, (0b110, 0b001, 0b001))
+    assert g.edges == ((0, 1), (0, 2)) and g == Graph.from_edges(3, [(2, 0), (1, 0)])
+    assert not g.has_edge(0, 3) and not g.has_edge(3, 0) and not g.has_edge(-1, 0)
+
+
+def test_json_round_trip_and_sorted_edges_over_every_graph_upto_5():
+    for n in range(6):
+        for g in labeled_graphs(n):
+            edges = g.edge_list()
+            assert edges == sorted(edges) and all(a < b for a, b in edges)
+            assert Graph.from_json(g.to_json()) == g
 
 
 def test_json_round_trip_sorted():
@@ -102,7 +122,7 @@ def test_full_shift_set_gives_complete_graph(n):
 def test_complete_edgeless_cycle():
     assert complete(1) == Graph.from_edges(1, [])
     assert len(complete(5).edges) == 10
-    assert edgeless(4).edges == frozenset()
+    assert edgeless(4).edges == ()
     assert len(cycle(3).edges) == 3
     with pytest.raises(ValueError):
         complete(0)
@@ -120,7 +140,7 @@ def test_lex_product_labels_and_edges():
     p = lex_product(g, h)
     assert p.n == 4
     # all pairs with different G-coordinate are edges; H contributes none
-    assert p.edges == frozenset({(0, 1), (0, 3), (1, 2), (2, 3)})
+    assert p.edges == ((0, 1), (0, 3), (1, 2), (2, 3))
 
 
 def test_lex_product_not_commutative():
@@ -131,7 +151,7 @@ def test_lex_product_not_commutative():
 
 def test_disjoint_union_shifts_labels():
     g = disjoint_union(complete(2), complete(2))
-    assert g.n == 4 and g.edges == frozenset({(0, 1), (2, 3)})
+    assert g.n == 4 and g.edges == ((0, 1), (2, 3))
 
 
 def test_expansion_examples():
@@ -205,3 +225,34 @@ def test_connection_formula_matches_brute_force(n, m):
                     built = circulant(circulant_lex_connection(a, b))
                     direct = lex_product(circulant(a), circulant(b))
                     assert built == direct, (a, b)
+
+
+# --- constructors against edge-list oracles --------------------------------
+
+
+_SMALL = [g for n in range(5) for g in labeled_graphs(n)]
+
+
+def test_circulant_and_complete_match_their_edge_lists():
+    for spec in _all_specs(12):
+        n, shifts = spec.n, spec.shifts
+        want = Graph.from_edges(n, [
+            (i, j) for i, j in itertools.combinations(range(n), 2)
+            if min((j - i) % n, (i - j) % n) in shifts])
+        assert circulant(spec) == want, spec
+    for m in range(1, 9):
+        assert complete(m) == Graph.from_edges(
+            m, list(itertools.combinations(range(m), 2)))
+
+
+def test_disjoint_union_matches_its_edge_list_for_every_pair_upto_4():
+    for g, h in itertools.product(_SMALL, repeat=2):
+        want = Graph.from_edges(
+            g.n + h.n, list(g.edges) + [(a + g.n, b + g.n) for a, b in h.edges])
+        assert disjoint_union(g, h) == want, (g, h)
+
+
+def test_expansion_matches_its_edge_list_for_every_graph_upto_4():
+    for g in _SMALL:
+        for sizes in itertools.product((1, 2, 3), repeat=g.n):
+            assert expansion(g, sizes) == oracles.expansion_naive(g, sizes), (g, sizes)

@@ -71,13 +71,13 @@ def test_product_scan_reports_planted_failure(monkeypatch):
 
 
 def test_product_adj_matches_graph_product():
-    from circshell.graphs import lex_product
-
     g = Graph.from_edges(3, [(0, 1)])
     h = Graph.from_edges(2, [(0, 1)])
     built = kernels.product_adj_py(
         g.n, list(g.adjacency_masks), h.n, list(h.adjacency_masks))
-    assert built == list(lex_product(g, h).adjacency_masks)
+    want = oracles.lex_product_naive(g, h)
+    assert built == list(want.adjacency_masks)
+    assert lex_product(g, h) == want
 
 
 def _random_graph(rng, n, p):
@@ -85,16 +85,20 @@ def _random_graph(rng, n, p):
                                 if rng.random() < p])
 
 
-def _product_rows(g, h):
-    return kernels.product_adj_py(
+def _check_product(g, h):
+    """``product_adj_py`` and ``lex_product`` against the edge-list product."""
+    want = oracles.lex_product_naive(g, h)
+    rows = kernels.product_adj_py(
         g.n, list(g.adjacency_masks), h.n, list(h.adjacency_masks))
+    assert rows == list(want.adjacency_masks), (g, h)
+    assert lex_product(g, h) == want, (g, h)
 
 
 def test_product_adj_matches_lex_product_all_pairs_upto_3():
     gs = [g for n in range(4) for g in labeled_graphs(n)]
     for g in gs:
         for h in gs:
-            assert _product_rows(g, h) == list(lex_product(g, h).adjacency_masks), (g, h)
+            _check_product(g, h)
 
 
 def test_product_adj_matches_lex_product_sampled_upto_5():
@@ -102,7 +106,7 @@ def test_product_adj_matches_lex_product_sampled_upto_5():
     for _ in range(400):
         g = _random_graph(rng, rng.randint(1, 5), rng.random())
         h = _random_graph(rng, rng.randint(1, 5), rng.random())
-        assert _product_rows(g, h) == list(lex_product(g, h).adjacency_masks), (g, h)
+        _check_product(g, h)
 
 
 def _alpha_py(g):

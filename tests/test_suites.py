@@ -85,33 +85,26 @@ def test_seeded_suite_reports_embed_seed():
     assert any("seed=5" in note for note in report.notes)
 
 
-def test_milestones_without_blessed_file_fails(tmp_path, monkeypatch):
+def test_milestones_fail_on_a_wrong_regression_constant(monkeypatch):
     import circshell.suites as suites_mod
-    monkeypatch.setattr(
-        suites_mod, "_regressions_path",
-        lambda: tmp_path / "regressions.json")
     report = suite_paper_milestones(RunConfig())
-    assert not report.passed
-    assert any("bless" in (r.get("note") or "") for r in report.failures)
+    rec = next(r for r in report.records
+               if r["instance"] == "C16(1,4,8) regression constants")
+    assert rec["status"] == "ok"
+    assert rec["verdicts"] == {
+        "computed": {"alpha": 4, "facet_count": 80, "edge_count": 40},
+        "expected": {"alpha": 4, "edge_count": 40, "facet_count": 80}}
+    real = suites_mod._regression_constants
 
+    def wrong(g, ind):
+        got = real(g, ind)
+        return dict(got, alpha=5) if g.n == 16 else got
 
-def test_milestones_bless_then_compare(tmp_path, monkeypatch):
-    import circshell.suites as suites_mod
-    monkeypatch.setattr(
-        suites_mod, "_regressions_path",
-        lambda: tmp_path / "regressions.json")
-    blessed = suite_paper_milestones(RunConfig(bless=True))
-    assert blessed.passed
-    again = suite_paper_milestones(RunConfig())
-    assert again.passed
-    stored = json.loads((tmp_path / "regressions.json").read_text())
-    assert stored["C16(1,4,8)"] == {
-        "alpha": 4, "edge_count": 40, "facet_count": 80}
-    # a corrupted constant must be caught
-    stored["C16(1,4,8)"]["alpha"] = 5
-    (tmp_path / "regressions.json").write_text(json.dumps(stored))
+    monkeypatch.setattr(suites_mod, "_regression_constants", wrong)
     broken = suite_paper_milestones(RunConfig())
     assert not broken.passed
+    assert [r["instance"] for r in broken.failures] == [
+        "C16(1,4,8) regression constants"]
 
 
 def test_milestones_skip_deep_visibly():
