@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 from typing import Union
 
-from .complexes import Complex, _tuple_of
+from .complexes import Complex, _near, _tuple_of
 from .graphs import _is_int
 
 _BUDGET_PROBE = 256  # nodes between deadline checks
@@ -418,6 +418,15 @@ def _root_ridge_pass(fmasks: list[int]) -> tuple[int, bool]:
     return stuck, parts == 1
 
 
+def _closed_rows(n: int, fmasks: list[int]) -> list[int]:
+    """Closed neighbourhoods N[v] in the graph a flag complex is Ind of,
+    on the vertices of its facets: ``u ~ v`` iff no facet holds both."""
+    verts = 0
+    for m in fmasks:
+        verts |= m
+    return [verts & ~m | 1 << v for v, m in enumerate(_near(n, fmasks))]
+
+
 def vertex_decomposition(
     d: Complex, *, budget_s: float | None = None
 ) -> CheckOutcome:
@@ -444,6 +453,49 @@ def vertex_decomposition(
     ``stats["rotations"]`` says whether that memo ran.  Decomposability
     does not change under relabelling, so every memo gives the same
     verdict.
+
+    Forced vertices.  A flag root is Ind(G) of the graph G of the pairs
+    no facet holds (built once), and the node on vertex mask W is
+    Ind(G[W]).  One pass over the closed rows N_W[v] = N(v) & W | v, in
+    ascending label order, stops at the first repeated row (a closed
+    twin; the later twin is forced) or the first row of two bits (a
+    pendant; its neighbour is forced, never the pendant itself).  A node
+    with a forced vertex x tries x alone and skips the ridge pass, since
+    x sheds; if the deletion or link of x is not decomposable, neither is
+    the node.  ``stats["forced"]`` counts these nodes.  Other nodes, and
+    every non-flag root, try all candidates.  The cut is sound by the
+    lemma below (BW: Björner-Wachs vertex decomposability, which for a
+    pure complex coincides with the pure one searched here).
+
+    Lemma.  Let Ind(G) be pure, and let y != x with either
+    N[y] = N[x] (T) or N[y] = {x, y} (P).  Then Ind(G) is VD iff
+    Ind(G - x) and Ind(G - N[x]) are VD.
+
+    x sheds.  Let S be independent in G - N[x].  Then S + y is
+    independent, as N(y) lies in N[x] and y is not in S; and y is in
+    N(x), so no face of the link of x is a facet of its deletion.  In a
+    pure complex that makes each ridge F - x (x in F) a face, but no
+    facet, of the deletion, so it lies in a second facet of size |F|:
+    x passes the ridge test, which is why a forced node skips it.
+
+    If.  This is the definition of VD.
+
+    Only if.  Links of VD complexes are VD (Provan-Billera 1980), which
+    covers Ind(G - N[x]).  For Ind(G - x), induct on |V| over the first
+    shed vertex z of a shed tree of G (there is one: x ~ y, so Ind(G) is
+    no simplex).
+      - z = x: there is nothing to prove.
+      - z = y: under (T), swapping x and y is an automorphism of G, so
+        G - x is isomorphic to G - y.  Under (P), y is isolated in G - x,
+        so Ind(G - x) = y * Ind(G - N[y]), a cone over a VD complex.
+      - z not in {x, y}: the pair survives in G - z.  If x is not in
+        N[z], it also survives in G - N[z]: y in N[z] would force z in
+        N[y], which lies in N[x].  By induction, (G - z) - x is VD, and
+        (G - x) - N[z] is either G - N[z] or (G - N[z]) - x, both VD.
+    z sheds in G - x.  Let S be independent in G - x - N[z].  Some w in
+    N(z) extends S in G.  If w = x, then S + y is independent.  Either
+    y is in N(z), or z's shedding extends S + y by some w' in N(z), and
+    w' != x because x ~ y.
     """
     _require_pure(d)
     start = time.monotonic()
@@ -455,6 +507,7 @@ def vertex_decomposition(
     memo: dict[object, tuple[ShedTree | None, int]] = {}
     nodes = 0
     hits = 0
+    forced = 0
     # the node count at which the deadline is next read; every node,
     # solved or settled inline, is counted against it
     probe_at = _BUDGET_PROBE if deadline is not None else _NEVER
@@ -470,7 +523,7 @@ def vertex_decomposition(
         # deletion or link of at most one facet is a leaf, settled (and
         # counted as a node) here rather than by a call.  ``stuck``: the
         # vertices that cannot shed, when already known.
-        nonlocal nodes, hits
+        nonlocal nodes, hits, forced
         nodes += 1
         if nodes >= probe_at:
             probe()
@@ -497,22 +550,43 @@ def vertex_decomposition(
             if tree is not None and (rot or stored_rot):
                 tree = _rotate_tree(tree, (stored_rot - rot) % n, n)
             return tree
-        if stuck is None:
-            # lone[r] = the vertex F - r when ridge r lies in one facet F
-            # only (that vertex cannot shed), 0 when it lies in two or more
-            lone: dict[int, int] = {}
-            for m in fmasks:
-                mm = m
-                while mm:
-                    b = mm & -mm
-                    r = m ^ b
-                    lone[r] = 0 if r in lone else b
-                    mm ^= b
-            stuck = 0
-            for b in lone.values():
-                stuck |= b
+        cands = 0
+        if closed is not None:
+            # a closed twin (a repeated row of G[W]) or a pendant's
+            # neighbour (a row of two bits) sheds, and is forced
+            rows: set[int] = set()
+            w = verts
+            while w:
+                vb = w & -w
+                w ^= vb
+                row = closed[vb.bit_length() - 1] & verts
+                if row in rows:
+                    cands = vb
+                    break
+                if row.bit_count() == 2:
+                    cands = row ^ vb
+                    break
+                rows.add(row)
+        if cands:
+            forced += 1
+        else:
+            if stuck is None:
+                # lone[r] = the vertex F - r when ridge r lies in one facet
+                # F only (that vertex cannot shed), 0 when it lies in two
+                # or more
+                lone: dict[int, int] = {}
+                for m in fmasks:
+                    mm = m
+                    while mm:
+                        b = mm & -mm
+                        r = m ^ b
+                        lone[r] = 0 if r in lone else b
+                        mm ^= b
+                stuck = 0
+                for b in lone.values():
+                    stuck |= b
+            cands = verts & ~stuck
         result = None
-        cands = verts & ~stuck
         while cands:  # ascending label order
             xb = cands & -cands
             cands ^= xb
@@ -544,23 +618,25 @@ def vertex_decomposition(
     root = list(d.facet_masks)
     if len(root) <= 1:
         return CheckOutcome("yes", _leaf_of(root), {
-            "nodes": 1, "memo_hits": 0, "rotations": rotations,
+            "nodes": 1, "memo_hits": 0, "forced": 0, "rotations": rotations,
             "elapsed_s": time.monotonic() - start,
         })
     stuck, connected = _root_ridge_pass(root)
     if not connected:
         return CheckOutcome("no", None, {
-            "nodes": 0, "memo_hits": 0, "rotations": rotations,
+            "nodes": 0, "memo_hits": 0, "forced": 0, "rotations": rotations,
             "elapsed_s": time.monotonic() - start,
             "reason": "ridge graph disconnected",
         })
+    closed = _closed_rows(n, root) if flag else None
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 8000))
     try:
         tree = solve(root, stuck)
     except _BudgetExceeded:
         return CheckOutcome("unknown", None, {
-            "nodes": nodes, "memo_hits": hits, "rotations": rotations,
+            "nodes": nodes, "memo_hits": hits, "forced": forced,
+            "rotations": rotations,
             "elapsed_s": time.monotonic() - start,
             "reason": "budget exhausted",
         })
@@ -569,6 +645,7 @@ def vertex_decomposition(
     stats = {
         "nodes": nodes,
         "memo_hits": hits,
+        "forced": forced,
         "rotations": rotations,
         "elapsed_s": time.monotonic() - start,
     }

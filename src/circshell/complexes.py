@@ -24,7 +24,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from . import kernels
-from .graphs import Graph, _is_int
+from .graphs import MAX_VERTICES, Graph, _is_int
 
 
 def _mask_of(face: Iterable[int]) -> int:
@@ -72,6 +72,19 @@ def _from_masks(n: int, masks: Iterable[int]) -> "Complex":
 def _maximal(masks: list[int]) -> set[int]:
     """The distinct masks of ``masks`` contained in no other."""
     return {m for m in masks if not any(m != o and (m | o) == o for o in masks)}
+
+
+def _near(n: int, masks: Iterable[int]) -> list[int]:
+    """Row ``v``: the vertices sharing a facet with ``v``, ``v`` included
+    when it lies in a facet."""
+    near = [0] * n
+    for m in masks:
+        mm = m
+        while mm:
+            b = mm & -mm
+            near[b.bit_length() - 1] |= m
+            mm ^= b
+    return near
 
 
 class FaceLimitError(RuntimeError):
@@ -138,8 +151,8 @@ class Complex:
     def from_facets(n: int, faces: Iterable[Iterable[int]]) -> "Complex":
         """Build a complex from its facets; strict containment or
         duplication among them is an error."""
-        if not _is_int(n) or n < 0:
-            raise ValueError(f"vertex count must be a nonnegative int, got {n!r}")
+        if not _is_int(n) or not 0 <= n <= MAX_VERTICES:
+            raise ValueError(f"vertex count must be an int in 0..{MAX_VERTICES}, got {n!r}")
         masks = []
         for f in faces:
             f = tuple(f)  # read once: ``f`` may be a one-shot iterator
@@ -185,16 +198,10 @@ class Complex:
         and vertex links is the subcomplex induced on its own vertex
         set, so that set determines it.  The void complex is not flag.
         """
-        nbr = [0] * self.n
         verts = 0
         for m in self.facet_masks:
             verts |= m
-            mm = m
-            while mm:
-                b = mm & -mm
-                nbr[b.bit_length() - 1] |= m
-                mm ^= b
-        nbr = [m & ~(1 << v) for v, m in enumerate(nbr)]
+        nbr = [m & ~(1 << v) for v, m in enumerate(_near(self.n, self.facet_masks))]
         return set(_maximal_cliques(nbr, verts)) == set(self.facet_masks)
 
     @property

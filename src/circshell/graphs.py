@@ -22,6 +22,8 @@ from typing import Iterable
 
 from . import kernels
 
+MAX_VERTICES = 4096  # the most vertices a graph or complex from outside input may have
+
 
 def _is_int(x: object) -> bool:
     """Whether ``x`` is an int and not a bool (JSON ``true`` reads as 1)."""
@@ -39,8 +41,9 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        if n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {n}")
+        # bounded before the rows are allocated
+        if not 0 <= n <= MAX_VERTICES:
+            raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {n}")
         adj = [0] * n
         for a, b in edges:
             if not (0 <= a < n and 0 <= b < n):

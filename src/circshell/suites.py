@@ -489,12 +489,23 @@ def _regression_constants(g: Graph, ind: Complex) -> dict:
             "edge_count": len(g.edges)}
 
 
-def suite_paper_milestones(cfg: RunConfig) -> SuiteReport:
-    """The headline verdicts on C16/C20/C24 plus the regression constants
-    of ``_REGRESSIONS``.
+def _milestone_graph(name: str) -> Graph:
+    """The circulant ``name``, or for ``C..(..)[Km]`` its lex product with K_m."""
+    base, _, m = name.partition("[K")
+    g = circulant(CirculantSpec.parse(base))
+    return lex_product(g, complete(int(m[:-1]))) if m else g
 
-    Fast by default: the deep instances (C20 vd, C24 vd, C24 cm) only
-    run under the deep flag and are reported as skipped otherwise.
+
+def suite_paper_milestones(cfg: RunConfig) -> SuiteReport:
+    """The headline verdicts on C16/C20/C24 and on the paper's family
+    C16(1,4,8)[K_m], plus the regression constants of ``_REGRESSIONS``.
+
+    C16(1,4,8) is shellable and Cohen-Macaulay but not vertex
+    decomposable, and by the product theorem (``main-bc``) so is every
+    C16(1,4,8)[K_m]; those expected verdicts are the theorem's, and the
+    engines compute theirs independently.  Fast by default: the deep
+    instances (C20 vd, C24 vd, C24 cm and the m = 3 member) only run
+    under the deep flag and are reported as skipped otherwise.
     """
     started = time.monotonic()
     records: list[dict] = []
@@ -509,6 +520,8 @@ def suite_paper_milestones(cfg: RunConfig) -> SuiteReport:
                         "verdicts": {"computed": got, "expected": expected}})
 
     def run_one(name: str, kind: str, expect: str) -> dict:
+        if name not in inds:
+            inds[name] = independence_complex(_milestone_graph(name))
         d = inds[name]
         if kind == "pure":
             got = "yes" if d.is_pure() else "no"
@@ -528,14 +541,19 @@ def suite_paper_milestones(cfg: RunConfig) -> SuiteReport:
             rec["stats"] = {k: v for k, v in stats.items() if k != "reason"}
         return rec
 
-    records.append(run_one("C16(1,4,8)", "pure", "yes"))
-    records.append(run_one("C16(1,4,8)", "shellable", "yes"))
-    records.append(run_one("C16(1,4,8)", "vd", "no"))
+    member_checks = [("shellable", "yes"), ("vd", "no"), ("cm", "yes")]
+    items = [
+        ("C16(1,4,8)", "pure", "yes"),
+        ("C16(1,4,8)", "shellable", "yes"),
+        ("C16(1,4,8)", "vd", "no"),
+    ] + [("C16(1,4,8)[K2]", kind, expect) for kind, expect in member_checks]
     deep_items = [
         ("C20(1,5,10)", "vd", "no"),
         ("C24(1,6,12)", "vd", "no"),
         ("C24(1,6,12)", "cm", "yes"),
-    ]
+    ] + [("C16(1,4,8)[K3]", kind, expect) for kind, expect in member_checks]
+    for item in items:
+        records.append(run_one(*item))
     if cfg.deep:
         for item in deep_items:
             records.append(run_one(*item))
@@ -548,6 +566,8 @@ def suite_paper_milestones(cfg: RunConfig) -> SuiteReport:
                 "note": "deep milestone; rerun with --deep",
             })
         notes.append("deep milestones skipped (no --deep)")
+    notes.append("C16(1,4,8)[Km] expected verdicts: the product theorem applied "
+                 "to C16(1,4,8)")
 
     return _assemble("paper-milestones", cfg, records, started, notes=notes)
 

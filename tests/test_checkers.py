@@ -25,7 +25,7 @@ from circshell.checkers import (
     vertex_decomposition,
 )
 from circshell.complexes import Complex, expansion_complex, independence_complex
-from circshell.graphs import Graph, circulant, CirculantSpec, cycle
+from circshell.graphs import Graph, circulant, CirculantSpec, complete, cycle, lex_product
 from circshell.suites import labeled_graphs
 
 import oracles
@@ -236,11 +236,11 @@ def test_vd_matches_definition_on_small_complexes():
 
 
 def test_vd_milestones_search_stats():
-    # the memo is keyed by rotation class, so these counts pin both the
-    # key and the candidate order
+    # the memo is keyed by rotation class, so these counts pin the key,
+    # the candidate order and the forced vertices
     limit = sys.getrecursionlimit()
-    for name, nodes, hits in (("C16(1,4,8)", 759, 351),
-                              ("C20(1,5,10)", 6483, 3655)):
+    for name, nodes, hits in (("C16(1,4,8)", 378, 182),
+                              ("C20(1,5,10)", 3639, 1680)):
         d = independence_complex(circulant(CirculantSpec.parse(name)))
         out = vertex_decomposition(d)
         assert out.verdict == "no"
@@ -265,7 +265,7 @@ def test_vd_search_totals_on_small_and_expansion_complexes():
     # Ind(G) with n <= 5 and its expansions by vectors in {1, 2}^n)
     chain = [d for n in range(1, 7) for g in labeled_graphs(n)
              if (d := independence_complex(g)).is_pure()]
-    assert _vd_totals(chain) == (7332, 62158, 419)
+    assert _vd_totals(chain) == (7332, 61362, 277)
     expansion = []
     for n in range(1, 6):
         for g in labeled_graphs(n):
@@ -274,7 +274,57 @@ def test_vd_search_totals_on_small_and_expansion_complexes():
                 expansion.append(d)
                 expansion.extend(expansion_complex(d, s) for s in
                                  itertools.product((1, 2), repeat=n))
-    assert _vd_totals(expansion) == (12085, 186837, 17379)
+    assert _vd_totals(expansion) == (12085, 180285, 5529)
+
+
+def _has_twin_or_pendant(g):
+    rows = [m | 1 << v for v, m in enumerate(g.adjacency_masks)]
+    return len(set(rows)) < len(rows) or any(r.bit_count() == 2 for r in rows)
+
+
+def test_vd_with_forced_vertices_matches_definition_upto_6():
+    # every pure Ind(G) with n <= 6 whose graph has a closed twin or a
+    # pendant: its root, and any node like it, tries one forced vertex
+    verdicts = {"yes": 0, "no": 0}
+    for n in range(1, 7):
+        for g in labeled_graphs(n):
+            d = independence_complex(g)
+            if not d.is_pure() or not _has_twin_or_pendant(g):
+                continue
+            out = vertex_decomposition(d)
+            assert out.verdict == ("yes" if oracles.vd_naive(d.facets) else "no"), g
+            if out.verdict == "yes":
+                assert verify_shed_tree(d, out.certificate), g
+            # a root refused for its ridge graph is never searched
+            assert out.stats["forced"] > 0 or out.stats["nodes"] == 0, g
+            verdicts[out.verdict] += 1
+    assert verdicts == {"yes": 4244, "no": 630}
+
+
+def test_a_pendant_forces_its_neighbour_not_itself():
+    # edges 0-2 and 1-3: vertex 0 is a pendant of the lowest label, and
+    # the first candidate of the plain search (it sheds, as does each
+    # vertex of this 4-cycle); the rule forces its neighbour 2 instead
+    d = independence_complex(Graph.from_edges(4, [(0, 2), (1, 3)]))
+    out = vertex_decomposition(d)
+    assert out.verdict == "yes" and out.certificate.vertex == 2
+    assert verify_shed_tree(d, out.certificate)
+    assert out.stats["forced"] >= 1
+
+
+def test_non_flag_roots_force_nothing():
+    for d in (_moebius(), Complex.from_facets(3, [(0, 1), (1, 2), (0, 2)])):
+        assert vertex_decomposition(d).stats["forced"] == 0
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_vd_refutes_c16_lex_complete_within_5s(m):
+    # C16(1,4,8)[K_m]: every vertex has a closed twin; the search that
+    # forces nothing does not finish in 120 s
+    d = independence_complex(
+        lex_product(circulant(CirculantSpec.parse("C16(1,4,8)")), complete(m)))
+    out = vertex_decomposition(d, budget_s=5.0)
+    assert out.verdict == "no" and out.stats["forced"] > 0
 
 
 def test_vd_two_disjoint_edges_no():
@@ -300,7 +350,8 @@ def test_vd_timeout_reports_unknown():
 
 
 def test_vd_budget_is_honoured_while_it_runs():
-    d = independence_complex(circulant(CirculantSpec.parse("C24(1,6,12)")))
+    # C28(1,7,14): a search of several seconds against a 0.5 s budget
+    d = independence_complex(circulant(CirculantSpec.parse("C28(1,7,14)")))
     limit = sys.getrecursionlimit()
     started = time.monotonic()
     out = vertex_decomposition(d, budget_s=0.5)

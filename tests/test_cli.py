@@ -7,6 +7,7 @@ import pytest
 
 from circshell import checkers
 from circshell.cli import main
+from circshell.graphs import MAX_VERTICES
 
 
 def run(capsys, *argv):
@@ -45,6 +46,23 @@ def test_graph_rejects_bad_desc(capsys):
 def test_graph_rejects_complex_json(capsys):
     code, _, err = run(capsys, "graph", '{"n": 2, "facets": [[0]]}')
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("graph", '{"n": 3000000, "edges": []}'),
+    ("check", "pure", '{"n": 3000000, "edges": []}'),
+    ("check", "pure", '{"n": 3000000, "facets": [[0]]}'),
+    ("graph", json.dumps({"n": MAX_VERTICES + 1, "edges": []})),
+])
+def test_a_vertex_count_past_the_bound_is_refused_before_allocating(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and f"0..{MAX_VERTICES}" in err
+
+
+def test_a_vertex_count_at_the_bound_is_accepted(capsys):
+    code, out, _ = run(capsys, "graph", json.dumps({"n": MAX_VERTICES, "edges": []}))
+    assert code == 0 and json.loads(out) == {"n": MAX_VERTICES, "edges": []}
 
 
 # --- check ------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from circshell import checkers, homology, kernels, suites
 from circshell.homology import BudgetError
 from circshell.complexes import independence_complex
-from circshell.graphs import circulant, CirculantSpec
+from circshell.graphs import circulant, CirculantSpec, complete, lex_product
 from circshell.suites import (
     RECORD_CAP,
     RunConfig,
@@ -110,7 +110,9 @@ def test_milestones_fail_on_a_wrong_regression_constant(monkeypatch):
 def test_milestones_skip_deep_visibly():
     report = suite_paper_milestones(RunConfig())
     skipped = {r["instance"] for r in report.skipped}
-    assert skipped == {"C20(1,5,10) vd", "C24(1,6,12) vd", "C24(1,6,12) cm"}
+    assert skipped == {"C20(1,5,10) vd", "C24(1,6,12) vd", "C24(1,6,12) cm",
+                       "C16(1,4,8)[K3] shellable", "C16(1,4,8)[K3] vd",
+                       "C16(1,4,8)[K3] cm"}
     assert report.passed  # skips never fail the fast run
 
 
@@ -120,6 +122,25 @@ def test_milestones_c16_verdicts():
     assert by_instance["C16(1,4,8) shellable"]["verdicts"]["shellable"] == "yes"
     assert by_instance["C16(1,4,8) vd"]["verdicts"]["vd"] == "no"
     assert by_instance["C16(1,4,8) pure"]["verdicts"]["pure"] == "yes"
+    assert by_instance["C16(1,4,8) vd"]["stats"]["forced"] == 65
+
+
+def test_milestones_c16_lex_k2_verdicts(tmp_path):
+    # C16(1,4,8)[K2] runs by default; its expected verdicts are the
+    # product theorem's, and every yes is certified
+    report = suite_paper_milestones(RunConfig(out_dir=str(tmp_path)))
+    assert report.passed
+    by_instance = {r["instance"]: r for r in report.records}
+    got = {kind: by_instance[f"C16(1,4,8)[K2] {kind}"]["verdicts"][kind]
+           for kind in ("shellable", "vd", "cm")}
+    assert got == {"shellable": "yes", "vd": "no", "cm": "yes"}
+    assert by_instance["C16(1,4,8)[K2] vd"]["stats"]["forced"] > 0
+    d = independence_complex(
+        lex_product(circulant(CirculantSpec.parse("C16(1,4,8)")), complete(2)))
+    assert len(d.facet_masks) == 1280
+    cert = checkers.certificate_from_json(Path(
+        by_instance["C16(1,4,8)[K2] shellable"]["stats"]["certificate"]).read_text())
+    assert checkers.verify_shelling(d, cert)
 
 
 def test_family_rejects_small_s():
