@@ -162,6 +162,13 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
     neighbour of c, each on an s-bit integer for s facets, and
     candidates are drawn lazily from per-witness-count bitsets, so no
     frame holds a candidate list.
+
+    The search recurses once per placed facet, so its memory is s
+    frames deep.  A frame keeps one s-bit integer, its legal set, while
+    its child runs: the prefix is one shared bitset updated in place,
+    the untried part of a bucket is reread after the child returns, and
+    an undo entry is just a facet index, since the witness it gained is
+    the one against the facet just placed.
     """
     _require_pure(d)
     start = time.monotonic()
@@ -178,11 +185,13 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
     # In a pure complex such a pair shares exactly one ridge (a facet
     # minus one vertex), so grouping facets by ridge finds each pair once.
     on_ridge: dict[int, list[int]] = {}
+    on_vertex: dict[int, list[int]] = {}  # 1 << v -> facets holding v
     for i, m in enumerate(masks):
         mm = m
         while mm:
             b = mm & -mm
             on_ridge.setdefault(m ^ b, []).append(i)
+            on_vertex.setdefault(b, []).append(i)
             mm ^= b
     nbr = [0] * s
     diff: list[dict[int, int]] = [dict() for _ in range(s)]
@@ -193,9 +202,11 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
                 nbr[j] |= 1 << i
                 diff[i][j] = masks[i] ^ ridge
                 diff[j][i] = masks[j] ^ ridge
+    del on_ridge  # the search is deep: drop what it does not need
 
     # Every facet after the first needs a singleton difference against
     # some earlier one, so the ridge graph must be connected.
+    full = (1 << s) - 1
     seen = 1
     frontier = [0]
     while frontier:
@@ -205,7 +216,7 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
         seen_new &= ~seen
         seen |= seen_new
         frontier = _tuple_of(seen_new)
-    if seen != (1 << s) - 1:
+    if seen != full:
         return CheckOutcome("no", None, {
             "nodes": 0, "memo_hits": 0,
             "elapsed_s": time.monotonic() - start,
@@ -213,19 +224,20 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
         })
 
     # cover[1 << v] = facets NOT containing v: placing a singleton
-    # witness v satisfies exactly these earlier facets
-    union = 0
-    for m in masks:
-        union |= m
+    # witness v satisfies exactly these earlier facets.  Each facet
+    # clears its bit in the rows of its own k vertices: s * k operations
+    # on s-bit integers, where testing every facet for every vertex
+    # takes n * s.
     cover = {}
-    for v in _tuple_of(union):
-        c = 0
-        for i, m in enumerate(masks):
-            if not (m >> v) & 1:
-                c |= 1 << i
-        cover[1 << v] = c
+    union = 0
+    for b, fs in on_vertex.items():
+        c = full
+        for i in fs:
+            c ^= 1 << i
+        cover[b] = c
+        union |= b
+    del on_vertex
 
-    full = (1 << s) - 1
     k = masks[0].bit_count()
     dead: set[int] = set()
     order: list[int] = []
@@ -241,8 +253,12 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
     nodes = 0
     hits = 0
 
-    def dfs(placed: int, legal: int) -> bool:
-        nonlocal nodes, hits
+    placed = 0  # the facets of the current prefix, updated in place
+
+    def dfs(legal: int) -> bool:
+        # ``legal`` is the only s-bit integer a frame holds while its
+        # child runs (``child`` is the child's ``legal``)
+        nonlocal nodes, hits, placed
         nodes += 1
         if deadline is not None and nodes % _BUDGET_PROBE == 0:
             if time.monotonic() > deadline:
@@ -253,27 +269,32 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
             hits += 1
             return False
         # Richest witness set first: the candidate whose constraint is
-        # loosest rarely needs undoing.  Buckets are restored before the
-        # next one is read, so this is a stable sort by witness count.
+        # loosest rarely needs undoing.  A child restores the buckets
+        # before it returns, so rereading a bucket above the candidate
+        # last tried gives what one read up front would: a stable sort
+        # by witness count.
         for j in range(k, -1, -1):
-            bucket = by_count[j] & legal
-            while bucket:
-                cb = bucket & -bucket
-                bucket ^= cb
-                c = cb.bit_length() - 1
-                after = placed | cb
+            c = -1
+            while True:
+                # the bucket's candidates above c; ``rest`` is spent to 0
+                # below, so no copy of it outlives this step
+                rest = (by_count[j] & legal) >> (c + 1)
+                if not rest:
+                    break
+                c += (rest & -rest).bit_length()
+                placed |= 1 << c
                 # a non-neighbour keeps its witnesses, so it stays legal
                 # iff one of them lies outside F_c
-                keep = 0
+                child = 0
                 rest = union & ~masks[c]
                 while rest:
                     w = rest & -rest
-                    keep |= has_w[w]
+                    child |= has_w[w]
                     rest ^= w
-                child = legal & keep & ~nbr[c]
+                child &= legal & ~nbr[c]
                 order.append(c)
                 undo = []
-                todo = nbr[c] & ~after
+                todo = nbr[c] & ~placed
                 while todo:
                     tb = todo & -todo
                     todo ^= tb
@@ -281,25 +302,34 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
                     old = n_masks[t]
                     w = diff[t][c]
                     if not old & w:
-                        undo.append((t, old, cov[t], w))
+                        undo.append(t)
                         n_masks[t] = old | w
                         cov[t] |= cover[w]
                         has_w[w] |= tb
                         i = old.bit_count()
                         by_count[i] ^= tb
                         by_count[i + 1] ^= tb
-                    if not after & ~cov[t]:
+                    if not placed & ~cov[t]:
                         child |= tb
-                if dfs(after, child):
+                tb = 0  # no s-bit temporary stays alive across the call
+                if dfs(child):
                     return True
-                for t, old, old_cov, w in undo:
+                # each facet in ``undo`` gained its witness against F_c
+                for t in undo:
                     tb = 1 << t
+                    w = diff[t][c]
+                    old = n_masks[t] ^ w
                     n_masks[t] = old
-                    cov[t] = old_cov
                     has_w[w] ^= tb
                     i = old.bit_count()
                     by_count[i] ^= tb
                     by_count[i + 1] ^= tb
+                    cov[t] = 0
+                    while old:
+                        b = old & -old
+                        cov[t] |= cover[b]
+                        old ^= b
+                placed ^= 1 << c
                 order.pop()
         dead.add(placed)
         return False
@@ -307,7 +337,7 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 4 * s + 1000))
     try:
-        found = dfs(0, full)
+        found = dfs(full)
     except _BudgetExceeded:
         return CheckOutcome("unknown", None, {
             "nodes": nodes, "memo_hits": hits,
@@ -316,6 +346,9 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
         })
     finally:
         sys.setrecursionlimit(limit)
+        # dfs reaches itself through its closure: break that cycle so
+        # that the search state goes now, not at the next full collection
+        del dfs
     stats = {
         "nodes": nodes,
         "memo_hits": hits,

@@ -257,8 +257,12 @@ class Complex:
                 _probe_faces(walked + len(level), cap, deadline)
             while joined and masks[joined - 1].bit_count() >= size:
                 joined -= 1
-                bits = [1 << v for v in _tuple_of(masks[joined])]
-                level.update(map(sum, itertools.combinations(bits, size)))
+                m = masks[joined]
+                if m.bit_count() == size:
+                    level.add(m)
+                else:
+                    bits = [1 << v for v in _tuple_of(m)]
+                    level.update(map(sum, itertools.combinations(bits, size)))
                 _probe_faces(walked + len(level), cap, deadline)
             walked += len(level)
             yield level

@@ -16,11 +16,13 @@ disconnected link fails, and a connected 1-dimensional link passes
 with no faces or matrices built.  For a connected link, rank d_0 = 1
 and rank d_1 = f_0 - 1 over every field, so only d_i with i >= 2 are
 ranked.  A fast sound filter bounds those Betti numbers via ranks over
-Z/32003 (a rank over a prime field never exceeds the rational rank, so
-a zero bound is conclusive); only nonzero bounds escalate to exact
-integer ranks.  Both ranks work on the same sparse entries of a
-``BoundaryMatrix`` in pure Python: the mod-p rank by column reduction
-with lowest-row pivots, the exact rank by Smith normal form.
+GF(2) (an integer matrix's rank over GF(2) never exceeds its rational
+rank, so a zero bound is conclusive): the link's face levels are
+walked from the top down, each indexed in ascending mask order, and
+each column of d_i is one integer of row bits, reduced by XOR against
+pivots keyed by their top bit (``rank_gf2``).  Only a nonzero bound,
+from 2-torsion or a nonzero rational Betti number, escalates to exact
+integer ranks by Smith normal form on the link's ``BoundaryMatrix``.
 ``cm_verdict`` reports how many links each of these steps settled.
 """
 
@@ -37,7 +39,6 @@ from .complexes import (Complex, _canonical, _check_deadline, _from_masks,
                         _rotate_mask, _tuple_of)
 
 DEFAULT_FACE_CAP = 5_000_000
-ORACLE_PRIME = 32003
 _DEADLINE_PROBE = 32  # pivots or columns between deadline checks
 
 
@@ -236,42 +237,27 @@ def exact_rank(mat: BoundaryMatrix, deadline: float | None = None) -> int:
     return len(smith_invariant_factors(mat, deadline))
 
 
-def rank_mod_p(
-    mat: BoundaryMatrix, p: int = ORACLE_PRIME, deadline: float | None = None
-) -> int:
-    """Rank over Z/p by sparse column reduction; never exceeds the exact rank.
+def rank_gf2(columns: list[int], deadline: float | None = None) -> int:
+    """Rank over GF(2) of the matrix whose columns are the given row bitsets.
 
-    Each column, a ``{row: value mod p}`` dict, is reduced against the
-    earlier pivot columns, keyed by their largest row index, until it
-    is empty or its largest row is new; the rank is the number of
-    pivots.  Raises :class:`BudgetError` once ``time.monotonic()``
-    passes ``deadline``.
+    Bit ``r`` of a column is its entry in row ``r`` (an integer entry
+    reduced mod 2).  Each column is reduced by XOR against the earlier
+    pivot columns, keyed by their top row, until it is zero or its top
+    row is new; the rank is the number of pivots.  An integer matrix's
+    rank over GF(2) never exceeds its rank over the rationals.  Raises
+    :class:`BudgetError` once ``time.monotonic()`` passes ``deadline``.
     """
-    cols: dict[int, dict[int, int]] = {}
-    for r, c, v in mat.entries:
-        v %= p
-        if v:
-            cols.setdefault(c, {})[r] = v
-    # pivots[low] is a reduced column whose largest row is low, scaled
-    # so that its entry there is 1
-    pivots: dict[int, dict[int, int]] = {}
-    for done, col in enumerate(cols.values()):
+    pivots: dict[int, int] = {}  # top row + 1 -> pivot column
+    for done, col in enumerate(columns):
         if done % _DEADLINE_PROBE == 0:
             _check_deadline(deadline)
         while col:
-            low = max(col)
-            piv = pivots.get(low)
+            top = col.bit_length()
+            piv = pivots.get(top)
             if piv is None:
-                inv = pow(col[low], -1, p)
-                pivots[low] = {r: v * inv % p for r, v in col.items()}
+                pivots[top] = col
                 break
-            q = col[low]
-            for r, v in piv.items():
-                nv = (col.get(r, 0) - q * v) % p
-                if nv:
-                    col[r] = nv
-                else:
-                    del col[r]
+            col ^= piv
     return len(pivots)
 
 
@@ -323,8 +309,10 @@ def _link_vanishes_below_top(
     grown over the facet masks: a disconnected link fails, and a
     connected 1-dimensional link passes with no faces or matrices built.
     For a connected link of dimension >= 2, rank d_0 = 1 and rank d_1 =
-    f_0 - 1 over every field, so only d_i with i >= 2 are ranked: mod p
-    first, and exactly only where the mod-p bound leaves a Betti number
+    f_0 - 1 over every field, so only d_i with i >= 2 are ranked: over
+    GF(2) first, on columns of row bits built level by level from the
+    faces of dim + 1 vertices down to those of 2, and exactly, on
+    ``boundary_matrices``, only where a GF(2) bound leaves a Betti number
     nonzero.
     """
     stats["links"] += 1
@@ -348,24 +336,46 @@ def _link_vanishes_below_top(
         stats["connectivity"] += 1
         return reach == union
     stats["ranked"] += 1
-    # facets of a link are pairwise incomparable, like those of the complex
-    mats = boundary_matrices(_from_masks(n, facet_masks), cap, deadline)
-    exact = {0: 1, 1: mats[0].cols - 1}  # connected: exact over every field
+    # f[i] = number of i-faces; bound[i] = rank of d_i over GF(2), d_i
+    # taking the i-faces (columns) to the (i-1)-faces (rows), each level
+    # indexed in ascending mask order.  A pure facet family is already
+    # in order of size, which is all ``face_levels`` needs.
+    f = {0: union.bit_count()}
+    exact = {0: 1, 1: f[0] - 1}  # connected: exact over every field
     bound = dict(exact)
+    above: list[int] = []
+    levels = Complex(n, facet_masks).face_levels(ell + 1, cap, deadline)
+    for i, level in zip(range(ell, 0, -1), levels):
+        faces = sorted(level)
+        f[i] = len(faces)
+        if above:
+            index = {m: r for r, m in enumerate(faces)}
+            columns = []
+            for m in above:
+                col, mm = 0, m
+                while mm:
+                    b = mm & -mm
+                    col |= 1 << index[m ^ b]
+                    mm ^= b
+                columns.append(col)
+            bound[i + 1] = rank_gf2(columns, deadline)
+        above = faces
     for i in range(2, ell + 1):
         rows, cols = stats["largest_matrix"]
-        if mats[i].rows * mats[i].cols > rows * cols:
-            stats["largest_matrix"] = [mats[i].rows, mats[i].cols]
-        bound[i] = rank_mod_p(mats[i], deadline=deadline)
+        if f[i - 1] * f[i] > rows * cols:
+            stats["largest_matrix"] = [f[i - 1], f[i]]
+    mats = None
     for i in range(1, ell):
-        f_i = mats[i].cols
-        if f_i - bound[i] - bound[i + 1] == 0:
-            continue  # mod-p bound already forces the rational Betti number to 0
+        if f[i] - bound[i] - bound[i + 1] == 0:
+            continue  # the GF(2) bound already forces the rational Betti number to 0
+        if mats is None:
+            # facets of a link are pairwise incomparable, like those of the complex
+            mats = boundary_matrices(_from_masks(n, facet_masks), cap, deadline)
         for j in (i, i + 1):
             if j not in exact:
                 stats["escalations"] += 1
                 exact[j] = exact_rank(mats[j], deadline)
-        if f_i - exact[i] - exact[i + 1] != 0:
+        if f[i] - exact[i] - exact[i + 1] != 0:
             return False
     return True
 
@@ -436,7 +446,7 @@ def cm_verdict(
     ``links`` examined (one per distinct link), of which ``cones`` were
     cones, ``connectivity`` were settled by their connected components
     and ``ranked`` had boundary matrices ranked; ``escalations`` counts
-    exact ranks taken after a nonzero mod-p bound, and
+    exact ranks taken after a nonzero GF(2) bound, and
     ``largest_matrix`` is ``[rows, cols]`` of the largest matrix ranked.
     """
     stats = _cm_stats()

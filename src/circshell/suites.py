@@ -504,8 +504,8 @@ def suite_paper_milestones(cfg: RunConfig) -> SuiteReport:
     decomposable, and by the product theorem (``main-bc``) so is every
     C16(1,4,8)[K_m]; those expected verdicts are the theorem's, and the
     engines compute theirs independently.  Fast by default: the deep
-    instances (C20 vd, C24 vd, C24 cm and the m = 3 member) only run
-    under the deep flag and are reported as skipped otherwise.
+    instances (C20 vd, C24 vd, C24 cm and the m = 3 and m = 4 members)
+    only run under the deep flag and are reported as skipped otherwise.
     """
     started = time.monotonic()
     records: list[dict] = []
@@ -551,7 +551,8 @@ def suite_paper_milestones(cfg: RunConfig) -> SuiteReport:
         ("C20(1,5,10)", "vd", "no"),
         ("C24(1,6,12)", "vd", "no"),
         ("C24(1,6,12)", "cm", "yes"),
-    ] + [("C16(1,4,8)[K3]", kind, expect) for kind, expect in member_checks]
+    ] + [(f"C16(1,4,8)[K{m}]", kind, expect)
+         for m in (3, 4) for kind, expect in member_checks]
     for item in items:
         records.append(run_one(*item))
     if cfg.deep:

@@ -42,8 +42,9 @@ def test_criterion_1_c16_shellable_with_verified_cert_and_vd_refuted():
 
 def test_criterion_2_deep_milestones():
     """C20(1,5,10) not vertex-decomposable; C24(1,6,12) Cohen-Macaulay but
-    not vertex-decomposable; the paper's family members C16(1,4,8)[K2] and
-    C16(1,4,8)[K3] shellable and Cohen-Macaulay but not vertex-decomposable."""
+    not vertex-decomposable; the paper's family members C16(1,4,8)[K2],
+    C16(1,4,8)[K3] and C16(1,4,8)[K4] shellable and Cohen-Macaulay but not
+    vertex-decomposable."""
     start = time.monotonic()
     report = run_suite("paper-milestones", RunConfig(deep=True))
     assert report.passed, (report.failures, report.unknowns)
@@ -51,7 +52,7 @@ def test_criterion_2_deep_milestones():
     assert verdicts["C20(1,5,10) vd"]["vd"] == "no"
     assert verdicts["C24(1,6,12) vd"]["vd"] == "no"
     assert verdicts["C24(1,6,12) cm"]["cm"] == "yes"
-    for m in (2, 3):
+    for m in (2, 3, 4):
         name = f"C16(1,4,8)[K{m}]"
         assert verdicts[f"{name} shellable"]["shellable"] == "yes"
         assert verdicts[f"{name} vd"]["vd"] == "no"
@@ -61,7 +62,7 @@ def test_criterion_2_deep_milestones():
     assert stats["C24(1,6,12) cm"]["cm"]["links"] == 115
     assert stats["C24(1,6,12) cm"]["cm"]["escalations"] == 0
     print(f"CRITERION 2: PASS — C20 vd=no, C24 vd=no, C24 cm=yes, "
-          f"C16[K2] and C16[K3] shellable=yes vd=no cm=yes, "
+          f"C16[K2], C16[K3] and C16[K4] shellable=yes vd=no cm=yes, "
           f"{time.monotonic() - start:.1f}s")
 
 

@@ -137,6 +137,21 @@ def test_shelling_milestones_need_no_backtracking():
         assert sys.getrecursionlimit() == limit
 
 
+def test_shelling_peak_memory_stays_small_on_c28():
+    # the search is one frame per placed facet, 2,189 deep here, and a
+    # frame keeps one 2,188-bit legal set while its child runs
+    import tracemalloc
+    d = independence_complex(circulant(CirculantSpec.parse("C28(1,7,14)")))
+    tracemalloc.start()
+    try:
+        out = shelling(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.verdict == "yes" and out.stats["nodes"] == 2189
+    assert peak < 7 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
 def test_shelling_trivial_cases():
     void = Complex.from_facets(2, [])
     assert shelling(void).verdict == "yes"

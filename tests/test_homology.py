@@ -24,7 +24,7 @@ from circshell.homology import (
     exact_rank,
     faces_by_dim,
     is_cohen_macaulay,
-    rank_mod_p,
+    rank_gf2,
     reduced_homology,
     smith_invariant_factors,
 )
@@ -165,21 +165,30 @@ def test_snf_divisibility_chain():
             rows, cols, {(r, c): v for r, c, v in entries})
 
 
+def _gf2_columns(mat: BoundaryMatrix) -> list[int]:
+    """The columns of ``mat`` mod 2, each as an integer of row bits."""
+    cols = [0] * mat.cols
+    for r, c, v in mat.entries:
+        if v % 2:
+            cols[c] ^= 1 << r
+    return cols
+
+
 @settings(max_examples=50, deadline=None)
 @given(complexes_strategy(4))
-def test_rank_mod_p_matches_exact_rank(d):
+def test_rank_gf2_matches_exact_rank(d):
+    # no complex on at most 4 vertices has 2-torsion
     if d.is_void:
         return
     for mat in boundary_matrices(d).values():
-        assert rank_mod_p(mat) == exact_rank(mat)
+        assert rank_gf2(_gf2_columns(mat)) == exact_rank(mat)
 
 
-@pytest.mark.parametrize("p", [2, 3, 32003])
-def test_rank_mod_p_matches_dense_reference(p):
+def test_rank_gf2_matches_dense_reference():
     import random
-    rng = random.Random(p)
-    # multiples of p vanish mod p but not over the integers
-    values = [p, -p, 2 * p, 1, -1, 2, -3, 5, p + 1, 7 * p - 1]
+    rng = random.Random(2)
+    # even entries vanish mod 2 but not over the integers
+    values = [2, -2, 4, 1, -1, 3, -3, 5, 6, -7]
     for _ in range(60):
         rows, cols = rng.randint(1, 8), rng.randint(1, 8)
         entries = {(r, c): rng.choice(values)
@@ -187,16 +196,16 @@ def test_rank_mod_p_matches_dense_reference(p):
                    if rng.random() < 0.5}
         mat = BoundaryMatrix(
             rows, cols, tuple((r, c, v) for (r, c), v in entries.items()))
-        assert rank_mod_p(mat, p) == oracles.rank_mod_p_naive(
-            rows, cols, entries, p)
-    # the bound is sound but not exact: [[p]] has rational rank 1
-    mat = BoundaryMatrix(1, 1, ((0, 0, p),))
-    assert rank_mod_p(mat, p) == 0
+        assert rank_gf2(_gf2_columns(mat)) == oracles.rank_mod_p_naive(
+            rows, cols, entries, 2)
+    # the bound is sound but not exact: [[2]] has rational rank 1
+    mat = BoundaryMatrix(1, 1, ((0, 0, 2),))
+    assert rank_gf2(_gf2_columns(mat)) == 0
     assert exact_rank(mat) == 1
 
 
 def test_import_does_not_load_numpy():
-    # the mod-p filter is pure Python: importing the package and its CLI
+    # the GF(2) filter is pure Python: importing the package and its CLI
     # in a fresh interpreter must not pull numpy in
     src = str(Path(circshell.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import circshell.cli; "
@@ -212,7 +221,7 @@ def test_long_kernels_honour_a_passed_deadline():
     assert (top.rows, top.cols) == (1944, 728)
     passed = time.monotonic() - 1.0
     with pytest.raises(BudgetError):
-        rank_mod_p(top, deadline=passed)
+        rank_gf2(_gf2_columns(top), deadline=passed)
     with pytest.raises(BudgetError):
         smith_invariant_factors(top, deadline=passed)
     with pytest.raises(BudgetError):
@@ -238,7 +247,7 @@ def test_face_enumeration_honours_a_passed_deadline():
 def test_cm_budget_is_honoured_while_it_runs():
     # the deadline passes while the test is working, not before it
     # starts, and the verdict still comes back within a small factor
-    d = independence_complex(circulant(CirculantSpec.parse("C28(1,7,14)")))
+    d = independence_complex(circulant(CirculantSpec.parse("C32(1,8,16)")))
     started = time.monotonic()
     verdict, reason, _ = cm_verdict(d, budget_s=0.5)
     assert verdict == "unknown" and "budget" in reason
@@ -451,7 +460,7 @@ def test_cm_fails_on_a_connected_2_dimensional_link_with_a_loop(base):
     assert _cm_naive(d) is False
     verdict, _, counts = cm_verdict(d)
     assert verdict == "no"
-    # rank d_2 over Z/p leaves H~_1 nonzero, so it is taken exactly too
+    # rank d_2 over GF(2) leaves H~_1 nonzero, so it is taken exactly too
     assert counts["ranked"] == 1 and counts["escalations"] >= 1
     assert counts["largest_matrix"] == [base.f_vector()[1], base.f_vector()[2]]
 
@@ -463,10 +472,11 @@ def test_cm_passes_on_cones():
     assert verdict == "yes" and _cm_naive(disc)
     assert counts["cones"] >= 1 and counts["ranked"] == 0
     assert _counts_add_up(counts)
-    # lk(apex) = RP^2 is ranked; its H~_1 is torsion, zero mod p already
+    # lk(apex) = RP^2 is ranked; its H~_1 = Z/2 is zero over the
+    # rationals but not over GF(2), so rank d_2 is taken exactly once
     verdict, _, counts = cm_verdict(_cone(RP2))
     assert verdict == "yes"
-    assert counts["ranked"] == 1 and counts["escalations"] == 0
+    assert counts["ranked"] == 1 and counts["escalations"] == 1
     assert _counts_add_up(counts)
 
 
