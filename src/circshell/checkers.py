@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 from typing import Union
 
-from .complexes import Complex, _near, _tuple_of
+from .complexes import Complex, _least_image, _near, _tuple_of
 from .graphs import _is_int
 
 _BUDGET_PROBE = 256  # nodes between deadline checks
@@ -401,13 +401,14 @@ def verify_shelling(d: Complex, cert: ShellingCertificate) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _rotate_tree(t: ShedTree, r: int, n: int) -> ShedTree:
+def _map_tree(t: ShedTree, s: int, r: int, n: int) -> ShedTree:
+    """``t`` with every shed vertex ``v`` moved to ``s*v + r (mod n)``."""
     if isinstance(t, ShedLeaf):
         return t
     return ShedNode(
-        (t.vertex + r) % n,
-        _rotate_tree(t.deletion, r, n),
-        _rotate_tree(t.link, r, n),
+        (s * t.vertex + r) % n,
+        _map_tree(t.deletion, s, r, n),
+        _map_tree(t.link, s, r, n),
     )
 
 
@@ -482,8 +483,13 @@ def vertex_decomposition(
     by that vertex mask; other complexes are memoised by their sorted
     facet family.  When a flag complex is also invariant under the
     rotation v -> v + 1 (mod n), as every circulant's independence
-    complex is, the key is the least rotation of the vertex mask;
-    ``stats["rotations"]`` says whether that memo ran.  Decomposability
+    complex is, the key is the least image of the vertex mask under the
+    2n maps v -> +-v + r (mod n) (``complexes._least_image``), and a memo
+    hit maps the stored tree by the affine map between the two nodes;
+    ``stats["rotations"]`` says whether that memo ran.  No reflection
+    check is needed: a flag rotation-invariant complex is Ind of the
+    circulant G of its non-edges, and every circulant C_n(S) equals
+    C_n(-S), so v -> -v is an automorphism of G too.  Decomposability
     does not change under relabelling, so every memo gives the same
     verdict.
 
@@ -534,10 +540,9 @@ def vertex_decomposition(
     start = time.monotonic()
     deadline = start + budget_s if budget_s is not None else None
     n = d.n
-    full = (1 << n) - 1
     flag = d.is_flag
     rotations = flag and d.rotation_invariant
-    memo: dict[object, tuple[ShedTree | None, int]] = {}
+    memo: dict[object, tuple[ShedTree | None, int, int]] = {}
     nodes = 0
     hits = 0
     forced = 0
@@ -564,24 +569,20 @@ def vertex_decomposition(
         for m in fmasks:
             verts |= m
         if rotations:
-            # key and the rotation that reaches it from this node; the
-            # rotation is ``complexes._rotate_mask`` inlined, as it runs
-            # n - 1 times per node
-            key, rot = verts, 0
-            for r in range(1, n):
-                cand = ((verts << r) | (verts >> (n - r))) & full
-                if cand < key:
-                    key, rot = cand, r
+            # key, and the map v -> sign*v + shift taking this node to it
+            key, sign, shift = _least_image(verts, n, True)
         elif flag:
-            key, rot = verts, 0
+            key, sign, shift = verts, 1, 0
         else:
-            key, rot = tuple(sorted(fmasks)), 0
+            key, sign, shift = tuple(sorted(fmasks)), 1, 0
         got = memo.get(key)
         if got is not None:
             hits += 1
-            tree, stored_rot = got
-            if tree is not None and (rot or stored_rot):
-                tree = _rotate_tree(tree, (stored_rot - rot) % n, n)
+            tree, s0, r0 = got
+            if tree is not None and (s0, r0) != (sign, shift):
+                # the stored node's map, then the inverse of this node's
+                # (u -> sign*(u - shift)): v -> s0*sign*v + sign*(r0 - shift)
+                tree = _map_tree(tree, s0 * sign, sign * (r0 - shift) % n, n)
             return tree
         cands = 0
         if closed is not None:
@@ -645,7 +646,7 @@ def vertex_decomposition(
                 tree_link = _leaf_of(sub)
             result = ShedNode(xb.bit_length() - 1, tree_del, tree_link)
             break
-        memo[key] = (result, rot)
+        memo[key] = (result, sign, shift)
         return result
 
     root = list(d.facet_masks)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -45,6 +46,41 @@ def _tuple_of(mask: int) -> tuple[int, ...]:
 def _rotate_mask(m: int, r: int, n: int) -> int:
     """``m`` with every vertex ``v`` moved to ``v + r (mod n)``, 0 <= r < n."""
     return (((m << r) | (m >> (n - r))) & ((1 << n) - 1)) if r else m
+
+
+def _reflect_mask(m: int, n: int) -> int:
+    """``m`` with every vertex ``v`` moved to ``-v (mod n)``."""
+    if n < 2:
+        return m
+    rev = int(format(m, f"0{n}b")[::-1], 2)  # v -> n - 1 - v
+    return _rotate_mask(rev, 1, n)
+
+
+def _least_image(m: int, n: int, reflect: bool) -> tuple[int, int, int]:
+    """The least image of ``m`` under the maps ``v -> v + r (mod n)`` and,
+    with ``reflect``, ``v -> -v + r (mod n)``, as ``(image, s, r)`` for the
+    map ``v -> s*v + r`` that gives it.
+
+    A least image x of a mask that is neither 0 nor full holds vertex 0
+    (else x >> 1, a rotation of x, is smaller) and not vertex n - 1 (some
+    rotation misses it, and is below 2^(n-1)).  So vertex 0 of x starts a
+    run of ones, and only the rotations taking the start of a run of
+    ``m``, or of its reflection, to 0 are tried.
+    """
+    full = (1 << n) - 1
+    best, sign, shift = m, 1, 0
+    images = [(1, m), (-1, _reflect_mask(m, n))] if reflect else [(1, m)]
+    for s, x in images:
+        # vertices of x whose predecessor is not in x
+        starts = x & ~((x << 1 | x >> (n - 1)) & full)
+        while starts:
+            b = starts & -starts
+            starts ^= b
+            p = b.bit_length() - 1
+            y = (x >> p | x << (n - p)) & full
+            if y < best:
+                best, sign, shift = y, s, -p % n
+    return best, sign, shift
 
 
 def _canonical(n: int, masks: Iterable[int]) -> list[int]:
@@ -164,9 +200,22 @@ class Complex:
             if m.bit_count() != len(f):
                 raise ValueError(f"face {f} has repeated vertices")
             masks.append(m)
-        for i, m in enumerate(masks):
-            for j, o in enumerate(masks):
-                if i != j and (m | o) == o:
+        # A facet can lie only in a duplicate or in a strictly larger
+        # facet, so a pure family of distinct facets needs no pair test.
+        # The pair reported is the first an all-pairs scan in input order
+        # would find.
+        distinct = set(masks)
+        sizes = sorted({m.bit_count() for m in distinct}, reverse=True)
+        if len(distinct) < len(masks) or len(sizes) > 1:
+            count = Counter(masks)
+            larger: dict[int, list[int]] = {}  # size -> the distinct larger facets
+            above: list[int] = []
+            for k in sizes:
+                larger[k] = above
+                above = above + [m for m in distinct if m.bit_count() == k]
+            for i, m in enumerate(masks):
+                if count[m] > 1 or any((m | o) == o for o in larger[m.bit_count()]):
+                    o = next(o for j, o in enumerate(masks) if j != i and (m | o) == o)
                     kind = "duplicates" if m == o else "is contained in"
                     raise ValueError(f"facet {_tuple_of(m)} {kind} facet {_tuple_of(o)}")
         return _from_masks(n, masks)
@@ -187,6 +236,20 @@ class Complex:
         n = self.n
         family = set(self.facet_masks)
         return n > 1 and all(_rotate_mask(m, 1, n) in family for m in family)
+
+    @cached_property
+    def reflection_invariant(self) -> bool:
+        """Whether the facet family is fixed by ``v -> -v (mod n)``.
+
+        With ``rotation_invariant`` this makes it invariant under every
+        map ``v -> +-v + r (mod n)``, the dihedral group.  True for the
+        independence complex of every circulant C_n(S), since -S gives the
+        same circulant; a rotation-invariant complex that is not flag need
+        not be.
+        """
+        n = self.n
+        family = set(self.facet_masks)
+        return all(_reflect_mask(m, n) in family for m in family)
 
     @cached_property
     def is_flag(self) -> bool:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 # re-exported: all_faces and the budgeted kernels raise them
 from .complexes import BudgetError, FaceLimitError
 from .complexes import (Complex, _canonical, _check_deadline, _from_masks,
-                        _rotate_mask, _tuple_of)
+                        _least_image, _tuple_of)
 
 DEFAULT_FACE_CAP = 5_000_000
 _DEADLINE_PROBE = 32  # pivots or columns between deadline checks
@@ -397,7 +397,13 @@ def is_cohen_macaulay(
     When the facet family is invariant under ``v -> v + 1 (mod n)`` (see
     ``Complex.rotation_invariant``), only the face of least mask in each
     rotation orbit is checked: the link of a rotated face is the rotated
-    link, with the same homology.
+    link, with the same homology.  When it is also invariant under
+    ``v -> -v`` (``Complex.reflection_invariant``), as every circulant's
+    independence complex is, the orbits are those of the dihedral group
+    ``v -> +-v + r``.  The least mask of an orbit holds vertex 0, so a
+    nonempty face without it is skipped at once, and the others are
+    compared with the images that take a start of a run of their
+    vertices to 0 (``complexes._least_image``).
     """
     return _reisner(d, cap, budget_s, _cm_stats())
 
@@ -415,12 +421,15 @@ def _reisner(
         return True
     deadline = time.monotonic() + budget_s if budget_s is not None else None
     n = d.n
-    rotations = range(1, n) if d.rotation_invariant else ()
+    symmetric = d.rotation_invariant
+    reflect = symmetric and d.reflection_invariant
     seen_links: set[tuple[int, ...]] = set()
     # larger faces first: their links are smaller and fail faster
     for level in d.face_levels(top - 1, cap, deadline):
+        if symmetric:  # the least mask of an orbit of nonempty faces has bit 0
+            level = [m for m in level if m & 1 or not m]
         for m in sorted(level):
-            if any(_rotate_mask(m, r, n) < m for r in rotations):
+            if symmetric and _least_image(m, n, reflect)[0] < m:
                 continue  # another face of the orbit stands for this one
             _check_deadline(deadline)
             link_masks = tuple(

@@ -58,8 +58,8 @@ def test_criterion_2_deep_milestones():
         assert verdicts[f"{name} vd"]["vd"] == "no"
         assert verdicts[f"{name} cm"]["cm"] == "yes"
     stats = {r["instance"]: r.get("stats") for r in report.records}
-    # one link per rotation orbit; none needs an exact rank
-    assert stats["C24(1,6,12) cm"]["cm"]["links"] == 115
+    # one link per dihedral orbit; none needs an exact rank
+    assert stats["C24(1,6,12) cm"]["cm"]["links"] == 72
     assert stats["C24(1,6,12) cm"]["cm"]["escalations"] == 0
     print(f"CRITERION 2: PASS — C20 vd=no, C24 vd=no, C24 cm=yes, "
           f"C16[K2], C16[K3] and C16[K4] shellable=yes vd=no cm=yes, "

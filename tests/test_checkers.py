@@ -26,6 +26,7 @@ from circshell.checkers import (
 )
 from circshell.complexes import Complex, expansion_complex, independence_complex
 from circshell.graphs import Graph, circulant, CirculantSpec, complete, cycle, lex_product
+from circshell.homology import cm_verdict
 from circshell.suites import labeled_graphs
 
 import oracles
@@ -251,11 +252,11 @@ def test_vd_matches_definition_on_small_complexes():
 
 
 def test_vd_milestones_search_stats():
-    # the memo is keyed by rotation class, so these counts pin the key,
+    # the memo is keyed by dihedral class, so these counts pin the key,
     # the candidate order and the forced vertices
     limit = sys.getrecursionlimit()
-    for name, nodes, hits in (("C16(1,4,8)", 378, 182),
-                              ("C20(1,5,10)", 3639, 1680)):
+    for name, nodes, hits in (("C16(1,4,8)", 254, 130),
+                              ("C20(1,5,10)", 2117, 984)):
         d = independence_complex(circulant(CirculantSpec.parse(name)))
         out = vertex_decomposition(d)
         assert out.verdict == "no"
@@ -280,7 +281,7 @@ def test_vd_search_totals_on_small_and_expansion_complexes():
     # Ind(G) with n <= 5 and its expansions by vectors in {1, 2}^n)
     chain = [d for n in range(1, 7) for g in labeled_graphs(n)
              if (d := independence_complex(g)).is_pure()]
-    assert _vd_totals(chain) == (7332, 61362, 277)
+    assert _vd_totals(chain) == (7332, 61360, 278)
     expansion = []
     for n in range(1, 6):
         for g in labeled_graphs(n):
@@ -422,6 +423,46 @@ def test_vd_rotation_memo_agrees_with_relabelled_plain_memo():
                     assert verify_shed_tree(moved, plain.certificate)
                 plain_runs += not plain.stats["rotations"]
     assert plain_runs > 0
+
+
+def _reflected_tree(t, n):
+    # the shed tree with every vertex v moved to -v (mod n)
+    if isinstance(t, ShedLeaf):
+        return t
+    return ShedNode(-t.vertex % n, _reflected_tree(t.deletion, n),
+                    _reflected_tree(t.link, n))
+
+
+def test_dihedral_reduction_agrees_with_randomly_relabelled_copies():
+    # A seeded random relabelling of Ind(C_n(S)) is rotation-invariant
+    # only for K_n and edgeless graphs, so the copy otherwise runs the
+    # plain VD memo and checks every link in Reisner's test.  Verdicts
+    # must agree, and a yes tree, moved by the reflection v -> -v, must
+    # still shed the circulant's own complex.
+    rng = random.Random(2015)
+    plain_runs = trees = 0
+    for n in range(1, 13):
+        half = range(1, n // 2 + 1)
+        for r in range(len(half) + 1):
+            for conn in itertools.combinations(half, r):
+                d = independence_complex(circulant(CirculantSpec(n, conn)))
+                perm = list(range(n))
+                rng.shuffle(perm)
+                moved = Complex.from_facets(
+                    n, [[perm[v] for v in f] for f in d.facets])
+                assert d.reflection_invariant
+                assert cm_verdict(d)[0] == cm_verdict(moved)[0] != "unknown"
+                plain_runs += not moved.rotation_invariant
+                if not d.is_pure():
+                    continue
+                sym, plain = vertex_decomposition(d), vertex_decomposition(moved)
+                assert sym.stats["rotations"] is (n > 1)
+                assert sym.verdict == plain.verdict != "unknown"
+                if sym.verdict == "yes":
+                    assert verify_shed_tree(d, sym.certificate)
+                    assert verify_shed_tree(d, _reflected_tree(sym.certificate, n))
+                    trees += 1
+    assert plain_runs > 0 and trees > 0
 
 
 def test_vd_rotation_invariant_non_flag_complex_runs_plain_keys():

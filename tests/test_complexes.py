@@ -52,6 +52,18 @@ def test_from_facets_rejects_containment():
         Complex.from_facets(3, [(0, 1), (1, 0)])
 
 
+def test_from_facets_reports_containment_across_sizes():
+    # a non-pure family: each facet is tested against the larger ones only
+    with pytest.raises(ValueError, match=r"facet \(1, 3\) is contained in facet \(0, 1, 3\)"):
+        Complex.from_facets(5, [(2, 4), (1, 3), (0, 1, 3), (4,)])
+    with pytest.raises(ValueError, match=r"facet \(4,\) is contained in facet \(2, 4\)"):
+        Complex.from_facets(5, [(2, 4), (0, 1, 3), (4,)])
+    with pytest.raises(ValueError, match=r"facet \(0, 2\) duplicates facet \(0, 2\)"):
+        Complex.from_facets(5, [(1, 3, 4), (0, 2), (2, 0), (1,)])
+    d = Complex.from_facets(5, [(2, 4), (0, 1, 3), (1, 2), (0, 4)])
+    assert d.facets == ((0, 4), (1, 2), (2, 4), (0, 1, 3))
+
+
 def test_from_facets_validates():
     with pytest.raises(ValueError):
         Complex.from_facets(2, [(0, 2)])
@@ -178,6 +190,16 @@ def test_rotation_invariant():
     assert not Complex.from_facets(1, [(0,)]).rotation_invariant  # n = 1
     assert Complex.from_facets(4, [(0, 2), (1, 3)]).rotation_invariant
     assert not Complex.from_facets(4, [(0, 2), (1, 2)]).rotation_invariant
+
+
+def test_reflection_invariant():
+    assert independence_complex(cycle(7)).reflection_invariant
+    # v -> -v (mod 7) takes {0, 1, 3} to {0, 4, 6}, a rotation of {0, 2, 3}
+    fano = Complex.from_facets(7, [[(v + r) % 7 for v in (0, 1, 3)] for r in range(7)])
+    assert fano.rotation_invariant and not fano.reflection_invariant
+    assert not Complex.from_facets(4, [(0, 1), (2,)]).reflection_invariant
+    assert Complex.from_facets(4, [(0, 2), (1, 3)]).reflection_invariant
+    assert Complex.from_facets(1, [(0,)]).reflection_invariant  # n = 1
 
 
 def test_is_flag():

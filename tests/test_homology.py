@@ -509,3 +509,57 @@ def test_cm_orbit_path_agrees_with_relabelled_copy():
                 # K_n and edgeless graphs stay rotation-invariant under any swap
                 plain_runs += not moved.rotation_invariant
     assert checked == 132 and plain_runs > 0
+
+
+def _orbit_links(d, maps):
+    """Distinct links of the faces of at most dim - 1 vertices that are
+    least, as masks, among their images under ``maps`` (vertex maps)."""
+    def mask(face):
+        return sum(1 << v for v in face)
+
+    links = set()
+    for face in oracles.faces_naive(d.facets):
+        if len(face) >= d.dim:
+            continue
+        if any(mask(g(v) for v in face) < mask(face) for g in maps):
+            continue
+        links.add(frozenset(frozenset(f) - set(face) for f in d.facets
+                            if set(face) <= set(f)))
+    return len(links)
+
+
+def _chiral_cm_case(d):
+    # rotation-invariant, but neither reflection-invariant nor flag: the
+    # orbit path must use the rotations only, and agree with a copy
+    # relabelled so that it is not rotation-invariant
+    n = d.n
+    assert d.rotation_invariant and not d.reflection_invariant and not d.is_flag
+    swap = {0: 1, 1: 0}
+    moved = Complex.from_facets(n, [[swap.get(v, v) for v in f] for f in d.facets])
+    assert not moved.rotation_invariant
+    verdict, _, counts = cm_verdict(d)
+    assert verdict == cm_verdict(moved)[0] != "unknown"
+    return verdict, counts
+
+
+def test_cm_uses_rotations_only_on_developments_of_013_mod_7():
+    d = Complex.from_facets(7, [[(v + r) % 7 for v in (0, 1, 3)] for r in range(7)])
+    verdict, counts = _chiral_cm_case(d)
+    # lk(0) is three disjoint edges, and vertex 0 stands for every vertex
+    # under rotations and reflections alike
+    assert verdict == "no" and counts["links"] == 1
+
+
+def test_cm_chiral_complex_checks_one_link_per_rotation_orbit():
+    # every 5-subset of Z_8 but the rotations of {0,1,2,3,5}: its triangles
+    # {0,1,3} and {0,2,3} are reflections of each other in distinct
+    # rotation orbits, so reflections would check fewer links
+    chiral = {frozenset((v + r) % 8 for v in (0, 1, 2, 3, 5)) for r in range(8)}
+    d = Complex.from_facets(8, [f for f in itertools.combinations(range(8), 5)
+                                if frozenset(f) not in chiral])
+    verdict, counts = _chiral_cm_case(d)
+    rotations = [lambda v, r=r: (v + r) % 8 for r in range(1, 8)]
+    reflections = [lambda v, r=r: (r - v) % 8 for r in range(8)]
+    assert verdict == "yes"
+    assert counts["links"] == _orbit_links(d, rotations) == 13
+    assert _orbit_links(d, rotations + reflections) < 13
