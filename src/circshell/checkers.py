@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass
 from typing import Union
 
-from .complexes import Complex, _least_image, _near, _tuple_of
+from .complexes import BudgetError, Complex, _least_image, _near, _tuple_of
 from .graphs import _is_int
 
 _BUDGET_PROBE = 256  # nodes between deadline checks
@@ -31,10 +31,6 @@ _NEVER = float("inf")  # the next deadline check when there is no deadline
 
 class NotPureError(ValueError):
     """Raised when a pure-only checker receives a non-pure complex."""
-
-
-class _BudgetExceeded(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -161,14 +157,16 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
     A node costs one OR per vertex outside c and one update per ridge
     neighbour of c, each on an s-bit integer for s facets, and
     candidates are drawn lazily from per-witness-count bitsets, so no
-    frame holds a candidate list.
+    node holds a candidate list.
 
-    The search recurses once per placed facet, so its memory is s
-    frames deep.  A frame keeps one s-bit integer, its legal set, while
-    its child runs: the prefix is one shared bitset updated in place,
-    the untried part of a bucket is reread after the child returns, and
-    an undo entry is just a facet index, since the witness it gained is
-    the one against the facet just placed.
+    The search is one loop over an explicit path, with no recursion:
+    entry i holds the legal set, the witness bucket being read and the
+    undo list of the node that placed ``order[i]``.  The legal set is
+    the only s-bit integer an entry keeps: the prefix is one shared
+    bitset updated in place, the untried part of a bucket is reread
+    above ``order[i]`` after a take-back, and an undo entry is just a
+    facet index t, whose witness against c is ``masks[t] & ~masks[c]``
+    (ridge neighbours of one size differ in one vertex each way).
     """
     _require_pure(d)
     start = time.monotonic()
@@ -181,9 +179,9 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
     deadline = start + budget_s if budget_s is not None else None
 
     # ridge data: nbr[i] = bitmask of facets meeting F_i in all but one
-    # vertex, diff[i][j] = the single vertex of F_i \ F_j as a bitmask.
-    # In a pure complex such a pair shares exactly one ridge (a facet
-    # minus one vertex), so grouping facets by ridge finds each pair once.
+    # vertex.  In a pure complex such a pair shares exactly one ridge (a
+    # facet minus one vertex), so grouping facets by ridge finds each
+    # pair once.
     on_ridge: dict[int, list[int]] = {}
     on_vertex: dict[int, list[int]] = {}  # 1 << v -> facets holding v
     for i, m in enumerate(masks):
@@ -194,15 +192,12 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
             on_vertex.setdefault(b, []).append(i)
             mm ^= b
     nbr = [0] * s
-    diff: list[dict[int, int]] = [dict() for _ in range(s)]
-    for ridge, fs in on_ridge.items():
+    for fs in on_ridge.values():
         for a, i in enumerate(fs):
             for j in fs[a + 1:]:
                 nbr[i] |= 1 << j
                 nbr[j] |= 1 << i
-                diff[i][j] = masks[i] ^ ridge
-                diff[j][i] = masks[j] ^ ridge
-    del on_ridge  # the search is deep: drop what it does not need
+    del on_ridge  # the search can be long: drop what it does not need
 
     # Every facet after the first needs a singleton difference against
     # some earlier one, so the ridge graph must be connected.
@@ -254,70 +249,43 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
     hits = 0
 
     placed = 0  # the facets of the current prefix, updated in place
-
-    def dfs(legal: int) -> bool:
-        # ``legal`` is the only s-bit integer a frame holds while its
-        # child runs (``child`` is the child's ``legal``)
-        nonlocal nodes, hits, placed
+    # path[i] = (legal set, bucket being read, undo list) of the node
+    # that placed order[i]; ``legal`` is the legal set of the node being
+    # entered
+    path: list[tuple[int, int, list[int]]] = []
+    legal = full
+    while True:
         nodes += 1
         if deadline is not None and nodes % _BUDGET_PROBE == 0:
             if time.monotonic() > deadline:
-                raise _BudgetExceeded
+                return CheckOutcome("unknown", None, {
+                    "nodes": nodes, "memo_hits": hits,
+                    "elapsed_s": time.monotonic() - start,
+                    "reason": "budget exhausted",
+                })
         if placed == full:
-            return True
-        if placed in dead:
+            break
+        back = placed in dead  # take the parent's last facet back at once
+        if back:
             hits += 1
-            return False
-        # Richest witness set first: the candidate whose constraint is
-        # loosest rarely needs undoing.  A child restores the buckets
-        # before it returns, so rereading a bucket above the candidate
-        # last tried gives what one read up front would: a stable sort
-        # by witness count.
-        for j in range(k, -1, -1):
-            c = -1
-            while True:
-                # the bucket's candidates above c; ``rest`` is spent to 0
-                # below, so no copy of it outlives this step
-                rest = (by_count[j] & legal) >> (c + 1)
-                if not rest:
-                    break
-                c += (rest & -rest).bit_length()
-                placed |= 1 << c
-                # a non-neighbour keeps its witnesses, so it stays legal
-                # iff one of them lies outside F_c
-                child = 0
-                rest = union & ~masks[c]
-                while rest:
-                    w = rest & -rest
-                    child |= has_w[w]
-                    rest ^= w
-                child &= legal & ~nbr[c]
-                order.append(c)
-                undo = []
-                todo = nbr[c] & ~placed
-                while todo:
-                    tb = todo & -todo
-                    todo ^= tb
-                    t = tb.bit_length() - 1
-                    old = n_masks[t]
-                    w = diff[t][c]
-                    if not old & w:
-                        undo.append(t)
-                        n_masks[t] = old | w
-                        cov[t] |= cover[w]
-                        has_w[w] |= tb
-                        i = old.bit_count()
-                        by_count[i] ^= tb
-                        by_count[i + 1] ^= tb
-                    if not placed & ~cov[t]:
-                        child |= tb
-                tb = 0  # no s-bit temporary stays alive across the call
-                if dfs(child):
-                    return True
+        else:
+            # Richest witness set first: the candidate whose constraint
+            # is loosest rarely needs undoing.
+            j, c = k, -1
+        while True:
+            if back:
+                if not path:  # the root is exhausted
+                    return CheckOutcome("no", None, {
+                        "nodes": nodes, "memo_hits": hits,
+                        "elapsed_s": time.monotonic() - start,
+                    })
+                legal, j, undo = path.pop()
+                c = order.pop()
+                placed ^= 1 << c
                 # each facet in ``undo`` gained its witness against F_c
                 for t in undo:
                     tb = 1 << t
-                    w = diff[t][c]
+                    w = masks[t] & ~masks[c]
                     old = n_masks[t] ^ w
                     n_masks[t] = old
                     has_w[w] ^= tb
@@ -329,34 +297,53 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
                         b = old & -old
                         cov[t] |= cover[b]
                         old ^= b
-                placed ^= 1 << c
-                order.pop()
-        dead.add(placed)
-        return False
-
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 4 * s + 1000))
-    try:
-        found = dfs(full)
-    except _BudgetExceeded:
-        return CheckOutcome("unknown", None, {
-            "nodes": nodes, "memo_hits": hits,
-            "elapsed_s": time.monotonic() - start,
-            "reason": "budget exhausted",
-        })
-    finally:
-        sys.setrecursionlimit(limit)
-        # dfs reaches itself through its closure: break that cycle so
-        # that the search state goes now, not at the next full collection
-        del dfs
-    stats = {
-        "nodes": nodes,
-        "memo_hits": hits,
+            # The buckets are as they were when this node was entered, so
+            # rereading bucket j above the candidate last tried gives what
+            # one read up front would: a stable sort by witness count.
+            rest = (by_count[j] & legal) >> (c + 1)
+            while not rest and j:
+                j, c = j - 1, -1
+                rest = by_count[j] & legal
+            if rest:
+                break
+            dead.add(placed)
+            back = True
+        c += (rest & -rest).bit_length()
+        placed |= 1 << c
+        # a non-neighbour keeps its witnesses, so it stays legal iff one
+        # of them lies outside F_c
+        child = 0
+        rest = union & ~masks[c]  # spent to 0 below
+        while rest:
+            w = rest & -rest
+            child |= has_w[w]
+            rest ^= w
+        child &= legal & ~nbr[c]
+        undo = []
+        todo = nbr[c] & ~placed
+        while todo:
+            tb = todo & -todo
+            todo ^= tb
+            t = tb.bit_length() - 1
+            old = n_masks[t]
+            w = masks[t] & ~masks[c]
+            if not old & w:
+                undo.append(t)
+                n_masks[t] = old | w
+                cov[t] |= cover[w]
+                has_w[w] |= tb
+                i = old.bit_count()
+                by_count[i] ^= tb
+                by_count[i + 1] ^= tb
+            if not placed & ~cov[t]:
+                child |= tb
+        path.append((legal, j, undo))
+        order.append(c)
+        legal = child
+    return CheckOutcome("yes", ShellingCertificate(tuple(order)), {
+        "nodes": nodes, "memo_hits": hits,
         "elapsed_s": time.monotonic() - start,
-    }
-    if found:
-        return CheckOutcome("yes", ShellingCertificate(tuple(order)), stats)
-    return CheckOutcome("no", None, stats)
+    })
 
 
 def verify_shelling(d: Complex, cert: ShellingCertificate) -> bool:
@@ -542,6 +529,20 @@ def vertex_decomposition(
     n = d.n
     flag = d.is_flag
     rotations = flag and d.rotation_invariant
+    root = list(d.facet_masks)
+    if len(root) <= 1:
+        return CheckOutcome("yes", _leaf_of(root), {
+            "nodes": 1, "memo_hits": 0, "forced": 0, "rotations": rotations,
+            "elapsed_s": time.monotonic() - start,
+        })
+    stuck, connected = _root_ridge_pass(root)
+    if not connected:
+        return CheckOutcome("no", None, {
+            "nodes": 0, "memo_hits": 0, "forced": 0, "rotations": rotations,
+            "elapsed_s": time.monotonic() - start,
+            "reason": "ridge graph disconnected",
+        })
+    closed = _closed_rows(n, root) if flag else None
     memo: dict[object, tuple[ShedTree | None, int, int]] = {}
     nodes = 0
     hits = 0
@@ -554,7 +555,7 @@ def vertex_decomposition(
         nonlocal probe_at
         probe_at = nodes + _BUDGET_PROBE
         if time.monotonic() > deadline:
-            raise _BudgetExceeded
+            raise BudgetError("search ran out of budget")
 
     def solve(fmasks: list[int], stuck: int | None = None) -> ShedTree | None:
         # A node of two or more facets; its shed tree, or None.  A
@@ -649,25 +650,11 @@ def vertex_decomposition(
         memo[key] = (result, sign, shift)
         return result
 
-    root = list(d.facet_masks)
-    if len(root) <= 1:
-        return CheckOutcome("yes", _leaf_of(root), {
-            "nodes": 1, "memo_hits": 0, "forced": 0, "rotations": rotations,
-            "elapsed_s": time.monotonic() - start,
-        })
-    stuck, connected = _root_ridge_pass(root)
-    if not connected:
-        return CheckOutcome("no", None, {
-            "nodes": 0, "memo_hits": 0, "forced": 0, "rotations": rotations,
-            "elapsed_s": time.monotonic() - start,
-            "reason": "ridge graph disconnected",
-        })
-    closed = _closed_rows(n, root) if flag else None
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 8000))
     try:
         tree = solve(root, stuck)
-    except _BudgetExceeded:
+    except BudgetError:
         return CheckOutcome("unknown", None, {
             "nodes": nodes, "memo_hits": hits, "forced": forced,
             "rotations": rotations,
@@ -676,6 +663,9 @@ def vertex_decomposition(
         })
     finally:
         sys.setrecursionlimit(limit)
+        # solve reaches itself through its closure: break that cycle so
+        # that the memo goes now, not at the next full collection
+        del solve
     stats = {
         "nodes": nodes,
         "memo_hits": hits,

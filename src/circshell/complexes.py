@@ -123,6 +123,9 @@ def _near(n: int, masks: Iterable[int]) -> list[int]:
     return near
 
 
+_DEADLINE_PROBE = 32  # pivots, columns or face sets between deadline checks
+
+
 class FaceLimitError(RuntimeError):
     """Face enumeration exceeded the configured resource cap."""
 
@@ -304,11 +307,14 @@ class Complex:
         to ``top`` vertices and each later one the set above minus a vertex,
         plus the facets of its size.  Raises :class:`FaceLimitError` once
         more than ``cap`` faces have been walked and :class:`BudgetError`
-        once ``time.monotonic()`` passes ``deadline`` (probed once per
-        facet or face a set is built from).
+        once ``time.monotonic()`` passes ``deadline``.  The cap is compared
+        after each facet or face a set is built from, and the clock read
+        at the first of them and every ``_DEADLINE_PROBE``-th after.
         """
         masks = self.facet_masks
         joined, walked, level = len(masks), 0, set()  # masks[joined:] are walked
+        limit = float("inf") if cap is None else cap
+        built = 0  # facets and faces the sets were built from
         for size in range(top, -1, -1):
             above, level = level, set()
             for p in above:
@@ -317,7 +323,9 @@ class Complex:
                     b = mm & -mm
                     level.add(p ^ b)
                     mm ^= b
-                _probe_faces(walked + len(level), cap, deadline)
+                if walked + len(level) > limit or not built % _DEADLINE_PROBE:
+                    _probe_faces(walked + len(level), cap, deadline)
+                built += 1
             while joined and masks[joined - 1].bit_count() >= size:
                 joined -= 1
                 m = masks[joined]
@@ -326,7 +334,9 @@ class Complex:
                 else:
                     bits = [1 << v for v in _tuple_of(m)]
                     level.update(map(sum, itertools.combinations(bits, size)))
-                _probe_faces(walked + len(level), cap, deadline)
+                if walked + len(level) > limit or not built % _DEADLINE_PROBE:
+                    _probe_faces(walked + len(level), cap, deadline)
+                built += 1
             walked += len(level)
             yield level
 

@@ -35,11 +35,10 @@ from dataclasses import dataclass
 
 # re-exported: all_faces and the budgeted kernels raise them
 from .complexes import BudgetError, FaceLimitError
-from .complexes import (Complex, _canonical, _check_deadline, _from_masks,
-                        _least_image, _tuple_of)
+from .complexes import (_DEADLINE_PROBE, Complex, _canonical, _check_deadline,
+                        _from_masks, _least_image)
 
 DEFAULT_FACE_CAP = 5_000_000
-_DEADLINE_PROBE = 32  # pivots or columns between deadline checks
 
 
 @dataclass(frozen=True)
@@ -80,16 +79,6 @@ def all_faces(
         return []
     return sorted(m for level in d.face_levels(d.dim + 1, cap, deadline)
                   for m in level)
-
-
-def faces_by_dim(
-    d: Complex, cap: int = DEFAULT_FACE_CAP, deadline: float | None = None
-) -> dict[int, list[tuple[int, ...]]]:
-    """Faces grouped by dimension, each group sorted lexicographically."""
-    if d.is_void:
-        return {}
-    return {d.dim - i: list(map(_tuple_of, _canonical(d.n, level)))
-            for i, level in enumerate(d.face_levels(d.dim + 1, cap, deadline))}
 
 
 def boundary_matrices(

@@ -134,13 +134,42 @@ def test_shelling_milestones_need_no_backtracking():
         assert out.verdict == "yes"
         assert out.stats["nodes"] == nodes
         assert verify_shelling(d, out.certificate)
-        # raised to 4s + 1000 only while the search runs
+        # the search is a loop, so it leaves the limit alone
         assert sys.getrecursionlimit() == limit
 
 
+def test_shelling_never_touches_the_recursion_limit(monkeypatch):
+    # C28(1,7,14) places 2,188 facets, one path entry each: no depth of
+    # the search is a Python stack depth
+    def refuse(limit):
+        raise AssertionError(f"setrecursionlimit({limit})")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    d = independence_complex(circulant(CirculantSpec.parse("C28(1,7,14)")))
+    out = shelling(d)
+    assert out.verdict == "yes" and out.stats["nodes"] == 2189
+    assert verify_shelling(d, out.certificate)
+
+
+def test_searches_leave_no_reference_cycles():
+    # with the collector off, whatever a search leaves in a cycle stays
+    # until gc.collect() finds it: neither search may leave any
+    import gc
+    d = independence_complex(circulant(CirculantSpec.parse("C24(1,6,12)")))
+    gc.collect()
+    gc.disable()
+    try:
+        assert shelling(d).verdict == "yes"
+        assert gc.collect() == 0
+        assert vertex_decomposition(d).verdict == "no"
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_shelling_peak_memory_stays_small_on_c28():
-    # the search is one frame per placed facet, 2,189 deep here, and a
-    # frame keeps one 2,188-bit legal set while its child runs
+    # the path is one entry per placed facet, 2,189 long here, and an
+    # entry keeps one 2,188-bit legal set and a short undo list
     import tracemalloc
     d = independence_complex(circulant(CirculantSpec.parse("C28(1,7,14)")))
     tracemalloc.start()
@@ -150,7 +179,7 @@ def test_shelling_peak_memory_stays_small_on_c28():
     finally:
         tracemalloc.stop()
     assert out.verdict == "yes" and out.stats["nodes"] == 2189
-    assert peak < 7 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+    assert peak < 3.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_shelling_trivial_cases():

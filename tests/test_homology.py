@@ -22,7 +22,6 @@ from circshell.homology import (
     boundary_matrices,
     cm_verdict,
     exact_rank,
-    faces_by_dim,
     is_cohen_macaulay,
     rank_gf2,
     reduced_homology,
@@ -80,7 +79,6 @@ def test_face_walk_matches_the_naive_oracle():
         by_dim = {}
         for f in sorted(faces):
             by_dim.setdefault(len(f) - 1, []).append(f)
-        assert faces_by_dim(d) == by_dim, d
         assert d.f_vector() == {i: len(fs) for i, fs in by_dim.items()}, d
         got = {i: (m.rows, m.cols, m.entries) for i, m in boundary_matrices(d).items()}
         assert got == oracles.boundary_naive(d.facets), d
