@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from pathlib import Path
 
 from . import checkers, homology, suites
@@ -66,13 +67,17 @@ def run_check(kind: str, item: Graph | Complex, *,
 
     Verdicts are "yes"/"no"/"unknown", or "certificate rejected" for a
     shellable/vd yes that the independent verifier refuses.  Alpha
-    always succeeds, and homology does unless it runs out of time or
-    faces; both report their value under "yes".
+    succeeds unless it runs out of time, and homology unless it runs out
+    of time or faces; both report their value under "yes".
     """
     if kind == "alpha":
         if not isinstance(item, Graph):
             raise ValueError("alpha is defined on graphs, not complexes")
-        return "yes", {"alpha": alpha(item)}
+        deadline = time.monotonic() + timeout_s if timeout_s is not None else None
+        try:
+            return "yes", {"alpha": alpha(item, deadline=deadline)}
+        except homology.BudgetError as e:
+            return "unknown", {"reason": str(e)}
     d = _as_complex(item)
     if kind == "pure":
         return ("yes" if d.is_pure() else "no"), {}
@@ -145,7 +150,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             obj["certificate"] = cert_path
         print(json.dumps(obj, indent=2))
     else:
-        if args.kind == "alpha":
+        if args.kind == "alpha" and verdict == "yes":
             print(f"alpha = {detail['alpha']}")
         elif args.kind == "homology" and verdict == "yes":
             print(json.dumps(detail["profile"], indent=2))

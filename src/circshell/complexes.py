@@ -25,6 +25,7 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 from . import kernels
+from .kernels import _DEADLINE_PROBE, BudgetError
 from .graphs import MAX_VERTICES, Graph, _is_int
 
 
@@ -123,15 +124,8 @@ def _near(n: int, masks: Iterable[int]) -> list[int]:
     return near
 
 
-_DEADLINE_PROBE = 32  # pivots, columns or face sets between deadline checks
-
-
 class FaceLimitError(RuntimeError):
     """Face enumeration exceeded the configured resource cap."""
-
-
-class BudgetError(RuntimeError):
-    """A budgeted computation ran out of wall-clock time."""
 
 
 def _check_deadline(deadline: float | None) -> None:
@@ -175,7 +169,12 @@ def _maximal_cliques(nbr: list[int], p: int) -> list[int]:
             p &= ~vbit
             x |= vbit
 
-    expand(0, p, 0)
+    try:
+        expand(0, p, 0)
+    finally:
+        # expand reaches itself through its closure: break that cycle so
+        # that it goes now, not at the next full collection
+        del expand
     return cliques
 
 
@@ -410,9 +409,12 @@ def expansion_complex(ind_g: Complex, sizes: tuple[int, ...]) -> Complex:
     return d
 
 
-def alpha(g: Graph) -> int:
-    """Independence number of ``g`` (the dimension of Ind(g) plus one)."""
-    return kernels.alpha(g.n, list(g.adjacency_masks))
+def alpha(g: Graph, *, deadline: float | None = None) -> int:
+    """Independence number of ``g`` (the dimension of Ind(g) plus one).
+
+    :class:`BudgetError` once ``time.monotonic()`` passes ``deadline``.
+    """
+    return kernels.alpha(g.n, list(g.adjacency_masks), deadline=deadline)
 
 
 def link(d: Complex, face: Iterable[int]) -> Complex:

@@ -63,6 +63,49 @@ def alpha_naive(g: Graph) -> int:
     return max(len(s) for s in independent_sets(g))
 
 
+def alpha_degree_bb(n: int, adj: list[int]) -> int:
+    """Independence number by the earlier kernel's branch and bound.
+
+    A candidate with at most one candidate neighbour is taken without
+    branching; otherwise the search branches on a maximum-degree
+    candidate, pruned only by ``chosen + popcount(candidates)``.  Fast
+    enough for products of up to 25 vertices, where ``alpha_naive``'s
+    subset enumeration is not.
+    """
+    best = 0
+    # stack of (candidate-set mask, chosen count)
+    stack = [((1 << n) - 1, 0)]
+    while stack:
+        avail, size = stack.pop()
+        while True:
+            if size + avail.bit_count() <= best:
+                break
+            if not avail:
+                best = size
+                break
+            # reduce the first vertex of degree <= 1, else find one of
+            # maximum degree to branch on
+            v, vdeg = -1, -1
+            m = avail
+            while m:
+                low = m & -m
+                u = low.bit_length() - 1
+                m ^= low
+                d = (adj[u] & avail).bit_count()
+                if d <= 1:
+                    avail &= ~(low | adj[u])
+                    size += 1
+                    break
+                if d > vdeg:
+                    v, vdeg = u, d
+            else:
+                vbit = 1 << v
+                # exclude v now; defer the include-v branch
+                stack.append((avail & ~(vbit | adj[v]), size + 1))
+                avail &= ~vbit
+    return best
+
+
 def faces_naive(facets: tuple[tuple[int, ...], ...]) -> set[tuple[int, ...]]:
     """All faces of a complex given by facets, the empty face included."""
     out: set[tuple[int, ...]] = set()

@@ -123,6 +123,15 @@ def test_check_homology_honours_the_timeout(capsys):
     assert "reason: homology computation ran out of budget" in out
 
 
+def test_check_alpha_honours_the_timeout(capsys):
+    # no vertex of C16(1,4,8) has degree <= 1, so the search branches at once
+    code, out, _ = run(capsys, "check", "alpha", "C16(1,4,8)", "--timeout", "0")
+    assert code == 2 and "alpha: unknown" in out
+    assert "reason: independence number search ran out of budget" in out
+    code, out, _ = run(capsys, "check", "alpha", "C16(1,4,8)", "--timeout", "60")
+    assert code == 0 and out == "alpha = 4\n"
+
+
 def test_check_homology_past_the_face_cap_is_unknown_with_reason(capsys):
     code, out, _ = run(capsys, "check", "homology", "C16(1,4,8)",
                        "--face-cap", "10")

@@ -1,5 +1,6 @@
 """Simplicial complexes, independence complexes, links, and deletions."""
 
+import gc
 import itertools
 import json
 import math
@@ -18,7 +19,8 @@ from circshell.complexes import (
     independence_complex,
     link,
 )
-from circshell.graphs import Graph, complete, cycle, edgeless, expansion
+from circshell.graphs import (CirculantSpec, Graph, circulant, complete, cycle, edgeless,
+                              expansion)
 
 
 def _p4():
@@ -129,6 +131,18 @@ def test_ind_edge_cases():
 def test_ind_matches_subset_oracle(g):
     got = {frozenset(f) for f in independence_complex(g).facets}
     assert got == oracles.maximal_independent_sets(g)
+
+
+def test_ind_leaves_no_reference_cycle():
+    g = circulant(CirculantSpec.parse("C20(1,5,10)"))
+    gc.collect()
+    gc.disable()
+    try:
+        d = independence_complex(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(d.facet_masks) == 244
 
 
 def test_ind_matches_subset_oracle_larger():

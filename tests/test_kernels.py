@@ -1,13 +1,16 @@
 """The independence-number kernels and the product scan against oracles."""
 
 import random
+import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from circshell import kernels
-from circshell.graphs import Graph, circulant, CirculantSpec, disjoint_union, lex_product
+from circshell import complexes, kernels
+from circshell.graphs import (Graph, circulant, CirculantSpec, complete, disjoint_union,
+                              lex_product)
 from circshell.suites import labeled_graphs
 
 
@@ -54,8 +57,6 @@ def test_product_scan_finds_no_failures_small():
 def test_product_scan_reports_planted_failure(monkeypatch):
     # the identity is a theorem, so the reporting path is unreachable with
     # honest inputs; fake the single-graph alpha to prove failures surface
-    from circshell.graphs import complete
-
     real = kernels.alpha_py
 
     def skewed(n, adj):
@@ -156,3 +157,74 @@ def test_alpha_py_small_products():
         # a pendant edge beside the product makes the reduction fire at the root
         for prod in (lex_product(g, h), disjoint_union(lex_product(g, h), _path(2))):
             assert _alpha_py(prod) == oracles.alpha_naive(prod), (g, h)
+
+
+def _alpha_brute(n, adj):
+    """Size of the largest independent set, over every vertex subset ``s``:
+    ``s`` is independent when ``s`` without its low bit is and that bit's
+    row misses the rest."""
+    ok = [True] * (1 << n)
+    best = 0
+    for s in range(1, 1 << n):
+        low = s & -s
+        rest = s ^ low
+        ok[s] = ok[rest] and not adj[low.bit_length() - 1] & rest
+        if ok[s]:
+            best = max(best, s.bit_count())
+    return best
+
+
+def test_alpha_py_matches_brute_force_on_every_graph_upto_6():
+    count = 0
+    for n in range(7):
+        for g in labeled_graphs(n):
+            adj = list(g.adjacency_masks)
+            assert kernels.alpha_py(n, adj) == _alpha_brute(n, adj), g
+            count += n > 0
+    assert count == 33_867
+
+
+def _agrees_with_degree_bb(g):
+    adj = list(g.adjacency_masks)
+    assert kernels.alpha_py(g.n, adj) == oracles.alpha_degree_bb(g.n, adj), g
+
+
+def test_alpha_py_matches_degree_bb_on_sampled_products():
+    rng = random.Random(2003)
+    sample = [_random_graph(rng, rng.randint(1, 5), rng.random()) for _ in range(30)]
+    for g in sample:
+        for h in sample:
+            _agrees_with_degree_bb(lex_product(g, h))
+
+
+def test_alpha_py_matches_degree_bb_on_circulants_and_their_products():
+    for s in range(4, 9):
+        _agrees_with_degree_bb(circulant(CirculantSpec.parse(f"C{4 * s}(1,{s},{2 * s})")))
+    c16 = circulant(CirculantSpec.parse("C16(1,4,8)"))
+    for m in range(2, 6):  # 32 to 80 vertices: the last masks pass 64 bits
+        _agrees_with_degree_bb(lex_product(c16, complete(m)))
+
+
+def test_alpha_py_matches_degree_bb_on_random_graphs():
+    rng = random.Random(2011)
+    for n in (30, 40, 50):
+        for p in (0.05, 0.1, 0.2, 0.4):
+            for _ in range(3):
+                _agrees_with_degree_bb(_random_graph(rng, n, p))
+
+
+def test_alpha_py_edgeless_and_complete():
+    assert kernels.alpha_py(0, []) == 0
+    for n in range(1, 70, 7):
+        assert kernels.alpha_py(n, [0] * n) == n
+        assert _alpha_py(complete(n)) == 1
+
+
+def test_alpha_honours_the_deadline():
+    g = circulant(CirculantSpec.parse("C16(1,4,8)"))  # no vertex of degree <= 1
+    with pytest.raises(kernels.BudgetError):
+        kernels.alpha(g.n, list(g.adjacency_masks), deadline=time.monotonic() - 1)
+    assert complexes.BudgetError is kernels.BudgetError
+    with pytest.raises(kernels.BudgetError):
+        complexes.alpha(g, deadline=time.monotonic() - 1)
+    assert complexes.alpha(g, deadline=time.monotonic() + 60) == 4
