@@ -17,16 +17,14 @@ Whether a facet can legally extend a partial order depends only on the
 from __future__ import annotations
 
 import json
-import sys
 import time
 from dataclasses import dataclass
 from typing import Union
 
-from .complexes import BudgetError, Complex, _least_image, _near, _tuple_of
+from .complexes import Complex, _least_image, _near, _tuple_of
 from .graphs import _is_int
 
 _BUDGET_PROBE = 256  # nodes between deadline checks
-_NEVER = float("inf")  # the next deadline check when there is no deadline
 
 
 class NotPureError(ValueError):
@@ -389,14 +387,22 @@ def verify_shelling(d: Complex, cert: ShellingCertificate) -> bool:
 
 
 def _map_tree(t: ShedTree, s: int, r: int, n: int) -> ShedTree:
-    """``t`` with every shed vertex ``v`` moved to ``s*v + r (mod n)``."""
-    if isinstance(t, ShedLeaf):
-        return t
-    return ShedNode(
-        (s * t.vertex + r) % n,
-        _map_tree(t.deletion, s, r, n),
-        _map_tree(t.link, s, r, n),
-    )
+    """``t`` with every shed vertex ``v`` moved to ``s*v + r (mod n)``,
+    built on an explicit stack: a moved vertex, popped once the two
+    subtrees pushed above it are built, joins them into a node."""
+    done: list[ShedTree] = []  # built subtrees, each deletion below its link
+    todo: list[ShedTree | int] = [t]
+    while todo:
+        u = todo.pop()
+        if type(u) is int:
+            link = done.pop()
+            done[-1] = ShedNode(u, done[-1], link)
+            continue
+        while isinstance(u, ShedNode):  # down the deletions, stacking links
+            todo += ((s * u.vertex + r) % n, u.link)
+            u = u.deletion
+        done.append(u)
+    return done[0]
 
 
 def _root_ridge_pass(fmasks: list[int]) -> tuple[int, bool]:
@@ -459,6 +465,14 @@ def vertex_decomposition(
     F - x lies in a second facet (which then avoids x); one pass that
     counts each facet's ridges finds every vertex that fails.
     Candidates are tried in ascending label order.
+
+    The search is one loop, as ``shelling`` is, so a shed tree may be as
+    deep as the complex has vertices.  The innermost open node (facets,
+    memo key and map, untried candidates, the candidate being tried and
+    its deletion tree once found) lives in locals, its ancestors on an
+    explicit path.  Every node, the root and the leaves of at most one
+    facet included, goes through one entry step that counts it and reads
+    the clock at every ``_BUDGET_PROBE``-th node.
 
     A pure vertex decomposable complex is shellable, so a root of two
     or more facets whose ridge graph is disconnected is refused with no
@@ -530,13 +544,8 @@ def vertex_decomposition(
     flag = d.is_flag
     rotations = flag and d.rotation_invariant
     root = list(d.facet_masks)
-    if len(root) <= 1:
-        return CheckOutcome("yes", _leaf_of(root), {
-            "nodes": 1, "memo_hits": 0, "forced": 0, "rotations": rotations,
-            "elapsed_s": time.monotonic() - start,
-        })
     stuck, connected = _root_ridge_pass(root)
-    if not connected:
+    if len(root) > 1 and not connected:
         return CheckOutcome("no", None, {
             "nodes": 0, "memo_hits": 0, "forced": 0, "rotations": rotations,
             "elapsed_s": time.monotonic() - start,
@@ -547,133 +556,111 @@ def vertex_decomposition(
     nodes = 0
     hits = 0
     forced = 0
-    # the node count at which the deadline is next read; every node,
-    # solved or settled inline, is counted against it
-    probe_at = _BUDGET_PROBE if deadline is not None else _NEVER
 
-    def probe() -> None:
-        nonlocal probe_at
-        probe_at = nodes + _BUDGET_PROBE
-        if time.monotonic() > deadline:
-            raise BudgetError("search ran out of budget")
-
-    def solve(fmasks: list[int], stuck: int | None = None) -> ShedTree | None:
-        # A node of two or more facets; its shed tree, or None.  A
-        # deletion or link of at most one facet is a leaf, settled (and
-        # counted as a node) here rather than by a call.  ``stuck``: the
-        # vertices that cannot shed, when already known.
-        nonlocal nodes, hits, forced
+    # The innermost open node: its facets ``top`` (None until the root
+    # opens), memo key and map, untried candidates, the candidate ``xb``
+    # being tried and, once found, that candidate's deletion tree.
+    top = key = sign = shift = cands = xb = tree_del = None
+    path: list[tuple] = []  # the open ancestors of ``top``, outermost first
+    fmasks = root  # the node being entered
+    while True:
         nodes += 1
-        if nodes >= probe_at:
-            probe()
-        verts = 0
-        for m in fmasks:
-            verts |= m
-        if rotations:
-            # key, and the map v -> sign*v + shift taking this node to it
-            key, sign, shift = _least_image(verts, n, True)
-        elif flag:
-            key, sign, shift = verts, 1, 0
+        if deadline is not None and nodes % _BUDGET_PROBE == 0:
+            if time.monotonic() > deadline:
+                return CheckOutcome("unknown", None, {
+                    "nodes": nodes, "memo_hits": hits, "forced": forced,
+                    "rotations": rotations,
+                    "elapsed_s": time.monotonic() - start,
+                    "reason": "budget exhausted",
+                })
+        if len(fmasks) <= 1:
+            tree = _leaf_of(fmasks)
         else:
-            key, sign, shift = tuple(sorted(fmasks)), 1, 0
-        got = memo.get(key)
-        if got is not None:
-            hits += 1
-            tree, s0, r0 = got
-            if tree is not None and (s0, r0) != (sign, shift):
-                # the stored node's map, then the inverse of this node's
-                # (u -> sign*(u - shift)): v -> s0*sign*v + sign*(r0 - shift)
-                tree = _map_tree(tree, s0 * sign, sign * (r0 - shift) % n, n)
-            return tree
-        cands = 0
-        if closed is not None:
-            # a closed twin (a repeated row of G[W]) or a pendant's
-            # neighbour (a row of two bits) sheds, and is forced
-            rows: set[int] = set()
-            w = verts
-            while w:
-                vb = w & -w
-                w ^= vb
-                row = closed[vb.bit_length() - 1] & verts
-                if row in rows:
-                    cands = vb
-                    break
-                if row.bit_count() == 2:
-                    cands = row ^ vb
-                    break
-                rows.add(row)
-        if cands:
-            forced += 1
-        else:
-            if stuck is None:
-                # lone[r] = the vertex F - r when ridge r lies in one facet
-                # F only (that vertex cannot shed), 0 when it lies in two
-                # or more
-                lone: dict[int, int] = {}
-                for m in fmasks:
-                    mm = m
-                    while mm:
-                        b = mm & -mm
-                        r = m ^ b
-                        lone[r] = 0 if r in lone else b
-                        mm ^= b
-                stuck = 0
-                for b in lone.values():
-                    stuck |= b
-            cands = verts & ~stuck
-        result = None
-        while cands:  # ascending label order
-            xb = cands & -cands
-            cands ^= xb
-            sub = [m for m in fmasks if not m & xb]
-            if len(sub) > 1:
-                tree_del = solve(sub)
-                if tree_del is None:
-                    continue
+            verts = 0
+            for m in fmasks:
+                verts |= m
+            if rotations:
+                # key, and the map v -> s*v + r taking this node to it
+                k, s, r = _least_image(verts, n, True)
+            elif flag:
+                k, s, r = verts, 1, 0
             else:
-                nodes += 1
-                if nodes >= probe_at:
-                    probe()
-                tree_del = _leaf_of(sub)
-            sub = [m ^ xb for m in fmasks if m & xb]
-            if len(sub) > 1:
-                tree_link = solve(sub)
-                if tree_link is None:
-                    continue
+                k, s, r = tuple(sorted(fmasks)), 1, 0
+            got = memo.get(k)
+            if got is not None:
+                hits += 1
+                tree, s0, r0 = got
+                if tree is not None and (s0, r0) != (s, r):
+                    # the stored node's map, then the inverse of this
+                    # node's (u -> s*(u - r)): v -> s0*s*v + s*(r0 - r)
+                    tree = _map_tree(tree, s0 * s, s * (r0 - r) % n, n)
             else:
-                nodes += 1
-                if nodes >= probe_at:
-                    probe()
-                tree_link = _leaf_of(sub)
-            result = ShedNode(xb.bit_length() - 1, tree_del, tree_link)
-            break
-        memo[key] = (result, sign, shift)
-        return result
-
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 8000))
-    try:
-        tree = solve(root, stuck)
-    except BudgetError:
-        return CheckOutcome("unknown", None, {
-            "nodes": nodes, "memo_hits": hits, "forced": forced,
-            "rotations": rotations,
-            "elapsed_s": time.monotonic() - start,
-            "reason": "budget exhausted",
-        })
-    finally:
-        sys.setrecursionlimit(limit)
-        # solve reaches itself through its closure: break that cycle so
-        # that the memo goes now, not at the next full collection
-        del solve
-    stats = {
-        "nodes": nodes,
-        "memo_hits": hits,
-        "forced": forced,
-        "rotations": rotations,
-        "elapsed_s": time.monotonic() - start,
-    }
-    return CheckOutcome("no" if tree is None else "yes", tree, stats)
+                c = 0
+                if closed is not None:
+                    # a closed twin (a repeated row of G[W]) or a pendant's
+                    # neighbour (a row of two bits) sheds, and is forced
+                    rows: set[int] = set()
+                    w = verts
+                    while w:
+                        vb = w & -w
+                        w ^= vb
+                        row = closed[vb.bit_length() - 1] & verts
+                        if row in rows:
+                            c = vb
+                            break
+                        if row.bit_count() == 2:
+                            c = row ^ vb
+                            break
+                        rows.add(row)
+                if c:
+                    forced += 1
+                else:
+                    if top is not None:  # else _root_ridge_pass gave them
+                        # lone[ridge] = the vertex F - ridge when the ridge
+                        # lies in one facet F only (that vertex cannot
+                        # shed), 0 when it lies in two or more
+                        lone: dict[int, int] = {}
+                        for m in fmasks:
+                            mm = m
+                            while mm:
+                                b = mm & -mm
+                                ridge = m ^ b
+                                lone[ridge] = 0 if ridge in lone else b
+                                mm ^= b
+                        stuck = 0
+                        for b in lone.values():
+                            stuck |= b
+                    c = verts & ~stuck
+                if top is not None:
+                    path.append((top, key, sign, shift, cands, xb, tree_del))
+                top, key, sign, shift, cands = fmasks, k, s, r, c
+                tree = None  # so the first candidate is tried below
+        # Hand ``tree`` (a shed tree, or None for no) to the open nodes,
+        # until one of them has a node to enter.
+        while True:
+            if top is None:  # ``tree`` settles the root
+                return CheckOutcome("no" if tree is None else "yes", tree, {
+                    "nodes": nodes, "memo_hits": hits, "forced": forced,
+                    "rotations": rotations,
+                    "elapsed_s": time.monotonic() - start,
+                })
+            if tree is not None:
+                if tree_del is None:  # a deletion tree: enter the link
+                    tree_del = tree
+                    fmasks = [m ^ xb for m in top if m & xb]
+                    break
+                tree = ShedNode(xb.bit_length() - 1, tree_del, tree)
+            elif cands:  # the next candidate, in ascending label order
+                xb = cands & -cands
+                cands ^= xb
+                tree_del = None
+                fmasks = [m for m in top if not m & xb]
+                break
+            memo[key] = (tree, sign, shift)
+            if path:
+                top, key, sign, shift, cands, xb, tree_del = path.pop()
+            else:
+                top = None
 
 
 def verify_shed_tree(d: Complex, t: ShedTree) -> bool:
@@ -682,7 +669,8 @@ def verify_shed_tree(d: Complex, t: ShedTree) -> bool:
     A non-pure complex is rejected.  At every node the shed vertex must
     lie in a facet and the deletion must be pure of the node's facet
     size; every leaf must match its family.  The walk
-    (``_walk_shed_tree``) runs once, on plain lists of facet bitmasks,
+    (``_walk_shed_tree``) runs once, as one loop over an explicit stack
+    of plain lists of facet bitmasks, so no tree is too deep for it; it
     shares no code with the search, and also reads off the order that
     ``shelling_from_shed_tree`` returns.  Malformed trees return
     ``False`` rather than raising.
@@ -713,57 +701,62 @@ def shelling_from_shed_tree(
 def _walk_shed_tree(d: Complex, t: ShedTree) -> list[int] | None:
     """The facets of ``d`` in the order the shed tree ``t`` gives, or
     ``None`` when ``t`` is not a shed tree of ``d`` (a non-pure complex
-    has none)."""
+    has none).  One loop: a node goes on to its deletion and stacks its
+    link, so leaves are met in the order of the recursive definition."""
     family = list(d.facet_masks)
     if len({m.bit_count() for m in family}) > 1:
         return None
     out: list[int] = []
+    # ``family``: a pure facet family of the node ``t``; ``above``: the
+    # vertices shed on the way down to it through links, joined with each
+    # facet of a leaf as it is appended to ``out``; ``links``: the (family,
+    # tree, above) of each link still to walk
+    above = 0
+    links: list[tuple[list[int], ShedTree, int]] = []
     try:
-        ok = _walk(d.n, family, t, 0, out)
-    except (TypeError, RecursionError):  # TypeError: a vertex that is no int
+        while True:
+            if isinstance(t, ShedLeaf):
+                kind = t.kind
+                if kind == "void":
+                    ok = not family
+                elif kind == "empty-face":
+                    ok = family == [0]
+                elif kind == "simplex":
+                    ok = len(family) == 1
+                else:
+                    return None
+                if not ok:
+                    return None
+                if family:  # one facet at most
+                    out.append(family[0] | above)
+                if not links:
+                    return out
+                family, t, above = links.pop()
+                continue
+            if not isinstance(t, ShedNode) or not 0 <= t.vertex < d.n:
+                return None
+            xb = 1 << t.vertex
+            # The faces avoiding x are the subsets of the facets minus x, so
+            # the deletion is pure of the node's size iff every F - x lies in
+            # a facet avoiding x, and its facets are then exactly the facets
+            # avoiding x: a pure subfamily, as is the link, which drops x from
+            # every facet holding it.  So purity needs no check below the root.
+            avoid: list[int] = []
+            link_: list[int] = []
+            for m in family:
+                if m & xb:
+                    link_.append(m ^ xb)
+                else:
+                    avoid.append(m)
+            if not link_:
+                return None
+            for r in link_:
+                for m in avoid:
+                    if r | m == m:
+                        break
+                else:
+                    return None
+            links.append((link_, t.link, above | xb))
+            family, t = avoid, t.deletion
+    except TypeError:  # a shed vertex that is no int
         return None
-    return out if ok else None
-
-
-def _walk(n: int, family: list[int], t: ShedTree, above: int, out: list[int]) -> bool:
-    # ``family``: a pure facet family of the node, on vertices 0..n-1;
-    # ``above``: the vertices shed on the way down to it through links,
-    # which each facet of a leaf is joined with as it is appended to ``out``
-    if isinstance(t, ShedLeaf):
-        kind = t.kind
-        if kind == "void":
-            ok = not family
-        elif kind == "empty-face":
-            ok = family == [0]
-        elif kind == "simplex":
-            ok = len(family) == 1
-        else:
-            return False
-        if ok and family:  # one facet at most
-            out.append(family[0] | above)
-        return ok
-    if not isinstance(t, ShedNode) or not 0 <= t.vertex < n:
-        return False
-    xb = 1 << t.vertex
-    # The faces avoiding x are the subsets of the facets minus x, so the
-    # deletion is pure of the node's size iff every F - x lies in a facet
-    # avoiding x, and its facets are then exactly the facets avoiding x: a
-    # pure subfamily, as is the link, which drops x from every facet
-    # holding it.  So purity needs no check below the root.
-    avoid: list[int] = []
-    link_: list[int] = []
-    for m in family:
-        if m & xb:
-            link_.append(m ^ xb)
-        else:
-            avoid.append(m)
-    if not link_:
-        return False
-    for r in link_:
-        for m in avoid:
-            if r | m == m:
-                break
-        else:
-            return False
-    return (_walk(n, avoid, t.deletion, above, out)
-            and _walk(n, link_, t.link, above | xb, out))

@@ -146,18 +146,20 @@ def alpha(n: int, adj: list[int], *, deadline: float | None = None) -> int:
     return alpha_py(n, adj, deadline=deadline)
 
 
-def alpha_product_failures(ns: list[int], adjs: list[list[int]]) -> list[tuple[int, int]]:
+def alpha_product_failures(ns: list[int], adjs: list[list[int]], *,
+                           deadline: float | None = None) -> list[tuple[int, int]]:
     """Pairs (gi, hi) where alpha multiplicativity fails over the given graphs.
 
     Every ordered pair of the given graphs is checked.  The expected
     result is the empty list; any entry is a counterexample to
-    alpha(G[H]) = alpha(G) * alpha(H).
+    alpha(G[H]) = alpha(G) * alpha(H).  ``deadline`` goes to every
+    ``alpha_py`` call, so :class:`BudgetError` stops the scan inside it.
     """
-    alphas = [alpha_py(n, a) for n, a in zip(ns, adjs)]
+    alphas = [alpha_py(n, a, deadline=deadline) for n, a in zip(ns, adjs)]
     bad = []
     for gi, (ng, adjg) in enumerate(zip(ns, adjs)):
         for hi, (nh, adjh) in enumerate(zip(ns, adjs)):
             padj = product_adj_py(ng, adjg, nh, adjh)
-            if alpha_py(ng * nh, padj) != alphas[gi] * alphas[hi]:
+            if alpha_py(ng * nh, padj, deadline=deadline) != alphas[gi] * alphas[hi]:
                 bad.append((gi, hi))
     return bad

@@ -254,9 +254,80 @@ def test_vd_c5_tree_shape():
 
 
 def test_vd_base_cases():
-    assert vertex_decomposition(Complex.from_facets(2, [])).verdict == "yes"
-    assert vertex_decomposition(Complex.from_facets(2, [()])).verdict == "yes"
-    assert vertex_decomposition(Complex.from_facets(3, [(0, 1, 2)])).verdict == "yes"
+    # a root of at most one facet is one leaf node of the search loop
+    for d, kind in ((Complex.from_facets(2, []), "void"),
+                    (Complex.from_facets(2, [()]), "empty-face"),
+                    (Complex.from_facets(3, [(0, 1, 2)]), "simplex")):
+        out = vertex_decomposition(d)
+        assert out.verdict == "yes" and out.certificate == ShedLeaf(kind)
+        assert (out.stats["nodes"], out.stats["memo_hits"],
+                out.stats["forced"]) == (1, 0, 0)
+        assert verify_shed_tree(d, out.certificate)
+
+
+def _points(n):
+    return Complex.from_facets(n, [(v,) for v in range(n)])
+
+
+def test_vd_never_touches_the_recursion_limit(monkeypatch):
+    # 1,200 isolated points: the shed tree is 1,200 levels deep, past the
+    # default limit, and the search, the verifier and the derived
+    # shelling order each walk it in a loop
+    def refuse(limit):
+        raise AssertionError(f"setrecursionlimit({limit})")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    d = _points(1200)
+    out = vertex_decomposition(d)
+    assert out.verdict == "yes"
+    assert out.stats["nodes"] == 2399 and out.stats["forced"] == 1199
+    assert verify_shed_tree(d, out.certificate)
+    assert verify_shelling(d, shelling_from_shed_tree(d, out.certificate))
+
+
+def _chain(depth, vertex, bottom):
+    """A shed tree shedding ``vertex(i)`` at depth i, with the link {()}
+    at every level and ``bottom`` below the last deletion."""
+    t = bottom
+    for i in reversed(range(depth)):
+        t = ShedNode(vertex(i), t, ShedLeaf("empty-face"))
+    return t
+
+
+def _preorder(t):
+    """The shed vertices and leaf kinds of ``t`` in preorder, read with an
+    explicit stack (``==`` on deep trees recurses)."""
+    out, stack = [], [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, ShedLeaf):
+            out.append(t.kind)
+        else:
+            out.append(t.vertex)
+            stack += (t.link, t.deletion)
+    return out
+
+
+def test_map_tree_handles_a_tree_deeper_than_the_recursion_limit():
+    from circshell.checkers import _map_tree
+    n = 7
+    depth = sys.getrecursionlimit() + 100
+    moved = _map_tree(_chain(depth, lambda i: i % n, ShedLeaf("simplex")), -1, 3, n)
+    want = _chain(depth, lambda i: (3 - i) % n, ShedLeaf("simplex"))
+    assert _preorder(moved) == _preorder(want)
+
+
+def test_verify_shed_tree_judges_trees_deeper_than_the_recursion_limit():
+    # the search sheds the points 1, 2, ... in turn, down to the simplex
+    # {0}; the walk is a loop, so a wrong bottom is found, not given up on
+    depth = sys.getrecursionlimit() + 100
+    d = _points(depth + 1)
+    good = _chain(depth, lambda i: i + 1, ShedLeaf("simplex"))
+    assert _preorder(vertex_decomposition(d).certificate) == _preorder(good)
+    assert verify_shed_tree(d, good)
+    for bottom in (ShedLeaf("void"),
+                   ShedNode(0.5, ShedLeaf("void"), ShedLeaf("empty-face"))):
+        assert not verify_shed_tree(d, _chain(depth, lambda i: i + 1, bottom))
 
 
 def test_vd_matches_definition_on_small_complexes():
@@ -304,7 +375,8 @@ def _vd_totals(ds):
 
 
 def test_vd_search_totals_on_small_and_expansion_complexes():
-    # Leaves are settled inline but still counted, so these totals pin
+    # Leaves go through the search loop's entry step like every node, and
+    # are counted there, so these totals pin
     # the search's shape over many small inputs: every pure Ind(G) with
     # n <= 6, and every complex the expansion suite searches (each pure
     # Ind(G) with n <= 5 and its expansions by vectors in {1, 2}^n)

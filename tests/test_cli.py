@@ -240,6 +240,14 @@ def test_check_yes_needs_its_certificate_verified(
     assert not cert.exists()
 
 
+def test_check_vd_yes_on_a_shed_tree_past_the_recursion_limit(capsys):
+    # 1,200 isolated points: a shed tree 1,200 levels deep, searched and
+    # verified without recursion
+    desc = json.dumps({"n": 1200, "facets": [[v] for v in range(1200)]})
+    code, out, _ = run(capsys, "check", "vd", desc)
+    assert code == 0 and "vd: yes" in out
+
+
 def test_check_vd_no(capsys):
     code, out, _ = run(capsys, "check", "vd", "C16(1,4,8)")
     assert code == 1 and "vd: no" in out

@@ -59,8 +59,8 @@ def test_product_scan_reports_planted_failure(monkeypatch):
     # honest inputs; fake the single-graph alpha to prove failures surface
     real = kernels.alpha_py
 
-    def skewed(n, adj):
-        value = real(n, adj)
+    def skewed(n, adj, *, deadline=None):
+        value = real(n, adj, deadline=deadline)
         return value + (1 if n == 4 else 0)  # lie about the products only
 
     monkeypatch.setattr(kernels, "alpha_py", skewed)

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -317,7 +318,7 @@ def test_checked_verdicts_fails_on_a_rejected_shed_tree(monkeypatch):
 def test_alpha_product_reports_every_failing_pair_sorted(monkeypatch):
     # two pairs, given out of instance order
     monkeypatch.setattr(kernels, "alpha_product_failures",
-                        lambda ns, adjs: [(5, 3), (2, 7)])
+                        lambda ns, adjs, deadline=None: [(5, 3), (2, 7)])
     report = suite_alpha_product(RunConfig())
     assert not report.passed
     assert report.aggregated and report.records == []
@@ -325,3 +326,12 @@ def test_alpha_product_reports_every_failing_pair_sorted(monkeypatch):
     want = sorted(f"{gs[g].to_json()} lex {gs[h].to_json()}"
                   for g, h in ((5, 3), (2, 7)))
     assert [r["instance"] for r in report.failures] == want
+
+
+def test_alpha_product_stops_inside_the_scan_at_its_timeout():
+    # the deadline reaches every alpha_py call of the 1,207,801-pair scan
+    started = time.monotonic()
+    report = run_suite("alpha-product", RunConfig(timeout_s=0.0))
+    assert time.monotonic() - started < 5.0
+    assert not report.passed and not report.failures
+    assert [r["status"] for r in report.unknowns] == ["unknown"]
