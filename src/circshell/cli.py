@@ -26,7 +26,6 @@ import time
 from pathlib import Path
 
 from . import checkers, homology, suites
-from .checkers import NotPureError
 from .complexes import Complex, alpha, independence_complex
 from .graphs import CirculantSpec, Graph, circulant
 
@@ -275,9 +274,6 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NotPureError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError, OSError, RecursionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -143,17 +143,20 @@ def _probe_faces(walked: int, cap: int | None, deadline: float | None) -> None:
 def _maximal_cliques(nbr: list[int], p: int) -> list[int]:
     """Maximal cliques, as masks, of the graph ``nbr`` restricted to ``p``.
 
-    Bron-Kerbosch with pivoting; ``nbr[v]`` must not contain ``v``.
+    Bron-Kerbosch with pivoting; ``nbr[v]`` must not contain ``v``.  A
+    child's ``(R, P, X)`` depends only on its parent's P and X as its
+    vertex is taken, so each node pushes all its children onto one stack.
     """
     cliques = []
-
-    def expand(r: int, p: int, x: int) -> None:
-        if p == 0 and x == 0:
-            cliques.append(r)
-            return
-        # pivot: vertex of P|X with most neighbours inside P
-        pivot, best = -1, -1
+    stack = [(0, p, 0)]
+    while stack:
+        r, p, x = stack.pop()
         m = p | x
+        if not m:
+            cliques.append(r)
+            continue
+        # pivot: vertex of P|X with most neighbours inside P, ties to the lowest
+        pivot, best = -1, -1
         while m:
             u = (m & -m).bit_length() - 1
             m &= m - 1
@@ -165,16 +168,9 @@ def _maximal_cliques(nbr: list[int], p: int) -> list[int]:
             vbit = cand & -cand
             v = vbit.bit_length() - 1
             cand &= cand - 1
-            expand(r | vbit, p & nbr[v], x & nbr[v])
+            stack.append((r | vbit, p & nbr[v], x & nbr[v]))
             p &= ~vbit
             x |= vbit
-
-    try:
-        expand(0, p, 0)
-    finally:
-        # expand reaches itself through its closure: break that cycle so
-        # that it goes now, not at the next full collection
-        del expand
     return cliques
 
 

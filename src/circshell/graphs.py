@@ -118,6 +118,8 @@ class CirculantSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"circulant modulus must be at least 1, got {self.n}")
+        if self.n > MAX_VERTICES:
+            raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {self.n}")
         folded = set()
         for d in self.shifts:
             d = d % self.n if self.n else 0

@@ -377,7 +377,8 @@ def is_cohen_macaulay(
     True iff ``d`` is nonvoid and every face's link (the empty face
     included) has vanishing reduced rational homology strictly below
     the link's dimension.  Non-pure complexes are never Cohen-Macaulay
-    here: facet size gaps already violate the criterion.  With
+    here: facet size gaps already violate the criterion.  A simplex is
+    answered at once, as every link of a simplex is a simplex.  With
     ``budget_s`` set, raises :class:`BudgetError` when time runs out.
     ``cap`` bounds the faces walked, which are only those of at most
     dim - 1 vertices (the others have links of dimension <= 0); past
@@ -404,9 +405,9 @@ def _reisner(
     if d.is_void or not d.is_pure():
         return False
     top = d.dim
-    if top <= 0:
-        # links are at most points; nothing lies strictly below dim 0
-        # except connectedness of a nonvoid vertex set, which holds
+    if top <= 0 or len(d.facet_masks) == 1:
+        # links are at most points, whose only condition below dim 0 is
+        # a nonvoid vertex set; or every link of a simplex is a simplex
         return True
     deadline = time.monotonic() + budget_s if budget_s is not None else None
     n = d.n

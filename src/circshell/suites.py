@@ -32,6 +32,7 @@ from . import checkers, kernels
 from .checkers import shelling, vertex_decomposition
 from .complexes import Complex, expansion_complex, independence_complex
 from .graphs import (
+    MAX_VERTICES,
     CirculantSpec,
     Graph,
     circulant,
@@ -626,6 +627,8 @@ def explore_family(s_min: int, s_max: int, cfg: RunConfig) -> SuiteReport:
         raise ValueError(f"family starts at s=4, got s_min={s_min}")
     if s_max < s_min:
         raise ValueError(f"empty range: [{s_min}, {s_max}]")
+    if 4 * s_max > MAX_VERTICES:
+        raise ValueError(f"C{4 * s_max} at s={s_max}: vertex count must be in 0..{MAX_VERTICES}")
     started = time.monotonic()
     budget = cfg.timeout_s if cfg.timeout_s is not None else FAMILY_DEFAULT_BUDGET_S
     records = []

@@ -53,6 +53,8 @@ def test_graph_rejects_complex_json(capsys):
     ("check", "pure", '{"n": 3000000, "edges": []}'),
     ("check", "pure", '{"n": 3000000, "facets": [[0]]}'),
     ("graph", json.dumps({"n": MAX_VERTICES + 1, "edges": []})),
+    ("graph", "C4097(1)"),
+    ("family", "4", "1025"),
 ])
 def test_a_vertex_count_past_the_bound_is_refused_before_allocating(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -244,6 +246,20 @@ def test_check_vd_yes_on_a_shed_tree_past_the_recursion_limit(capsys):
     # 1,200 isolated points: a shed tree 1,200 levels deep, searched and
     # verified without recursion
     desc = json.dumps({"n": 1200, "facets": [[v] for v in range(1200)]})
+    code, out, _ = run(capsys, "check", "vd", desc)
+    assert code == 0 and "vd: yes" in out
+
+
+def test_check_pure_on_a_graph_with_more_independent_vertices_than_the_recursion_limit(
+        capsys):
+    # Ind of the edgeless graph on 1,200 vertices: one facet of 1,200
+    code, out, _ = run(capsys, "check", "pure", '{"n": 1200, "edges": []}')
+    assert code == 0 and "pure: yes" in out
+
+
+def test_check_vd_on_a_simplex_past_the_recursion_limit(capsys):
+    # its flag test enumerates one clique of 1,200 vertices
+    desc = json.dumps({"n": 1200, "facets": [list(range(1200))]})
     code, out, _ = run(capsys, "check", "vd", desc)
     assert code == 0 and "vd: yes" in out
 

@@ -145,6 +145,16 @@ def test_ind_leaves_no_reference_cycle():
     assert len(d.facet_masks) == 244
 
 
+def test_ind_of_an_edgeless_graph_past_the_recursion_limit():
+    # one clique of 1,200 vertices in the complement: 1,200 nested steps
+    assert independence_complex(edgeless(1200)).facet_masks == ((1 << 1200) - 1,)
+
+
+def test_flag_test_of_a_simplex_past_the_recursion_limit():
+    # its 1-skeleton is one clique of 1,200 vertices
+    assert Complex.from_facets(1200, [range(1200)]).is_flag is True
+
+
 def test_ind_matches_subset_oracle_larger():
     # a couple of fixed larger instances past the property-test sizes
     import random

@@ -341,6 +341,12 @@ def test_cm_examples():
     assert is_cohen_macaulay(Complex.from_facets(3, [(0,), (1,), (2,)]))
 
 
+def test_cm_answers_a_simplex_without_walking_its_faces():
+    # the 60-vertex simplex has about 2**60 faces: walking them ends at the cap
+    verdict, reason, counts = cm_verdict(Complex.from_facets(60, [range(60)]))
+    assert (verdict, reason, counts["links"]) == ("yes", None, 0)
+
+
 def test_cm_connectivity_requirement():
     # two disjoint edges: pure, 1-dimensional, disconnected, so not CM
     assert not is_cohen_macaulay(Complex.from_facets(4, [(0, 2), (1, 3)]))
