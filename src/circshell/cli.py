@@ -61,11 +61,13 @@ def cmd_graph(args: argparse.Namespace) -> int:
 
 def run_check(kind: str, item: Graph | Complex, *,
               timeout_s: float | None = None,
-              face_cap: int = homology.DEFAULT_FACE_CAP) -> tuple[str, dict]:
-    """Run one property check; returns (verdict, detail).
+              face_cap: int = homology.DEFAULT_FACE_CAP,
+              ) -> tuple[str, dict, checkers.ShellingCertificate | checkers.ShedTree | None]:
+    """Run one property check; returns (verdict, detail, certificate).
 
     Verdicts are "yes"/"no"/"unknown", or "certificate rejected" for a
-    shellable/vd yes that the independent verifier refuses.  Alpha
+    shellable/vd yes that the independent verifier refuses; the
+    certificate is that of a certified yes, else ``None``.  Alpha
     succeeds unless it runs out of time, and homology unless it runs out
     of time or faces; both report their value under "yes".
     """
@@ -74,26 +76,22 @@ def run_check(kind: str, item: Graph | Complex, *,
             raise ValueError("alpha is defined on graphs, not complexes")
         deadline = time.monotonic() + timeout_s if timeout_s is not None else None
         try:
-            return "yes", {"alpha": alpha(item, deadline=deadline)}
+            return "yes", {"alpha": alpha(item, deadline=deadline)}, None
         except homology.BudgetError as e:
-            return "unknown", {"reason": str(e)}
+            return "unknown", {"reason": str(e)}, None
     d = _as_complex(item)
-    if kind == "pure":
-        return ("yes" if d.is_pure() else "no"), {}
     if kind == "homology":
         try:
             profile = homology.reduced_homology(d, face_cap, budget_s=timeout_s)
         except (homology.BudgetError, homology.FaceLimitError) as e:
-            return "unknown", {"reason": str(e)}
-        return "yes", {"profile": profile.to_obj()}
-    if kind == "cm":
-        verdict, reason, counts = homology.cm_verdict(d, face_cap, budget_s=timeout_s)
-        return verdict, ({"stats": counts, "reason": reason} if reason
-                         else {"stats": counts})
-    if kind in ("shellable", "vd"):
-        out = suites._search(d, kind, timeout_s)
-        return out.verdict, {"stats": out.stats, "outcome": out}
-    raise ValueError(f"unknown check kind {kind!r}; one of {CHECK_KINDS}")
+            return "unknown", {"reason": str(e)}, None
+        return "yes", {"profile": profile.to_obj()}, None
+    out = suites.check(d, kind, suites.RunConfig(timeout_s=timeout_s, face_cap=face_cap))
+    detail = {} if kind == "pure" else {"stats": out.stats}
+    if kind == "cm" and "reason" in out.stats:  # reported beside the counts
+        detail = {"stats": {k: v for k, v in out.stats.items() if k != "reason"},
+                  "reason": out.stats["reason"]}
+    return out.verdict, detail, out.certificate
 
 
 def _require_vertices(t: checkers.ShedTree, n: int) -> None:
@@ -131,15 +129,13 @@ def cmd_check(args: argparse.Namespace) -> int:
         print(f"certificate {'accepted' if ok else 'rejected'}")
         return 0 if ok else 1
 
-    verdict, detail = run_check(
+    verdict, detail, certificate = run_check(
         args.kind, item if d is None else d,
         timeout_s=args.timeout, face_cap=args.face_cap)
-    outcome = detail.pop("outcome", None)
 
     cert_path = None
-    if args.certificate and outcome is not None and verdict == "yes":
-        Path(args.certificate).write_text(
-            checkers.certificate_to_json(outcome.certificate))
+    if args.certificate and certificate is not None:
+        Path(args.certificate).write_text(checkers.certificate_to_json(certificate))
         cert_path = args.certificate
 
     if args.json:

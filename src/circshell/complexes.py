@@ -155,7 +155,10 @@ def _maximal_cliques(nbr: list[int], p: int) -> list[int]:
         if not m:
             cliques.append(r)
             continue
-        # pivot: vertex of P|X with most neighbours inside P, ties to the lowest
+        # pivot: vertex of P|X with most neighbours inside P, ties to the
+        # lowest; a vertex of X can count all of P and one of P all but
+        # itself, so the scan stops at the first to reach that bound
+        cap = p.bit_count() - (not x)
         pivot, best = -1, -1
         while m:
             u = (m & -m).bit_length() - 1
@@ -163,6 +166,8 @@ def _maximal_cliques(nbr: list[int], p: int) -> list[int]:
             d = (nbr[u] & p).bit_count()
             if d > best:
                 pivot, best = u, d
+                if d == cap:
+                    break
         cand = p & ~nbr[pivot]
         while cand:
             vbit = cand & -cand

@@ -8,12 +8,16 @@ it has zero failures and zero unknowns — except suites declared
 *budgeted*, where timed-out instances are listed but do not fail the
 run.
 
-Every suite, and ``circshell check``, goes through one check step.
-``_search`` runs the shelling or decomposition search and re-checks a
-``yes`` through the independent certificate verifier; a rejected
-``yes`` becomes the verdict ``certificate rejected``.  ``_status`` turns
+Every suite, the explorer and ``circshell check`` decide ``pure``,
+``shellable``, ``vd`` and ``cm`` through one check step, :func:`check`.
+It re-checks a search's ``yes`` through the independent certificate
+verifier, so that a rejected ``yes`` becomes the verdict ``certificate
+rejected``, and writes a certified ``yes``'s certificate under
+``out_dir/certs`` when it is given an instance name.  ``_status`` turns
 a record's verdicts into its status: a rejected certificate fails the
-record even when another verdict is ``unknown``.
+record even when another verdict is ``unknown``.  ``main-a``,
+``main-bc`` and ``expansion`` are one loop, :func:`_transfer_suite`,
+over different constructions.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import json
 import random
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Collection, Iterable
 
@@ -174,14 +178,6 @@ def _random_graph(rng: random.Random, n: int) -> Graph:
     return Graph.from_edges(n, [pairs[t] for t in range(len(pairs)) if (bits >> t) & 1])
 
 
-def _cert_path(out_dir: str, instance: str, kind: str) -> Path:
-    digest = hashlib.sha1(f"{instance}:{kind}".encode()).hexdigest()[:10]
-    safe = re.sub(r"[^A-Za-z0-9().,_-]+", "_", instance)[:60]
-    d = Path(out_dir) / "certs"
-    d.mkdir(parents=True, exist_ok=True)
-    return d / f"{safe}-{kind}-{digest}.json"
-
-
 def _certified(d: Complex, outcome: checkers.CheckOutcome, kind: str) -> bool:
     """A yes verdict counts only if the independent verifier agrees."""
     if outcome.verdict != "yes":
@@ -191,23 +187,37 @@ def _certified(d: Complex, outcome: checkers.CheckOutcome, kind: str) -> bool:
     return checkers.verify_shed_tree(d, outcome.certificate)
 
 
-def _write_cert(
-    cfg: RunConfig, instance: str, kind: str, outcome: checkers.CheckOutcome
-) -> str | None:
-    if cfg.out_dir is None or outcome.verdict != "yes":
-        return None
-    path = _cert_path(cfg.out_dir, instance, kind)
-    path.write_text(checkers.certificate_to_json(outcome.certificate))
-    return str(path)
+def check(d: Complex, kind: str, cfg: RunConfig,
+          instance: str | None = None) -> checkers.CheckOutcome:
+    """Decide ``pure``, ``shellable``, ``vd`` or ``cm`` for ``d`` within
+    ``cfg.timeout_s`` (and ``cfg.face_cap`` faces for ``cm``).
 
-
-def _search(d: Complex, kind: str, budget_s: float | None) -> checkers.CheckOutcome:
-    """Run the ``shellable`` or ``vd`` search; a ``yes`` stands only once
-    the independent verifier accepts its certificate."""
-    search = shelling if kind == "shellable" else vertex_decomposition
-    out = search(d, budget_s=budget_s)
+    A search's ``yes`` stands only once the independent verifier accepts
+    its certificate.  Given an ``instance`` name and ``cfg.out_dir``, a
+    certified ``yes`` has its certificate written under ``out_dir/certs``
+    and the path put into its stats.  ``cm`` puts the reason for an
+    ``unknown`` into its stats, as the searches do.
+    """
+    if kind == "pure":
+        return checkers.CheckOutcome("yes" if d.is_pure() else "no", None, {})
+    if kind == "cm":
+        verdict, reason, counts = cm_verdict(d, cfg.face_cap, budget_s=cfg.timeout_s)
+        return checkers.CheckOutcome(
+            verdict, None, dict(counts, reason=reason) if reason else counts)
+    if kind not in ("shellable", "vd"):
+        raise ValueError(f"unknown check kind {kind!r}; one of pure, shellable, vd, cm")
+    out = (shelling if kind == "shellable" else vertex_decomposition)(
+        d, budget_s=cfg.timeout_s)
     if not _certified(d, out, kind):
         return checkers.CheckOutcome(_REJECTED, None, out.stats)
+    if instance is None or cfg.out_dir is None or out.verdict != "yes":
+        return out
+    digest = hashlib.sha1(f"{instance}:{kind}".encode()).hexdigest()[:10]
+    safe = re.sub(r"[^A-Za-z0-9().,_-]+", "_", instance)[:60]
+    path = Path(cfg.out_dir) / "certs" / f"{safe}-{kind}-{digest}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(checkers.certificate_to_json(out.certificate))
+    out.stats["certificate"] = str(path)
     return out
 
 
@@ -237,11 +247,11 @@ def _checked_verdicts(d: Complex, cfg: RunConfig) -> tuple[str, str]:
     if vd.verdict == "yes":
         order = checkers.shelling_from_shed_tree(d, vd.certificate)
         if order is None:
-            return _search(d, "shellable", cfg.timeout_s).verdict, _REJECTED
+            return check(d, "shellable", cfg).verdict, _REJECTED
         return ("yes" if checkers.verify_shelling(d, order) else _REJECTED), "yes"
     if vd.stats.get("reason") == "ridge graph disconnected":
         return "no", vd.verdict
-    return _search(d, "shellable", cfg.timeout_s).verdict, vd.verdict
+    return check(d, "shellable", cfg).verdict, vd.verdict
 
 
 # ---------------------------------------------------------------------------
@@ -317,37 +327,80 @@ def suite_alpha_product(cfg: RunConfig) -> SuiteReport:
     )
 
 
-def suite_main_a(cfg: RunConfig) -> SuiteReport:
-    """Shellability/VD of Ind(kH) matches Ind(H) for k <= 3 disjoint copies."""
+def _transfer_suite(
+    name: str,
+    cfg: RunConfig,
+    nmax: int,
+    variants: Callable[[Graph, Complex], Iterable[tuple[str, Complex]]],
+    tags: tuple[str, str],
+    *,
+    both_ways: bool,
+    non_pure: str | None,
+    notes: Iterable[str] = (),
+) -> SuiteReport:
+    """Each variant of Ind(G), for every labeled G with n <= nmax, keeps
+    the verdicts of Ind(G).
+
+    ``variants(g, ind_g)`` yields ``(instance, complex)`` pairs.  VD must
+    match; shellability must match too when ``both_ways``, else only
+    carry forward from a ``yes``.  Verdicts are keyed ``vd_<tag>``,
+    ``shellable_<tag>`` and ``pure_<tag>``, ``tags`` naming the base and
+    its variant.  A non-pure G has only its variants' purity checked,
+    noted ``non_pure``, or is skipped when ``non_pure`` is None; a
+    non-pure variant of a pure G fails.
+    """
     started = time.monotonic()
+    vd_key, sh_key, pure_key = (
+        [f"{p}_{t}" for t in tags] for p in ("vd", "shellable", "pure"))
     records: list[dict] = []
-    for h in _graphs_upto(4):
-        ind_h = independence_complex(h)
-        pure_h = ind_h.is_pure()
-        if pure_h:
-            sh_h, vd_h = _checked_verdicts(ind_h, cfg)
-        kh = h
-        for k in (2, 3):
-            instance = f"{k} copies of {h.to_json()}"
-            kh = disjoint_union(kh, h)
-            ind_kh = independence_complex(kh)
-            if not pure_h:
+    for g in _graphs_upto(nmax):
+        ind_g = independence_complex(g)
+        pure_g = ind_g.is_pure()
+        if pure_g:
+            sh_g, vd_g = _checked_verdicts(ind_g, cfg)
+        elif non_pure is None:
+            continue
+        for instance, ind in variants(g, ind_g):
+            if not pure_g:
+                pure = ind.is_pure()
                 records.append({
                     "instance": instance,
-                    "status": "fail" if ind_kh.is_pure() else "ok",
-                    "verdicts": {"pure_H": False, "pure_kH": ind_kh.is_pure()},
-                    "note": "non-pure counted as not shellable / not decomposable",
+                    "status": "fail" if pure else "ok",
+                    "verdicts": {pure_key[0]: False, pure_key[1]: pure},
+                    "note": non_pure,
                 })
-                continue
-            sh_k, vd_k = _checked_verdicts(ind_kh, cfg)
-            records.append({
-                "instance": instance,
-                "status": _status((sh_h, vd_h, sh_k, vd_k),
-                                  sh_h == sh_k and vd_h == vd_k),
-                "verdicts": {"shellable_H": sh_h, "shellable_kH": sh_k,
-                             "vd_H": vd_h, "vd_kH": vd_k},
-            })
-    return _assemble("main-a", cfg, records, started)
+            elif not ind.is_pure():
+                records.append({
+                    "instance": instance,
+                    "status": "fail",
+                    "verdicts": {pure_key[1]: False},
+                    "note": "product of well-covered factors must stay pure",
+                })
+            else:
+                sh, vd = _checked_verdicts(ind, cfg)
+                holds = vd == vd_g and (
+                    sh == sh_g if both_ways else sh_g != "yes" or sh == "yes")
+                records.append({
+                    "instance": instance,
+                    "status": _status((sh_g, vd_g, sh, vd), holds),
+                    "verdicts": {vd_key[0]: vd_g, vd_key[1]: vd,
+                                 sh_key[0]: sh_g, sh_key[1]: sh},
+                })
+    return _assemble(name, cfg, records, started, notes=notes)
+
+
+def suite_main_a(cfg: RunConfig) -> SuiteReport:
+    """Shellability/VD of Ind(kH) matches Ind(H) for k <= 3 disjoint copies."""
+
+    def copies(h: Graph, ind_h: Complex) -> Iterable[tuple[str, Complex]]:
+        kh = h
+        for k in (2, 3):
+            kh = disjoint_union(kh, h)
+            yield f"{k} copies of {h.to_json()}", independence_complex(kh)
+
+    return _transfer_suite(
+        "main-a", cfg, 4, copies, ("H", "kH"), both_ways=True,
+        non_pure="non-pure counted as not shellable / not decomposable")
 
 
 def suite_main_bc(cfg: RunConfig) -> SuiteReport:
@@ -355,37 +408,17 @@ def suite_main_bc(cfg: RunConfig) -> SuiteReport:
 
     Runs over every labeled well-covered G with n <= 5 and m in {2,3}.
     """
-    started = time.monotonic()
-    records: list[dict] = []
-    for g in _graphs_upto(5):
-        ind_g = independence_complex(g)
-        if not ind_g.is_pure():
-            continue
-        sh_g, vd_g = _checked_verdicts(ind_g, cfg)
+
+    def products(g: Graph, ind_g: Complex) -> Iterable[tuple[str, Complex]]:
         for m in (2, 3):
-            instance = f"{g.to_json()} lex K{m}"
-            prod = independence_complex(lex_product(g, complete(m)))
-            if not prod.is_pure():
-                records.append({
-                    "instance": instance,
-                    "status": "fail",
-                    "verdicts": {"pure_product": False},
-                    "note": "product of well-covered factors must stay pure",
-                })
-                continue
-            sh_p, vd_p = _checked_verdicts(prod, cfg)
-            records.append({
-                "instance": instance,
-                "status": _status((sh_g, vd_g, sh_p, vd_p),
-                                  vd_p == vd_g and (sh_g != "yes" or sh_p == "yes")),
-                "verdicts": {"vd_G": vd_g, "vd_product": vd_p,
-                             "shellable_G": sh_g, "shellable_product": sh_p},
-            })
-    return _assemble(
-        "main-bc", cfg, records, started,
+            yield (f"{g.to_json()} lex K{m}",
+                   independence_complex(lex_product(g, complete(m))))
+
+    return _transfer_suite(
+        "main-bc", cfg, 5, products, ("G", "product"), both_ways=False,
+        non_pure=None,
         notes=["decomposability transfer is only claimed for well-covered G; "
-               "other graphs are not instantiated"],
-    )
+               "other graphs are not instantiated"])
 
 
 def suite_nonshellable(cfg: RunConfig) -> SuiteReport:
@@ -406,7 +439,7 @@ def suite_nonshellable(cfg: RunConfig) -> SuiteReport:
                 "note": "non-pure counted as not shellable",
             })
             continue
-        sh = _search(ind, "shellable", cfg.timeout_s).verdict
+        sh = check(ind, "shellable", cfg).verdict
         records.append({"instance": instance, "status": _status((sh,), sh == "no"),
                         "verdicts": {"shellable": sh}})
     return _assemble(
@@ -424,35 +457,15 @@ def suite_expansion(cfg: RunConfig) -> SuiteReport:
     most one vertex per blob), not by Bron-Kerbosch on the expansion
     graph; the tests check the two agree.
     """
-    started = time.monotonic()
-    records: list[dict] = []
-    for g in _graphs_upto(5):
-        ind_g = independence_complex(g)
-        pure_g = ind_g.is_pure()
-        if pure_g:
-            sh_g, vd_g = _checked_verdicts(ind_g, cfg)
+
+    def expansions(g: Graph, ind_g: Complex) -> Iterable[tuple[str, Complex]]:
         desc = g.to_json()
         for s in itertools.product((1, 2), repeat=g.n):
-            instance = f"{desc} expand {list(s)}"
-            ind_s = expansion_complex(ind_g, s)
-            if not pure_g:
-                pure_s = ind_s.is_pure()
-                records.append({
-                    "instance": instance,
-                    "status": "fail" if pure_s else "ok",
-                    "verdicts": {"pure_G": False, "pure_expansion": pure_s},
-                    "note": "non-pure on both sides; decomposability not defined",
-                })
-                continue
-            sh_s, vd_s = _checked_verdicts(ind_s, cfg)
-            records.append({
-                "instance": instance,
-                "status": _status((sh_g, vd_g, sh_s, vd_s),
-                                  vd_s == vd_g and (sh_g != "yes" or sh_s == "yes")),
-                "verdicts": {"vd_G": vd_g, "vd_expansion": vd_s,
-                             "shellable_G": sh_g, "shellable_expansion": sh_s},
-            })
-    return _assemble("expansion", cfg, records, started)
+            yield f"{desc} expand {list(s)}", expansion_complex(ind_g, s)
+
+    return _transfer_suite(
+        "expansion", cfg, 5, expansions, ("G", "expansion"), both_ways=False,
+        non_pure="non-pure on both sides; decomposability not defined")
 
 
 def suite_circulant_product(cfg: RunConfig) -> SuiteReport:
@@ -524,23 +537,13 @@ def suite_paper_milestones(cfg: RunConfig) -> SuiteReport:
     def run_one(name: str, kind: str, expect: str) -> dict:
         if name not in inds:
             inds[name] = independence_complex(_milestone_graph(name))
-        d = inds[name]
-        if kind == "pure":
-            got = "yes" if d.is_pure() else "no"
-            stats = {}
-        elif kind in ("shellable", "vd"):
-            out = _search(d, kind, cfg.timeout_s)
-            got, stats = out.verdict, out.stats
-            cert = _write_cert(cfg, name, kind, out)
-            if cert:
-                stats = dict(stats, certificate=cert)
-        else:  # cm
-            got, _, counts = cm_verdict(d, cfg.face_cap, budget_s=cfg.timeout_s)
-            stats = {"cm": counts}
-        rec = {"instance": f"{name} {kind}", "status": _status((got,), got == expect),
-               "verdicts": {kind: got, "expected": expect}}
+        out = check(inds[name], kind, cfg, name)
+        stats = {k: v for k, v in out.stats.items() if k != "reason"}
+        rec = {"instance": f"{name} {kind}",
+               "status": _status((out.verdict,), out.verdict == expect),
+               "verdicts": {kind: out.verdict, "expected": expect}}
         if stats:
-            rec["stats"] = {k: v for k, v in stats.items() if k != "reason"}
+            rec["stats"] = {"cm": stats} if kind == "cm" else stats
         return rec
 
     member_checks = [("shellable", "yes"), ("vd", "no"), ("cm", "yes")]
@@ -581,38 +584,28 @@ def suite_chain(cfg: RunConfig) -> SuiteReport:
     Every yes verdict must survive its independent certificate verifier.
     """
     started = time.monotonic()
+    graphs = _graphs_upto(6)
     records = []
-    for g in _graphs_upto(6):
-        instance = g.to_json()
+    for g in graphs:
         ind = independence_complex(g)
-        if not ind.is_pure():
-            records.append({"instance": instance, "status": "skipped",
-                            "verdicts": {"pure": False}})
+        if not ind.is_pure():  # out of scope here, not missing coverage
             continue
-        vd = _search(ind, "vd", cfg.timeout_s).verdict
-        sh = _search(ind, "shellable", cfg.timeout_s).verdict
-        cm, _, _ = cm_verdict(ind, cfg.face_cap, budget_s=cfg.timeout_s)
+        vd = check(ind, "vd", cfg).verdict
+        sh = check(ind, "shellable", cfg).verdict
+        cm = check(ind, "cm", cfg).verdict
         verdicts = {"vd": vd, "shellable": sh, "cm": cm}
         holds = (vd != "yes" or sh == "yes") and (sh != "yes" or cm == "yes")
-        records.append({"instance": instance,
+        records.append({"instance": g.to_json(),
                         "status": _status(verdicts.values(), holds),
                         "verdicts": verdicts})
-    pure_records = [r for r in records if r["status"] != "skipped"]
-    counts = {
-        "pure": len(pure_records),
-        "vd": sum(1 for r in pure_records if r["verdicts"].get("vd") == "yes"),
-        "shellable": sum(
-            1 for r in pure_records if r["verdicts"].get("shellable") == "yes"),
-        "cm": sum(1 for r in pure_records if r["verdicts"].get("cm") == "yes"),
-    }
-    report = _assemble(
-        "chain", cfg, records, started,
+    counts = {"pure": len(records)}
+    for kind in ("vd", "shellable", "cm"):
+        counts[kind] = sum(1 for r in records if r["verdicts"][kind] == "yes")
+    return _assemble(
+        "chain", cfg, records, started, total=len(graphs),
         notes=[f"counts over pure complexes: {json.dumps(counts)}",
                "non-well-covered graphs are skipped (chain undefined)"],
     )
-    # skipped graphs are out of scope here, not missing coverage
-    report.skipped = []
-    return report
 
 
 def explore_family(s_min: int, s_max: int, cfg: RunConfig) -> SuiteReport:
@@ -631,24 +624,18 @@ def explore_family(s_min: int, s_max: int, cfg: RunConfig) -> SuiteReport:
         raise ValueError(f"C{4 * s_max} at s={s_max}: vertex count must be in 0..{MAX_VERTICES}")
     started = time.monotonic()
     budget = cfg.timeout_s if cfg.timeout_s is not None else FAMILY_DEFAULT_BUDGET_S
+    run = replace(cfg, timeout_s=budget)
     records = []
     for s in range(s_min, s_max + 1):
         spec = CirculantSpec(4 * s, (1, s, 2 * s))
         instance = spec.name
         ind = independence_complex(circulant(spec))
-        verdicts: dict[str, str] = {"pure": "yes" if ind.is_pure() else "no"}
+        verdicts = {"pure": check(ind, "pure", run).verdict}
         stats: dict[str, dict] = {}
         if verdicts["pure"] == "yes":
-            for kind in ("shellable", "vd"):
-                out = _search(ind, kind, budget)
-                verdicts[kind] = out.verdict
-                stats[kind] = dict(out.stats)
-                cert = _write_cert(cfg, instance, kind, out)
-                if cert:
-                    stats[kind]["certificate"] = cert
-            verdicts["cm"], reason, counts = cm_verdict(
-                ind, cfg.face_cap, budget_s=budget)
-            stats["cm"] = dict(counts, reason=reason) if reason else counts
+            for kind in ("shellable", "vd", "cm"):
+                out = check(ind, kind, run, instance)
+                verdicts[kind], stats[kind] = out.verdict, out.stats
         else:
             verdicts.update({"shellable": "not-pure", "vd": "not-pure",
                              "cm": "no"})

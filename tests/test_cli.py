@@ -307,6 +307,30 @@ def test_check_json_output(capsys):
     assert obj["verdict"] == "yes" and obj["kind"] == "pure"
 
 
+@pytest.mark.parametrize("kind", ["pure", "cm", "alpha", "homology"])
+def test_check_certificate_on_a_kind_without_one_writes_nothing(
+        capsys, tmp_path, kind):
+    plain = run(capsys, "check", kind, "C5(1)")
+    cert = tmp_path / "cert.json"
+    assert run(capsys, "check", kind, "C5(1)", "--certificate", str(cert)) == plain
+    assert plain[0] == 0 and not cert.exists()
+
+
+def test_check_json_shapes(capsys):
+    # pure has no stats; cm gives its reason beside its counts, while a
+    # search keeps its reason among its stats
+    code, out, _ = run(capsys, "check", "pure", "C5(1)", "--json")
+    assert code == 0 and "stats" not in json.loads(out)
+    code, out, _ = run(capsys, "check", "cm", "C16(1,4,8)", "--face-cap", "10", "--json")
+    obj = json.loads(out)
+    assert code == 2 and obj["verdict"] == "unknown"
+    assert "more than 10 faces" in obj["reason"] and "reason" not in obj["stats"]
+    code, out, _ = run(capsys, "check", "vd", "C20(1,5,10)", "--timeout", "0.01", "--json")
+    obj = json.loads(out)
+    assert code == 2 and obj["verdict"] == "unknown"
+    assert "reason" in obj["stats"] and "reason" not in obj
+
+
 # --- suite ------------------------------------------------------------------
 
 

@@ -4,6 +4,7 @@ import gc
 import itertools
 import json
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -153,6 +154,15 @@ def test_ind_of_an_edgeless_graph_past_the_recursion_limit():
 def test_flag_test_of_a_simplex_past_the_recursion_limit():
     # its 1-skeleton is one clique of 1,200 vertices
     assert Complex.from_facets(1200, [range(1200)]).is_flag is True
+
+
+def test_pivot_scan_stops_at_the_most_neighbours_possible():
+    # each of the 4,096 levels of the one clique ends its pivot scan at
+    # the first vertex of P; scanning all of P took about 10 s
+    started = time.monotonic()
+    assert independence_complex(edgeless(4096)).facet_masks == ((1 << 4096) - 1,)
+    assert Complex.from_facets(4096, [range(4096)]).is_flag is True
+    assert time.monotonic() - started < 3.0
 
 
 def test_ind_matches_subset_oracle_larger():

@@ -335,3 +335,44 @@ def test_alpha_product_stops_inside_the_scan_at_its_timeout():
     assert time.monotonic() - started < 5.0
     assert not report.passed and not report.failures
     assert [r["status"] for r in report.unknowns] == ["unknown"]
+
+
+
+K2 = '{"n": 2, "edges": [[0, 1]]}'
+P3 = '{"n": 3, "edges": [[0, 1], [1, 2]]}'  # Ind(P3) has facets {0, 2} and {1}
+
+
+def _record(instance, verdicts, note=None):
+    rec = {"instance": instance, "status": "ok", "verdicts": verdicts}
+    return rec if note is None else dict(rec, note=note)
+
+
+@pytest.mark.parametrize("suite, expected", [
+    ("main-a", [
+        _record(f"2 copies of {K2}", {"vd_H": "yes", "vd_kH": "yes",
+                                      "shellable_H": "yes", "shellable_kH": "yes"}),
+        *(_record(f"{k} copies of {P3}", {"pure_H": False, "pure_kH": False},
+                  "non-pure counted as not shellable / not decomposable")
+          for k in (2, 3))]),
+    ("main-bc", [
+        _record(f"{K2} lex K{m}", {"vd_G": "yes", "vd_product": "yes",
+                                   "shellable_G": "yes", "shellable_product": "yes"})
+        for m in (2, 3)]),
+    ("expansion", [
+        _record(f"{K2} expand [1, 2]", {"vd_G": "yes", "vd_expansion": "yes",
+                                        "shellable_G": "yes",
+                                        "shellable_expansion": "yes"}),
+        *(_record(f"{P3} expand {s}", {"pure_G": False, "pure_expansion": False},
+                  "non-pure on both sides; decomposability not defined")
+          for s in ([1, 1, 1], [2, 1, 2], [2, 2, 2]))]),
+])
+def test_transfer_suite_records(monkeypatch, suite, expected):
+    monkeypatch.setattr(suites, "labeled_graphs",
+                        lambda n: labeled_graphs(n) if n <= 3 else [])
+    report = run_suite(suite, RunConfig())
+    assert report.passed and not report.aggregated
+    by_instance = {r["instance"]: r for r in report.records}
+    for rec in expected:
+        assert by_instance[rec["instance"]] == rec
+    # main-bc instantiates well-covered G only
+    assert any(P3 in i for i in by_instance) == (suite != "main-bc")
