@@ -14,7 +14,7 @@ from .checkers import (
     verify_shelling,
     vertex_decomposition,
 )
-from .complexes import Complex, alpha, deletion, independence_complex, link
+from .complexes import Complex, alpha, independence_complex
 from .graphs import (
     CirculantSpec,
     Graph,
@@ -55,7 +55,6 @@ __all__ = [
     "circulant_lex_connection",
     "complete",
     "cycle",
-    "deletion",
     "disjoint_union",
     "edgeless",
     "expansion",
@@ -63,7 +62,6 @@ __all__ = [
     "independence_complex",
     "is_cohen_macaulay",
     "lex_product",
-    "link",
     "reduced_homology",
     "run_suite",
     "shelling",

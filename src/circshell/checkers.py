@@ -98,6 +98,9 @@ def shed_tree_from_obj(obj: dict) -> ShedTree:
         if kind not in ("simplex", "void", "empty-face"):
             raise ValueError(f"unknown leaf kind {kind!r}")
         return ShedLeaf(kind)
+    if not obj.keys() >= {"shed", "del", "link"}:
+        raise ValueError("a shed tree node needs the keys 'shed', 'del' and 'link' "
+                         f"(a leaf needs 'leaf'), got {sorted(obj)}")
     if not _is_int(obj["shed"]):
         raise ValueError(f"shed vertex must be an int, got {obj['shed']!r}")
     return ShedNode(

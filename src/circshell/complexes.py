@@ -29,13 +29,6 @@ from .kernels import _DEADLINE_PROBE, BudgetError
 from .graphs import MAX_VERTICES, Graph, _is_int
 
 
-def _mask_of(face: Iterable[int]) -> int:
-    m = 0
-    for v in face:
-        m |= 1 << v
-    return m
-
-
 def _tuple_of(mask: int) -> tuple[int, ...]:
     out = []
     while mask:
@@ -104,11 +97,6 @@ def _from_masks(n: int, masks: Iterable[int]) -> "Complex":
     construction; outside input goes through ``Complex.from_facets``.
     """
     return Complex(n, tuple(_canonical(n, masks)))
-
-
-def _maximal(masks: list[int]) -> set[int]:
-    """The distinct masks of ``masks`` contained in no other."""
-    return {m for m in masks if not any(m != o and (m | o) == o for o in masks)}
 
 
 def _near(n: int, masks: Iterable[int]) -> list[int]:
@@ -285,17 +273,6 @@ class Complex:
         ms = self.facet_masks  # by size: the smallest facet first, the largest last
         return not ms or ms[0].bit_count() == ms[-1].bit_count()
 
-    def has_face(self, face: Iterable[int]) -> bool:
-        m = _mask_of(face)
-        return any((m | fm) == fm for fm in self.facet_masks)
-
-    def vertices(self) -> tuple[int, ...]:
-        """Vertices actually used by some face (not the ambient range)."""
-        m = 0
-        for fm in self.facet_masks:
-            m |= fm
-        return _tuple_of(m)
-
     def face_levels(
         self, top: int, cap: int | None = None, deadline: float | None = None
     ) -> Iterator[set[int]]:
@@ -416,25 +393,3 @@ def alpha(g: Graph, *, deadline: float | None = None) -> int:
     :class:`BudgetError` once ``time.monotonic()`` passes ``deadline``.
     """
     return kernels.alpha(g.n, list(g.adjacency_masks), deadline=deadline)
-
-
-def link(d: Complex, face: Iterable[int]) -> Complex:
-    """Link of ``face``: facets are ``F - face`` over facets ``F`` containing it."""
-    m = _mask_of(face)
-    # facets containing a common face have distinct, incomparable remainders
-    trimmed = [fm & ~m for fm in d.facet_masks if (m | fm) == fm]
-    if not trimmed:
-        raise ValueError(f"{_tuple_of(m)} is not a face of the complex")
-    return _from_masks(d.n, trimmed)
-
-
-def deletion(d: Complex, v: int) -> Complex:
-    """Deletion of vertex ``v``: all faces avoiding ``v``, re-maximalised.
-
-    Facets that contained ``v`` shrink and may or may not stay maximal,
-    so the facet family is recomputed rather than filtered.
-    """
-    if not (0 <= v < d.n):
-        raise ValueError(f"vertex {v} out of range for n={d.n}")
-    vbit = 1 << v
-    return _from_masks(d.n, _maximal([fm & ~vbit for fm in d.facet_masks]))

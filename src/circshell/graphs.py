@@ -122,7 +122,7 @@ class CirculantSpec:
             raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {self.n}")
         folded = set()
         for d in self.shifts:
-            d = d % self.n if self.n else 0
+            d = d % self.n
             d = min(d, self.n - d)
             if d:
                 folded.add(d)

@@ -3,8 +3,8 @@
 Betti numbers are ranks over the rationals, obtained from integer
 Smith normal forms of the boundary matrices (exact arithmetic, no
 floating point); torsion invariant factors are reported alongside.
-Every face list, boundary matrix and Reisner walk comes from one walk
-over vertex bitmasks, ``Complex.face_levels``, with one face cap; a
+Every boundary matrix and Reisner walk comes from one walk over
+vertex bitmasks, ``Complex.face_levels``, with one face cap; a
 boundary matrix indexes faces by mask and signs an entry by the number
 of face vertices below the dropped one.
 
@@ -28,12 +28,11 @@ integer ranks by Smith normal form on the link's ``BoundaryMatrix``.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass
 
-# re-exported: all_faces and the budgeted kernels raise them
+# re-exported: the face walks and the budgeted kernels raise them
 from .complexes import BudgetError, FaceLimitError
 from .complexes import (_DEADLINE_PROBE, Complex, _canonical, _check_deadline,
                         _from_masks, _least_image)
@@ -62,23 +61,6 @@ class HomologyProfile:
             "betti": {str(i): b for i, b in sorted(self.betti.items())},
             "torsion": {str(i): list(t) for i, t in sorted(self.torsion.items())},
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj())
-
-
-def all_faces(
-    d: Complex, cap: int = DEFAULT_FACE_CAP, deadline: float | None = None
-) -> list[int]:
-    """All faces of ``d`` as ascending bitmasks (the empty face included).
-
-    Raises :class:`FaceLimitError` once more than ``cap`` faces appear,
-    and :class:`BudgetError` once ``time.monotonic()`` passes ``deadline``.
-    """
-    if d.is_void:
-        return []
-    return sorted(m for level in d.face_levels(d.dim + 1, cap, deadline)
-                  for m in level)
 
 
 def boundary_matrices(

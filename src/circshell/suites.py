@@ -538,12 +538,11 @@ def suite_paper_milestones(cfg: RunConfig) -> SuiteReport:
         if name not in inds:
             inds[name] = independence_complex(_milestone_graph(name))
         out = check(inds[name], kind, cfg, name)
-        stats = {k: v for k, v in out.stats.items() if k != "reason"}
         rec = {"instance": f"{name} {kind}",
                "status": _status((out.verdict,), out.verdict == expect),
                "verdicts": {kind: out.verdict, "expected": expect}}
-        if stats:
-            rec["stats"] = {"cm": stats} if kind == "cm" else stats
+        if out.stats:
+            rec["stats"] = {"cm": out.stats} if kind == "cm" else out.stats
         return rec
 
     member_checks = [("shellable", "yes"), ("vd", "no"), ("cm", "yes")]

@@ -10,10 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from circshell import complexes
+from circshell import Graph
 from circshell.checkers import ShedLeaf, ShedNode
-from circshell.complexes import Complex
-from circshell.graphs import Graph
 
 
 def independent_sets(g: Graph) -> list[frozenset[int]]:
@@ -159,40 +157,39 @@ def vd_naive(facets) -> bool:
     return False
 
 
-def shed_tree_ok_naive(d: Complex, t) -> bool:
-    """Whether ``t`` is a shed tree of ``d``, on ``Complex`` objects.
+def shed_tree_ok_naive(facets, t) -> bool:
+    """Whether ``t`` is a shed tree of the complex with these facets,
+    straight from Provan-Billera's definition on frozensets, as
+    ``vd_naive`` works.
 
-    At each node the deletion and link come from ``complexes.deletion``
-    and ``complexes.link``, which rebuild the complex (re-maximalising
-    the deletion);
-    the node must be pure and contain the vertex, the deletion must be
-    pure of the same dimension and the link pure.  Malformed trees are
-    rejected rather than raising.
+    A leaf must name the complex: void (no faces), the empty face alone,
+    or a simplex (one facet).  A node's complex must be pure and its
+    vertex x must lie in a facet; the deletion (the maximal sets among
+    the F - x) must be pure of the same dimension and the link (the F - x
+    with x in F) pure, and the subtrees must be shed trees of them.
+    Malformed trees are rejected rather than raising.
     """
-    try:
-        return _shed_tree_ok(d, t)
-    except (ValueError, RecursionError):
-        return False
-
-
-def _shed_tree_ok(d: Complex, t) -> bool:
+    fs = {frozenset(f) for f in facets}
     if isinstance(t, ShedLeaf):
         if t.kind == "void":
-            return d.is_void
+            return not fs
         if t.kind == "empty-face":
-            return d.facets == ((),)
+            return fs == {frozenset()}
         if t.kind == "simplex":
-            return len(d.facets) == 1
+            return len(fs) == 1
         return False
     if not isinstance(t, ShedNode):
         return False
-    if not d.is_pure() or not d.has_face((t.vertex,)):
+    x = t.vertex
+    sizes = {len(f) for f in fs}
+    if len(sizes) != 1 or not any(x in f for f in fs):
         return False
-    del_ = complexes.deletion(d, t.vertex)
-    link_ = complexes.link(d, (t.vertex,))
-    if not del_.is_pure() or del_.dim != d.dim or not link_.is_pure():
+    trimmed = {f - {x} for f in fs}
+    deletion = {f for f in trimmed if not any(f < g for g in trimmed)}
+    link = {f - {x} for f in fs if x in f}
+    if {len(f) for f in deletion} != sizes or len({len(f) for f in link}) != 1:
         return False
-    return _shed_tree_ok(del_, t.deletion) and _shed_tree_ok(link_, t.link)
+    return shed_tree_ok_naive(deletion, t.deletion) and shed_tree_ok_naive(link, t.link)
 
 
 def shed_order_naive(family: list[int], t) -> list[int]:

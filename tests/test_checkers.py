@@ -586,6 +586,14 @@ def test_vd_certificate_round_trip():
     assert obj["shed"] == 0 and "del" in obj and "link" in obj
 
 
+def test_a_shed_tree_node_missing_a_key_is_a_value_error():
+    void = {"leaf": "void"}
+    for obj in ({"shed": 0}, {}, {"shed": 0, "del": void},
+                {"shed": 0, "del": void, "link": {"shed": 1, "link": void}}):
+        with pytest.raises(ValueError, match="needs the keys 'shed', 'del' and 'link'"):
+            certificate_from_json(json.dumps(obj))
+
+
 def test_verify_shed_tree_rejects_wrong_trees():
     d = _ind_c5()
     good = vertex_decomposition(d).certificate
@@ -672,7 +680,7 @@ def test_verify_shed_tree_matches_the_complex_based_oracle():
         certified += 1
         index = {m: i for i, m in enumerate(d.facet_masks)}
         for t in [out.certificate, *_mutants(out.certificate, d.n, rng)]:
-            want = oracles.shed_tree_ok_naive(d, t)
+            want = oracles.shed_tree_ok_naive(d.facets, t)
             assert verify_shed_tree(d, t) is want, (d, t)
             cert = shelling_from_shed_tree(d, t)
             assert (cert is not None) is want, (d, t)
@@ -683,6 +691,20 @@ def test_verify_shed_tree_matches_the_complex_based_oracle():
             seen[want] += 1
     assert certified == 339
     assert seen[True] > certified and seen[False] > 0
+
+
+def test_shed_tree_oracle_remaximalises_the_deletion():
+    # the hollow triangle, which is not flag: shedding 0 trims 01 and 02
+    # to the points 1 and 2, which 12 swallows, so the deletion is the
+    # edge 12, of the triangle's dimension; the link is the points 1, 2
+    d = Complex.from_facets(3, [(0, 1), (0, 2), (1, 2)])
+    simplex = ShedLeaf("simplex")
+    good = ShedNode(0, simplex, ShedNode(1, simplex, ShedLeaf("empty-face")))
+    assert oracles.shed_tree_ok_naive(d.facets, good) and verify_shed_tree(d, good)
+    # the link has two facets, so it is no simplex
+    bad = ShedNode(0, simplex, simplex)
+    assert not oracles.shed_tree_ok_naive(d.facets, bad)
+    assert not verify_shed_tree(d, bad)
 
 
 # --- shellable but not vertex-decomposable ---------------------------------------

@@ -196,6 +196,10 @@ def test_check_verify_only_rejects_the_other_kind_of_certificate(
     assert message in err
 
 
+# shed tree nodes that lack a key
+_NODES_MISSING_KEYS = [{"shed": 0}, {}]
+
+
 @pytest.mark.parametrize("kind, desc, cert_obj", [
     ("shellable", "C4(1)", [1, 2]),
     ("vd", "C4(1)", [1, 2]),
@@ -208,6 +212,7 @@ def test_check_verify_only_rejects_the_other_kind_of_certificate(
                      "link": {"leaf": "void"}}),
     ("vd", "C4(1)", {"shed": 10000000000000, "del": {"leaf": "void"},
                      "link": {"leaf": "void"}}),
+    *[("vd", "C5(1)", obj) for obj in _NODES_MISSING_KEYS],
 ])
 def test_check_verify_only_refuses_a_malformed_certificate(
         capsys, tmp_path, kind, desc, cert_obj):
@@ -216,6 +221,8 @@ def test_check_verify_only_refuses_a_malformed_certificate(
     code, out, err = run(capsys, "check", kind, desc, "--verify-only", str(cert))
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+    if cert_obj in _NODES_MISSING_KEYS:
+        assert "needs the keys 'shed', 'del' and 'link'" in err
 
 
 def test_check_verify_only_refuses_a_shed_tree_nested_past_the_recursion_limit(

@@ -1,4 +1,4 @@
-"""Simplicial complexes, independence complexes, links, and deletions."""
+"""Simplicial complexes, independence complexes and their face walks."""
 
 import gc
 import itertools
@@ -15,10 +15,8 @@ from circshell.complexes import (
     Complex,
     _tuple_of,
     alpha,
-    deletion,
     expansion_complex,
     independence_complex,
-    link,
 )
 from circshell.graphs import (CirculantSpec, Graph, circulant, complete, cycle, edgeless,
                               expansion)
@@ -95,8 +93,8 @@ def test_f_vector_and_faces():
     d = Complex.from_facets(4, [(0, 1), (1, 2), (3,)])
     # faces: {}, 0, 1, 2, 3, 01, 12
     assert d.f_vector() == {-1: 1, 0: 4, 1: 2}
-    assert d.has_face((0, 1)) and d.has_face(()) and not d.has_face((0, 2))
-    assert d.vertices() == (0, 1, 2, 3)
+    faces = {m for level in d.face_levels(d.dim + 1) for m in level}
+    assert faces == {0b11, 0b110, 0b1, 0b10, 0b100, 0b1000, 0}
 
 
 def test_json_round_trip():
@@ -289,35 +287,3 @@ def test_purity_equivalence_exhaustive_n4():
 @given(graphs_strategy(5))
 def test_purity_equivalence_sampled(g):
     assert independence_complex(g).is_pure() == _well_covered_naive(g)
-
-
-# --- links and deletions -----------------------------------------------------
-
-
-def test_link_examples():
-    d = independence_complex(cycle(5))
-    assert link(d, (0,)).facets == ((2,), (3,))
-    assert link(d, ()) == d
-    assert link(d, (0, 2)).facets == ((),)
-
-
-def test_link_rejects_non_face():
-    d = independence_complex(cycle(5))
-    with pytest.raises(ValueError):
-        link(d, (0, 1))
-
-
-def test_deletion_examples():
-    d = independence_complex(cycle(5))
-    assert deletion(d, 0).facets == ((1, 3), (1, 4), (2, 4))
-    # deleting the only vertex of a point leaves the empty-face complex
-    point = Complex.from_facets(1, [(0,)])
-    assert deletion(point, 0).facets == ((),)
-    with pytest.raises(ValueError):
-        deletion(d, 5)
-
-
-def test_deletion_remaximalizes():
-    d = Complex.from_facets(3, [(0, 1), (1, 2)])
-    # dropping 2 trims (1,2) to (1,), swallowed by (0,1)
-    assert deletion(d, 2).facets == ((0, 1),)

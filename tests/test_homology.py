@@ -18,7 +18,6 @@ from circshell.homology import (
     BoundaryMatrix,
     BudgetError,
     FaceLimitError,
-    all_faces,
     boundary_matrices,
     cm_verdict,
     exact_rank,
@@ -61,11 +60,6 @@ def complexes_strategy(nmax=5):
 # --- faces and boundary matrices ---------------------------------------------
 
 
-def test_all_faces_counts():
-    d = Complex.from_facets(3, [(0, 1, 2)])
-    assert len(all_faces(d)) == 8  # every subset including the empty face
-
-
 def test_face_walk_matches_the_naive_oracle():
     # every Ind(G) with n <= 5, non-pure ones included: the walk's smaller
     # facets join it at their own size
@@ -75,7 +69,8 @@ def test_face_walk_matches_the_naive_oracle():
     assert sum(not d.is_pure() for d in cases) == 713
     for d in cases:
         faces = oracles.faces_naive(d.facets)
-        assert all_faces(d) == sorted(sum(1 << v for v in f) for f in faces), d
+        walked = [m for level in d.face_levels(d.dim + 1) for m in level]
+        assert sorted(walked) == sorted(sum(1 << v for v in f) for f in faces), d
         by_dim = {}
         for f in sorted(faces):
             by_dim.setdefault(len(f) - 1, []).append(f)
@@ -87,7 +82,7 @@ def test_face_walk_matches_the_naive_oracle():
 def test_face_cap_enforced():
     d = independence_complex(complete(4))
     with pytest.raises(FaceLimitError):
-        all_faces(d, cap=3)
+        list(d.face_levels(d.dim + 1, cap=3))
 
 
 def _assert_boundary_squared_zero(d):
@@ -230,7 +225,7 @@ def test_face_enumeration_honours_a_passed_deadline():
     d = independence_complex(circulant(CirculantSpec.parse("C24(1,6,12)")))
     passed = time.monotonic() - 1.0
     with pytest.raises(BudgetError):
-        all_faces(d, deadline=passed)
+        list(d.face_levels(d.dim + 1, deadline=passed))
     with pytest.raises(BudgetError):
         boundary_matrices(d, deadline=passed)
     # The walk of the largest faces comes before the first link.  Past
@@ -414,14 +409,14 @@ def test_cm_walks_only_faces_below_the_ridges():
         if not d.is_pure() or d.dim < 1:
             continue
         k = d.dim + 1
-        want = [m for m in sorted(all_faces(d), key=lambda m: -m.bit_count())
-                if m.bit_count() <= k - 2]
+        want = sorted((m for level in d.face_levels(k) for m in level
+                       if m.bit_count() <= k - 2), key=lambda m: (-m.bit_count(), m))
         levels = [sorted(level) for level in d.face_levels(k - 2)]
         assert [m for level in levels for m in level] == want, d
     # the cap counts faces walked: Ind(C5) has 11 faces, of which only
     # the empty face has a link of dimension >= 1
     d = independence_complex(cycle(5))
-    assert len(all_faces(d)) == 11
+    assert sum(map(len, d.face_levels(d.dim + 1))) == 11
     assert cm_verdict(d, cap=1)[0] == "yes"
     verdict, reason, _ = cm_verdict(d, cap=0)
     assert verdict == "unknown" and "more than 0 faces" in reason

@@ -179,6 +179,18 @@ def test_family_records_the_cm_face_cap_reason():
     assert rec["stats"]["cm"]["links"] == 0  # stopped in the face walk
 
 
+def test_milestones_record_the_cm_face_cap_reason():
+    report = suite_paper_milestones(RunConfig(face_cap=10))
+    rec = next(r for r in report.records if r["instance"] == "C16(1,4,8)[K2] cm")
+    assert rec["status"] == "unknown" and rec["verdicts"]["cm"] == "unknown"
+    assert "more than 10 faces" in rec["stats"]["cm"]["reason"]
+    assert rec["stats"]["cm"]["links"] == 0  # stopped in the face walk
+    # a default run settles every milestone, so no record carries a reason
+    for rec in suite_paper_milestones(RunConfig()).records:
+        stats = rec.get("stats", {})
+        assert "reason" not in stats.get("cm", stats), rec
+
+
 def test_family_s7_finishes_within_its_budget(tmp_path):
     limit = sys.getrecursionlimit()
     report = explore_family(7, 7, RunConfig(timeout_s=1.0, out_dir=str(tmp_path)))
