@@ -18,6 +18,10 @@ a record's verdicts into its status: a rejected certificate fails the
 record even when another verdict is ``unknown``.  ``main-a``,
 ``main-bc`` and ``expansion`` are one loop, :func:`_transfer_suite`,
 over different constructions.
+
+Suites yield their records, and past ``RECORD_CAP`` instances a report
+lists only failures, unknowns and skipped records; :func:`_collect`
+never holds more than ``RECORD_CAP`` ``ok`` records in memory.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import re
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Collection, Iterable
+from typing import Callable, Collection, Iterable, Iterator
 
 from . import checkers, kernels
 from .checkers import shelling, vertex_decomposition
@@ -47,7 +51,7 @@ from .graphs import (
 )
 from .homology import DEFAULT_FACE_CAP, cm_verdict
 
-RECORD_CAP = 2000  # past this many instances, reports keep only exceptions
+RECORD_CAP = 2000  # past this many instances a suite keeps only non-ok records
 
 TOPP_VOLKMANN_SAMPLES = 200  # seeded pairs touching 5-vertex factors
 
@@ -117,21 +121,37 @@ class SuiteReport:
         return json.dumps(self.to_obj(), indent=2)
 
 
+def _collect(records: Iterable[dict]) -> tuple[int, list[dict]]:
+    """Count a stream of records, keeping every failure, unknown and
+    skipped record, but ``ok`` records only while the count is within
+    ``RECORD_CAP``: no more than that many of them are ever held."""
+    count, kept = 0, []
+    for rec in records:
+        count += 1
+        if count == RECORD_CAP + 1:
+            kept = [r for r in kept if r["status"] != "ok"]
+        if count <= RECORD_CAP or rec["status"] != "ok":
+            kept.append(rec)
+    return count, kept
+
+
 def _assemble(
     name: str,
     cfg: RunConfig,
-    records: list[dict],
+    records: Iterable[dict],
     started: float,
     *,
     budgeted: bool = False,
     notes: Iterable[str] = (),
     total: int | None = None,
 ) -> SuiteReport:
-    records = sorted(records, key=lambda r: r["instance"])
+    """The report of a stream of records, ``total`` instances if given."""
+    count, records = _collect(records)
+    records.sort(key=lambda r: r["instance"])
     failures = [r for r in records if r["status"] == "fail"]
     unknowns = [r for r in records if r["status"] == "unknown"]
     skipped = [r for r in records if r["status"] == "skipped"]
-    count = total if total is not None else len(records)
+    count = total if total is not None else count
     aggregated = count > RECORD_CAP
     return SuiteReport(
         suite=name,
@@ -165,11 +185,11 @@ def labeled_graphs(n: int) -> list[Graph]:
     return out
 
 
-def _graphs_upto(nmax: int) -> list[Graph]:
-    gs: list[Graph] = []
+def _graphs_upto(nmax: int) -> Iterator[Graph]:
     for n in range(1, nmax + 1):
-        gs.extend(labeled_graphs(n))
-    return gs
+        gs = labeled_graphs(n)[::-1]
+        while gs:  # popped, so that what a suite caches on a graph goes with it
+            yield gs.pop()
 
 
 def _random_graph(rng: random.Random, n: int) -> Graph:
@@ -281,25 +301,27 @@ def suite_topp_volkmann(cfg: RunConfig) -> SuiteReport:
     plus seeded random pairs involving 5-vertex factors.
     """
     started = time.monotonic()
-    gs = _graphs_upto(4)
-    purity = [independence_complex(g).is_pure() for g in gs]
-    pairs: list[tuple[str, Graph, Graph, bool, bool]] = []
-    for (g, pg), (h, ph) in itertools.product(zip(gs, purity), repeat=2):
-        pairs.append((f"{g.to_json()} lex {h.to_json()}", g, h, pg, ph))
-    for instance, g, h in topp_volkmann_samples(cfg.seed):
-        pg = independence_complex(g).is_pure()
-        ph = independence_complex(h).is_pure()
-        pairs.append((instance, g, h, pg, ph))
-    records = []
-    for instance, g, h, pg, ph in pairs:
-        pp = independence_complex(lex_product(g, h)).is_pure()
-        records.append({
-            "instance": instance,
-            "status": "ok" if pp == (pg and ph) else "fail",
-            "verdicts": {"pure_product": pp, "pure_G": pg, "pure_H": ph},
-        })
+    factors = [(g, independence_complex(g).is_pure()) for g in _graphs_upto(4)]
+
+    def pairs() -> Iterator[tuple[str, Graph, Graph, bool, bool]]:
+        for (g, pg), (h, ph) in itertools.product(factors, repeat=2):
+            yield f"{g.to_json()} lex {h.to_json()}", g, h, pg, ph
+        for instance, g, h in topp_volkmann_samples(cfg.seed):
+            pg = independence_complex(g).is_pure()
+            ph = independence_complex(h).is_pure()
+            yield instance, g, h, pg, ph
+
+    def records() -> Iterator[dict]:
+        for instance, g, h, pg, ph in pairs():
+            pp = independence_complex(lex_product(g, h)).is_pure()
+            yield {
+                "instance": instance,
+                "status": "ok" if pp == (pg and ph) else "fail",
+                "verdicts": {"pure_product": pp, "pure_G": pg, "pure_H": ph},
+            }
+
     return _assemble(
-        "topp-volkmann", cfg, records, started,
+        "topp-volkmann", cfg, records(), started,
         notes=[f"exhaustive pairs n<=4 plus {TOPP_VOLKMANN_SAMPLES} seeded "
                f"samples at n=5 (seed={cfg.seed})"],
     )
@@ -308,7 +330,7 @@ def suite_topp_volkmann(cfg: RunConfig) -> SuiteReport:
 def suite_alpha_product(cfg: RunConfig) -> SuiteReport:
     """alpha(G[H]) = alpha(G) * alpha(H) over all ordered pairs, n <= 5."""
     started = time.monotonic()
-    gs = _graphs_upto(5)
+    gs = list(_graphs_upto(5))
     ns = [g.n for g in gs]
     adjs = [list(g.adjacency_masks) for g in gs]
     deadline = started + cfg.timeout_s if cfg.timeout_s is not None else None
@@ -352,41 +374,43 @@ def _transfer_suite(
     started = time.monotonic()
     vd_key, sh_key, pure_key = (
         [f"{p}_{t}" for t in tags] for p in ("vd", "shellable", "pure"))
-    records: list[dict] = []
-    for g in _graphs_upto(nmax):
-        ind_g = independence_complex(g)
-        pure_g = ind_g.is_pure()
-        if pure_g:
-            sh_g, vd_g = _checked_verdicts(ind_g, cfg)
-        elif non_pure is None:
-            continue
-        for instance, ind in variants(g, ind_g):
-            if not pure_g:
-                pure = ind.is_pure()
-                records.append({
-                    "instance": instance,
-                    "status": "fail" if pure else "ok",
-                    "verdicts": {pure_key[0]: False, pure_key[1]: pure},
-                    "note": non_pure,
-                })
-            elif not ind.is_pure():
-                records.append({
-                    "instance": instance,
-                    "status": "fail",
-                    "verdicts": {pure_key[1]: False},
-                    "note": "product of well-covered factors must stay pure",
-                })
-            else:
-                sh, vd = _checked_verdicts(ind, cfg)
-                holds = vd == vd_g and (
-                    sh == sh_g if both_ways else sh_g != "yes" or sh == "yes")
-                records.append({
-                    "instance": instance,
-                    "status": _status((sh_g, vd_g, sh, vd), holds),
-                    "verdicts": {vd_key[0]: vd_g, vd_key[1]: vd,
-                                 sh_key[0]: sh_g, sh_key[1]: sh},
-                })
-    return _assemble(name, cfg, records, started, notes=notes)
+
+    def records() -> Iterator[dict]:
+        for g in _graphs_upto(nmax):
+            ind_g = independence_complex(g)
+            pure_g = ind_g.is_pure()
+            if pure_g:
+                sh_g, vd_g = _checked_verdicts(ind_g, cfg)
+            elif non_pure is None:
+                continue
+            for instance, ind in variants(g, ind_g):
+                if not pure_g:
+                    pure = ind.is_pure()
+                    yield {
+                        "instance": instance,
+                        "status": "fail" if pure else "ok",
+                        "verdicts": {pure_key[0]: False, pure_key[1]: pure},
+                        "note": non_pure,
+                    }
+                elif not ind.is_pure():
+                    yield {
+                        "instance": instance,
+                        "status": "fail",
+                        "verdicts": {pure_key[1]: False},
+                        "note": "product of well-covered factors must stay pure",
+                    }
+                else:
+                    sh, vd = _checked_verdicts(ind, cfg)
+                    holds = vd == vd_g and (
+                        sh == sh_g if both_ways else sh_g != "yes" or sh == "yes")
+                    yield {
+                        "instance": instance,
+                        "status": _status((sh_g, vd_g, sh, vd), holds),
+                        "verdicts": {vd_key[0]: vd_g, vd_key[1]: vd,
+                                     sh_key[0]: sh_g, sh_key[1]: sh},
+                    }
+
+    return _assemble(name, cfg, records(), started, notes=notes)
 
 
 def suite_main_a(cfg: RunConfig) -> SuiteReport:
@@ -427,23 +451,25 @@ def suite_nonshellable(cfg: RunConfig) -> SuiteReport:
     gs = [g for g in _graphs_upto(4) if any(g.adjacency_masks)]
     hs = [h for h in _graphs_upto(4)
           if sum(m.bit_count() for m in h.adjacency_masks) < h.n * (h.n - 1)]
-    records = []
-    for g, h in itertools.product(gs, hs):
-        instance = f"{g.to_json()} lex {h.to_json()}"
-        ind = independence_complex(lex_product(g, h))
-        if not ind.is_pure():
-            records.append({
-                "instance": instance,
-                "status": "ok",
-                "verdicts": {"shellable": "not-pure"},
-                "note": "non-pure counted as not shellable",
-            })
-            continue
-        sh = check(ind, "shellable", cfg).verdict
-        records.append({"instance": instance, "status": _status((sh,), sh == "no"),
-                        "verdicts": {"shellable": sh}})
+
+    def records() -> Iterator[dict]:
+        for g, h in itertools.product(gs, hs):
+            instance = f"{g.to_json()} lex {h.to_json()}"
+            ind = independence_complex(lex_product(g, h))
+            if not ind.is_pure():
+                yield {
+                    "instance": instance,
+                    "status": "ok",
+                    "verdicts": {"shellable": "not-pure"},
+                    "note": "non-pure counted as not shellable",
+                }
+                continue
+            sh = check(ind, "shellable", cfg).verdict
+            yield {"instance": instance, "status": _status((sh,), sh == "no"),
+                   "verdicts": {"shellable": sh}}
+
     return _assemble(
-        "nonshellable", cfg, records, started,
+        "nonshellable", cfg, records(), started,
         notes=["non-pure complexes counted as not shellable"],
     )
 
@@ -477,16 +503,18 @@ def suite_circulant_product(cfg: RunConfig) -> SuiteReport:
         for r in range(len(half) + 1):
             for sub in itertools.combinations(half, r):
                 specs.append(CirculantSpec(n, sub))
-    records = []
-    for a, b in itertools.product(specs, specs):
-        conn = circulant_lex_connection(a, b)
-        ok = circulant(conn) == lex_product(circulant(a), circulant(b))
-        records.append({
-            "instance": f"{a.name} lex {b.name}",
-            "status": "ok" if ok else "fail",
-            "verdicts": {"connection_set": conn.name, "edge_equal": ok},
-        })
-    return _assemble("circulant-product", cfg, records, started)
+
+    def records() -> Iterator[dict]:
+        for a, b in itertools.product(specs, specs):
+            conn = circulant_lex_connection(a, b)
+            ok = circulant(conn) == lex_product(circulant(a), circulant(b))
+            yield {
+                "instance": f"{a.name} lex {b.name}",
+                "status": "ok" if ok else "fail",
+                "verdicts": {"connection_set": conn.name, "edge_equal": ok},
+            }
+
+    return _assemble("circulant-product", cfg, records(), started)
 
 
 # --- paper-milestones ------------------------------------------------------
@@ -581,27 +609,34 @@ def suite_chain(cfg: RunConfig) -> SuiteReport:
     """VD => shellable => Cohen-Macaulay over all pure Ind(G), n <= 6.
 
     Every yes verdict must survive its independent certificate verifier.
+    The graphs and the yes verdicts are tallied as the records go by.
     """
     started = time.monotonic()
-    graphs = _graphs_upto(6)
-    records = []
-    for g in graphs:
-        ind = independence_complex(g)
-        if not ind.is_pure():  # out of scope here, not missing coverage
-            continue
-        vd = check(ind, "vd", cfg).verdict
-        sh = check(ind, "shellable", cfg).verdict
-        cm = check(ind, "cm", cfg).verdict
-        verdicts = {"vd": vd, "shellable": sh, "cm": cm}
-        holds = (vd != "yes" or sh == "yes") and (sh != "yes" or cm == "yes")
-        records.append({"instance": g.to_json(),
-                        "status": _status(verdicts.values(), holds),
-                        "verdicts": verdicts})
-    counts = {"pure": len(records)}
-    for kind in ("vd", "shellable", "cm"):
-        counts[kind] = sum(1 for r in records if r["verdicts"][kind] == "yes")
+    graphs = 0
+    counts = dict.fromkeys(("pure", "vd", "shellable", "cm"), 0)
+
+    def records() -> Iterator[dict]:
+        nonlocal graphs
+        for g in _graphs_upto(6):
+            graphs += 1
+            ind = independence_complex(g)
+            if not ind.is_pure():  # out of scope here, not missing coverage
+                continue
+            vd = check(ind, "vd", cfg).verdict
+            sh = check(ind, "shellable", cfg).verdict
+            cm = check(ind, "cm", cfg).verdict
+            verdicts = {"vd": vd, "shellable": sh, "cm": cm}
+            holds = (vd != "yes" or sh == "yes") and (sh != "yes" or cm == "yes")
+            counts["pure"] += 1
+            for kind, verdict in verdicts.items():
+                counts[kind] += verdict == "yes"
+            yield {"instance": g.to_json(),
+                   "status": _status(verdicts.values(), holds),
+                   "verdicts": verdicts}
+
+    _, kept = _collect(records())  # the total and counts are known only now
     return _assemble(
-        "chain", cfg, records, started, total=len(graphs),
+        "chain", cfg, kept, started, total=graphs,
         notes=[f"counts over pure complexes: {json.dumps(counts)}",
                "non-well-covered graphs are skipped (chain undefined)"],
     )

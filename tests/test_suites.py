@@ -3,6 +3,7 @@
 import json
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from circshell.suites import (
     RECORD_CAP,
     RunConfig,
     SUITES,
+    SuiteReport,
     explore_family,
     labeled_graphs,
     run_suite,
@@ -63,9 +65,89 @@ def test_records_sorted_by_instance():
 
 def test_aggregation_drops_records_past_cap():
     report = run_suite("chain", RunConfig())
-    assert report.total > RECORD_CAP
+    assert report.total == 33867 > RECORD_CAP
     assert report.aggregated and report.records == []
     assert report.passed
+    # the counts are tallied as the records stream by
+    assert report.notes[0] == (
+        'counts over pure complexes: '
+        '{"pure": 7332, "vd": 6434, "shellable": 6434, "cm": 6434}')
+
+
+def _list_assemble(name, cfg, records, started, *, budgeted=False, notes=(),
+                   total=None):
+    """Oracle: the report built from every record held in one list."""
+    records = sorted(records, key=lambda r: r["instance"])
+    count = total if total is not None else len(records)
+    failures = [r for r in records if r["status"] == "fail"]
+    unknowns = [r for r in records if r["status"] == "unknown"]
+    aggregated = count > suites.RECORD_CAP
+    return SuiteReport(
+        suite=name, config=cfg.to_obj(), total=count,
+        passed=not failures and (budgeted or not unknowns),
+        elapsed_s=time.monotonic() - started, failures=failures,
+        unknowns=unknowns,
+        skipped=[r for r in records if r["status"] == "skipped"],
+        records=[] if aggregated else records, aggregated=aggregated,
+        budgeted=budgeted, notes=list(notes))
+
+
+def _report_obj(suite, monkeypatch, assemble):
+    monkeypatch.setattr(suites, "_assemble", assemble)
+    obj = run_suite(suite, RunConfig()).to_obj()
+    del obj["elapsed_s"]
+    return obj
+
+
+@pytest.mark.parametrize("cap", [0, 1, 149, 150, 151, RECORD_CAP])
+@pytest.mark.parametrize("suite, total", [("main-a", 150), ("main-bc", 774)])
+def test_a_streamed_report_equals_a_list_built_one(monkeypatch, suite, total, cap):
+    streamed = suites._assemble
+    monkeypatch.setattr(suites, "RECORD_CAP", cap)
+    want = _report_obj(suite, monkeypatch, _list_assemble)
+    got = _report_obj(suite, monkeypatch, streamed)
+    assert got == want
+    assert got["total"] == total and got["aggregated"] == (total > cap)
+
+
+def test_failures_survive_aggregation_in_sorted_order(monkeypatch):
+    real = checkers.verify_shelling
+    # reject the shellings of complexes with an odd number of facets
+    monkeypatch.setattr(checkers, "verify_shelling",
+                        lambda d, order: len(d.facet_masks) % 2 == 0 and real(d, order))
+    monkeypatch.setattr(suites, "RECORD_CAP", 10)
+    streamed = suites._assemble
+    want = _report_obj("main-bc", monkeypatch, _list_assemble)
+    got = _report_obj("main-bc", monkeypatch, streamed)
+    assert got == want
+    assert got["aggregated"] and got["records"] == [] and not got["passed"]
+    failed = [r["instance"] for r in got["failures"]]
+    assert failed == sorted(failed) and len(failed) > 10
+
+
+class _Token:
+    """A weakref-able stand-in for what a record holds."""
+
+
+def test_the_collector_never_holds_more_than_the_cap_of_ok_records():
+    alive = weakref.WeakSet()
+    failing = {3, RECORD_CAP, 11 * RECORD_CAP, 20 * RECORD_CAP}
+    n = 20 * RECORD_CAP + len(failing)
+    peak = 0
+
+    def stream():
+        nonlocal peak
+        for i in range(n):
+            token = _Token()
+            alive.add(token)
+            peak = max(peak, len(alive))
+            yield {"instance": f"{i:06d}", "status": "fail" if i in failing else "ok",
+                   "token": token}
+
+    count, kept = suites._collect(stream())
+    assert count == n
+    assert [r["instance"] for r in kept] == [f"{i:06d}" for i in sorted(failing)]
+    assert peak <= RECORD_CAP + len(failing) + 1
 
 
 def test_seeded_samples_reproducible():
@@ -334,7 +416,7 @@ def test_alpha_product_reports_every_failing_pair_sorted(monkeypatch):
     report = suite_alpha_product(RunConfig())
     assert not report.passed
     assert report.aggregated and report.records == []
-    gs = suites._graphs_upto(5)
+    gs = list(suites._graphs_upto(5))
     want = sorted(f"{gs[g].to_json()} lex {gs[h].to_json()}"
                   for g, h in ((5, 3), (2, 7)))
     assert [r["instance"] for r in report.failures] == want
