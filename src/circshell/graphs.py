@@ -17,7 +17,6 @@ import json
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 from . import kernels
@@ -54,7 +53,7 @@ class Graph:
             adj[b] |= 1 << a
         return Graph(n, tuple(adj))
 
-    @cached_property
+    @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """The edges ``(a, b)``, ``a < b``, in ascending order: rows in
         order, and each row's neighbours above ``a`` from its low bit up."""

@@ -13,13 +13,22 @@ meets a clique in at most one vertex, so candidates covered by k cliques
 add at most k vertices.  Branching runs through the cover from its last
 class to its first; the vertices still to be tried at any point lie in
 the classes up to the current one, so once that class cannot beat the
-best set found, no later branch of the node can either.
+best set found, no later branch of the node can either.  The best set
+starts as a first-fit independent set at the root, so a root whose
+cover already meets it is done without branching.
+
+``product_adj_py`` builds the rows of G[H] from two parts, one per
+factor: G's rows blown up over H's copies, and H's rows spread at
+G's stride.  A part depends on one factor and the other's vertex count
+only, so the scan makes each graph's parts once per vertex count and
+each product with one OR per row.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import time
+from operator import or_
 
 # Exists only for the benchmark's environment record.
 HAVE_NUMBA = importlib.util.find_spec("numba") is not None
@@ -61,12 +70,21 @@ def alpha_py(n: int, adj: list[int], *, deadline: float | None = None) -> int:
     ``size + c``; once that is no more than the best found, the node is
     done.
 
+    The best found starts, after the root's take step, as the root's
+    taken vertices plus a first-fit independent set of its candidates
+    (lowest candidate first).  It is a real independent set, so the
+    search stays exact, and a root whose cover already meets it pushes
+    no frame.
+
     The search is one loop over a stack of ``[size, P, order]`` branch
     frames, at most alpha deep.  With ``deadline`` set,
     :class:`BudgetError` is raised once ``time.monotonic()`` passes it,
-    read at the first branch frame and every ``_DEADLINE_PROBE``-th.
+    read on entry, at the first branch frame and every
+    ``_DEADLINE_PROBE``-th.
     """
-    best = 0
+    if deadline is not None and time.monotonic() > deadline:
+        raise BudgetError("independence number search ran out of budget")
+    best = -1  # below any set until the root's incumbent is in
     frames = 0  # branch frames pushed so far
     stack = []  # [size, P, order] frames; order lists (vertex bit, class)
     size, p = 0, (1 << n) - 1
@@ -82,6 +100,13 @@ def alpha_py(n: int, adj: list[int], *, deadline: float | None = None) -> int:
                 size += 1
                 if nb:  # its neighbour's neighbours lost a candidate neighbour
                     m = (m | adj[nb.bit_length() - 1]) & p
+        if best < 0:  # the root: start from the taken vertices plus a first fit
+            best = size
+            q = p
+            while q:
+                b = q & -q
+                q &= ~(b | adj[b.bit_length() - 1])
+                best += 1
         if p:
             order = []
             u, k = p, 0
@@ -117,25 +142,36 @@ def alpha_py(n: int, adj: list[int], *, deadline: float | None = None) -> int:
             return best
 
 
-def product_adj_py(ng: int, adjg: list[int], nh: int, adjh: list[int]) -> list[int]:
-    """Adjacency masks of the lexicographical product, vertex (i,j) -> i + ng*j.
-
-    Row ``(i, j)`` is one OR: G's row ``i`` repeated in every H-copy, plus
-    H's row ``j`` spread at stride ``ng`` and shifted to column ``i``.
-    """
+def _blown_rows(ng: int, adjg: list[int], nh: int) -> list[int]:
+    """G's part of every row of G[H]: row ``i`` repeated in every H-copy,
+    listed once per copy, in product vertex order ``i + ng*j``."""
     rep = 0  # bit 0 of every H-copy
     for j in range(nh):
         rep |= 1 << (ng * j)
-    gblow = [a * rep for a in adjg]
-    adj = []
+    return [a * rep for a in adjg] * nh
+
+
+def _spread_rows(ng: int, adjh: list[int]) -> list[int]:
+    """H's part of every row of G[H]: row ``j`` spread at stride ``ng`` and
+    shifted to column ``i``, in product vertex order ``i + ng*j``."""
+    rows = []
     for a in adjh:
         spread = 0
         while a:
             low = a & -a
             spread |= 1 << (ng * (low.bit_length() - 1))
             a ^= low
-        adj.extend(gblow[i] | (spread << i) for i in range(ng))
-    return adj
+        rows.extend(spread << i for i in range(ng))
+    return rows
+
+
+def product_adj_py(ng: int, adjg: list[int], nh: int, adjh: list[int]) -> list[int]:
+    """Adjacency masks of the lexicographical product, vertex (i,j) -> i + ng*j.
+
+    Row ``(i, j)`` is one OR: G's row ``i`` repeated in every H-copy, plus
+    H's row ``j`` spread at stride ``ng`` and shifted to column ``i``.
+    """
+    return list(map(or_, _blown_rows(ng, adjg, nh), _spread_rows(ng, adjh)))
 
 
 def alpha(n: int, adj: list[int], *, deadline: float | None = None) -> int:
@@ -154,12 +190,21 @@ def alpha_product_failures(ns: list[int], adjs: list[list[int]], *,
     result is the empty list; any entry is a counterexample to
     alpha(G[H]) = alpha(G) * alpha(H).  ``deadline`` goes to every
     ``alpha_py`` call, so :class:`BudgetError` stops the scan inside it.
+
+    Each product is built as ``product_adj_py`` builds it, from G's part
+    and H's part; a part depends on one factor and the other factor's
+    vertex count only, so each graph's parts are made once per distinct
+    vertex count, not once per pair.
     """
     alphas = [alpha_py(n, a, deadline=deadline) for n, a in zip(ns, adjs)]
+    sizes = set(ns)
+    blown = {m: [_blown_rows(n, a, m) for n, a in zip(ns, adjs)] for m in sizes}
+    spread = {m: [_spread_rows(m, a) for a in adjs] for m in sizes}
     bad = []
-    for gi, (ng, adjg) in enumerate(zip(ns, adjs)):
-        for hi, (nh, adjh) in enumerate(zip(ns, adjs)):
-            padj = product_adj_py(ng, adjg, nh, adjh)
+    for gi, ng in enumerate(ns):
+        spread_g = spread[ng]
+        for hi, nh in enumerate(ns):
+            padj = list(map(or_, blown[nh][gi], spread_g[hi]))
             if alpha_py(ng * nh, padj, deadline=deadline) != alphas[gi] * alphas[hi]:
                 bad.append((gi, hi))
     return bad

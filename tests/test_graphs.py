@@ -67,6 +67,7 @@ def test_json_round_trip_sorted():
     obj = json.loads(g.to_json())
     assert obj == {"n": 4, "edges": [[0, 1], [0, 2], [1, 3]]}
     assert Graph.from_json(g.to_json()) == g
+    assert "edges" not in vars(g)  # a printed graph keeps no edge tuple
 
 
 def test_dot_output_shape():

@@ -71,6 +71,26 @@ def test_product_scan_reports_planted_failure(monkeypatch):
     assert bad == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
+def test_product_scan_runs_alpha_on_the_true_products(monkeypatch):
+    real = kernels.alpha_py
+    calls = []
+
+    def recorder(n, adj, *, deadline=None):
+        calls.append(list(adj))
+        return real(n, adj, deadline=deadline)
+
+    monkeypatch.setattr(kernels, "alpha_py", recorder)
+    rng = random.Random(1099)
+    sample = [_random_graph(rng, rng.randint(1, 5), rng.random()) for _ in range(25)]
+    for gs in ([g for n in range(1, 4) for g in labeled_graphs(n)], sample):
+        calls.clear()
+        assert kernels.alpha_product_failures(
+            [g.n for g in gs], [list(g.adjacency_masks) for g in gs]) == []
+        # one call per factor, then one per ordered pair in pair order
+        assert calls == [list(g.adjacency_masks) for g in gs] + [
+            list(oracles.lex_product_naive(g, h).adjacency_masks) for g in gs for h in gs]
+
+
 def test_product_adj_matches_graph_product():
     g = Graph.from_edges(3, [(0, 1)])
     h = Graph.from_edges(2, [(0, 1)])
@@ -218,6 +238,24 @@ def test_alpha_py_edgeless_and_complete():
     for n in range(1, 70, 7):
         assert kernels.alpha_py(n, [0] * n) == n
         assert _alpha_py(complete(n)) == 1
+
+
+def test_alpha_py_beats_a_first_fit_incumbent_below_alpha():
+    # K_{2,3} with the 2-side at 0 and 1: no vertex has degree <= 1, first
+    # fit takes 0 and 1, and the 3-side is the maximum independent set
+    g = Graph.from_edges(5, [(a, b) for a in (0, 1) for b in (2, 3, 4)])
+    assert _alpha_py(g) == 3 == oracles.alpha_naive(g)
+
+
+def test_alpha_reads_the_deadline_on_entry():
+    # no search on a complete graph branches, so only the entry read can stop it
+    past = time.monotonic() - 1
+    with pytest.raises(kernels.BudgetError):
+        kernels.alpha(3, list(complete(3).adjacency_masks), deadline=past)
+    ks = [complete(n) for n in range(1, 6)]
+    with pytest.raises(kernels.BudgetError):
+        kernels.alpha_product_failures(
+            [g.n for g in ks], [list(g.adjacency_masks) for g in ks], deadline=past)
 
 
 def test_alpha_honours_the_deadline():
