@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass
 from typing import Union
 
-from .complexes import Complex, _least_image, _near, _tuple_of
+from .complexes import Complex, _least_image, _near
 from .graphs import _is_int
 
 _BUDGET_PROBE = 256  # nodes between deadline checks
@@ -138,6 +138,17 @@ def _require_pure(d: Complex) -> None:
         raise NotPureError(f"complex is not pure: facet sizes {sizes}")
 
 
+def _ridge_refusal(start: float, **stats) -> CheckOutcome:
+    """``no`` for a pure root whose ridge graph is disconnected
+    (``Complex.ridge_connected``), with no node searched; ``stats`` are
+    a search's own fields beyond nodes and memo hits."""
+    return CheckOutcome("no", None, {
+        "nodes": 0, "memo_hits": 0, **stats,
+        "elapsed_s": time.monotonic() - start,
+        "reason": "ridge graph disconnected",
+    })
+
+
 # ---------------------------------------------------------------------------
 # shellability
 # ---------------------------------------------------------------------------
@@ -150,7 +161,10 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
     be placed iff every already-placed facet sees a singleton-difference
     witness among the placed ones.  Dead prefix *sets* are memoised.
     The first facet ranges over the canonical order; later candidates
-    are tried richest witness set first, ties in canonical order.
+    are tried richest witness set first, ties in canonical order.  Each
+    facet after the first meets an earlier one in a ridge, so a root
+    whose ridge graph is disconnected (``Complex.ridge_connected``) is
+    refused with no search (``nodes == 0``).
 
     The legal set is kept from node to node rather than rescanned:
     placing c can only add a witness to c's ridge neighbours, so every
@@ -171,6 +185,8 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
     """
     _require_pure(d)
     start = time.monotonic()
+    if not d.ridge_connected:
+        return _ridge_refusal(start)
     masks = d.facet_masks
     s = len(masks)
     if s <= 1:
@@ -200,25 +216,7 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
                 nbr[j] |= 1 << i
     del on_ridge  # the search can be long: drop what it does not need
 
-    # Every facet after the first needs a singleton difference against
-    # some earlier one, so the ridge graph must be connected.
     full = (1 << s) - 1
-    seen = 1
-    frontier = [0]
-    while frontier:
-        seen_new = 0
-        for i in frontier:
-            seen_new |= nbr[i]
-        seen_new &= ~seen
-        seen |= seen_new
-        frontier = _tuple_of(seen_new)
-    if seen != full:
-        return CheckOutcome("no", None, {
-            "nodes": 0, "memo_hits": 0,
-            "elapsed_s": time.monotonic() - start,
-            "reason": "ridge graph disconnected",
-        })
-
     # cover[1 << v] = facets NOT containing v: placing a singleton
     # witness v satisfies exactly these earlier facets.  Each facet
     # clears its bit in the rows of its own k vertices: s * k operations
@@ -408,46 +406,6 @@ def _map_tree(t: ShedTree, s: int, r: int, n: int) -> ShedTree:
     return done[0]
 
 
-def _root_ridge_pass(fmasks: list[int]) -> tuple[int, bool]:
-    """The vertices that cannot shed at a pure root of two or more
-    facets, and whether its ridge graph is connected.
-
-    The same pass over the facets' ridges as at every node of the
-    search, which also joins the facets sharing each ridge in a
-    union-find.
-    """
-    first: dict[int, int] = {}  # ridge -> the first facet holding it
-    lone: dict[int, int] = {}  # as in the search
-    parent = list(range(len(fmasks)))
-    parts = len(fmasks)
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, m in enumerate(fmasks):
-        mm = m
-        while mm:
-            b = mm & -mm
-            mm ^= b
-            r = m ^ b
-            j = first.setdefault(r, i)
-            if j == i:
-                lone[r] = b
-                continue
-            lone[r] = 0
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-                parts -= 1
-    stuck = 0
-    for b in lone.values():
-        stuck |= b
-    return stuck, parts == 1
-
-
 def _closed_rows(n: int, fmasks: list[int]) -> list[int]:
     """Closed neighbourhoods N[v] in the graph a flag complex is Ind of,
     on the vertices of its facets: ``u ~ v`` iff no facet holds both."""
@@ -477,10 +435,9 @@ def vertex_decomposition(
     facet included, goes through one entry step that counts it and reads
     the clock at every ``_BUDGET_PROBE``-th node.
 
-    A pure vertex decomposable complex is shellable, so a root of two
-    or more facets whose ridge graph is disconnected is refused with no
-    search (``nodes == 0``); its components come from the root's own
-    ridge pass.
+    A pure vertex decomposable complex is shellable, so a root whose
+    ridge graph is disconnected (``Complex.ridge_connected``) is refused
+    with no search (``nodes == 0``), as ``shelling`` refuses it.
 
     When the complex is flag (see ``Complex.is_flag``) every node is the
     subcomplex induced on its vertex set, so subcomplexes are memoised
@@ -546,14 +503,9 @@ def vertex_decomposition(
     n = d.n
     flag = d.is_flag
     rotations = flag and d.rotation_invariant
+    if not d.ridge_connected:
+        return _ridge_refusal(start, forced=0, rotations=rotations)
     root = list(d.facet_masks)
-    stuck, connected = _root_ridge_pass(root)
-    if len(root) > 1 and not connected:
-        return CheckOutcome("no", None, {
-            "nodes": 0, "memo_hits": 0, "forced": 0, "rotations": rotations,
-            "elapsed_s": time.monotonic() - start,
-            "reason": "ridge graph disconnected",
-        })
     closed = _closed_rows(n, root) if flag else None
     memo: dict[object, tuple[ShedTree | None, int, int]] = {}
     nodes = 0
@@ -618,21 +570,20 @@ def vertex_decomposition(
                 if c:
                     forced += 1
                 else:
-                    if top is not None:  # else _root_ridge_pass gave them
-                        # lone[ridge] = the vertex F - ridge when the ridge
-                        # lies in one facet F only (that vertex cannot
-                        # shed), 0 when it lies in two or more
-                        lone: dict[int, int] = {}
-                        for m in fmasks:
-                            mm = m
-                            while mm:
-                                b = mm & -mm
-                                ridge = m ^ b
-                                lone[ridge] = 0 if ridge in lone else b
-                                mm ^= b
-                        stuck = 0
-                        for b in lone.values():
-                            stuck |= b
+                    # lone[ridge] = the vertex F - ridge when the ridge
+                    # lies in one facet F only (that vertex cannot shed),
+                    # 0 when it lies in two or more
+                    lone: dict[int, int] = {}
+                    for m in fmasks:
+                        mm = m
+                        while mm:
+                            b = mm & -mm
+                            ridge = m ^ b
+                            lone[ridge] = 0 if ridge in lone else b
+                            mm ^= b
+                    stuck = 0
+                    for b in lone.values():
+                        stuck |= b
                     c = verts & ~stuck
                 if top is not None:
                     path.append((top, key, sign, shift, cands, xb, tree_del))

@@ -258,6 +258,38 @@ class Complex:
         nbr = [m & ~(1 << v) for v, m in enumerate(_near(self.n, self.facet_masks))]
         return set(_maximal_cliques(nbr, verts)) == set(self.facet_masks)
 
+    @cached_property
+    def ridge_connected(self) -> bool:
+        """Whether the ridge graph is connected: facets F and G are
+        adjacent when they share a ridge, F - v = G - w.
+
+        A pure complex with a disconnected ridge graph is neither
+        shellable (each facet of a shelling after the first meets an
+        earlier one in a ridge) nor vertex decomposable (which implies
+        shellable, Provan-Billera 1980).  Complexes of at most one facet
+        are connected.  One pass over the ridges joins the facets that
+        share each one in a union-find.  Each join hangs a root below the
+        facet being read, which is thus still a root, so only the root
+        of the ridge's first facet is looked up.
+        """
+        masks = self.facet_masks
+        first: dict[int, int] = {}  # ridge -> the first facet holding it
+        parent = list(range(len(masks)))
+        parts = len(masks)
+        for i, m in enumerate(masks):
+            mm = m
+            while mm:
+                b = mm & -mm
+                mm ^= b
+                j = first.setdefault(m ^ b, i)
+                while parent[j] != j:  # path halving
+                    parent[j] = parent[parent[j]]
+                    j = parent[j]
+                if j != i:
+                    parent[j] = i
+                    parts -= 1
+        return parts <= 1
+
     @property
     def is_void(self) -> bool:
         return not self.facet_masks

@@ -258,10 +258,9 @@ def _checked_verdicts(d: Complex, cfg: RunConfig) -> tuple[str, str]:
     ``shelling_from_shed_tree``, which rechecks the shed tree and reads
     off the shelling order it implies in one walk, or gives ``None``
     when it rejects the tree; that order counts only once
-    ``verify_shelling`` accepts it.  A root refused for a disconnected
-    ridge graph is not shellable either, since each facet of a shelling
-    after the first meets an earlier one in a ridge.  Otherwise the
-    shelling search answers.
+    ``verify_shelling`` accepts it.  Otherwise the shelling search
+    answers; it refuses a disconnected ridge graph with no search, as
+    the VD search does.
     """
     vd = vertex_decomposition(d, budget_s=cfg.timeout_s)
     if vd.verdict == "yes":
@@ -269,8 +268,6 @@ def _checked_verdicts(d: Complex, cfg: RunConfig) -> tuple[str, str]:
         if order is None:
             return check(d, "shellable", cfg).verdict, _REJECTED
         return ("yes" if checkers.verify_shelling(d, order) else _REJECTED), "yes"
-    if vd.stats.get("reason") == "ridge graph disconnected":
-        return "no", vd.verdict
     return check(d, "shellable", cfg).verdict, vd.verdict
 
 

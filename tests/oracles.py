@@ -157,6 +157,24 @@ def vd_naive(facets) -> bool:
     return False
 
 
+def ridge_connected_naive(facets) -> bool:
+    """Whether the facets are connected when two are adjacent iff they
+    share all but one vertex of each, by a breadth-first search over
+    frozensets.  No facets, or one, count as connected."""
+    fs = [frozenset(f) for f in facets]
+    seen = {0} if fs else set()
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for j, g in enumerate(fs):
+                if j not in seen and len(fs[i] & g) == len(g) - 1 == len(fs[i]) - 1:
+                    seen.add(j)
+                    nxt.append(j)
+        frontier = nxt
+    return len(seen) == len(fs)
+
+
 def shed_tree_ok_naive(facets, t) -> bool:
     """Whether ``t`` is a shed tree of the complex with these facets,
     straight from Provan-Billera's definition on frozensets, as

@@ -453,6 +453,36 @@ def test_vd_two_disjoint_edges_no():
     assert out.stats["reason"] == "ridge graph disconnected"
 
 
+def test_ridge_connected_matches_the_oracle_and_decides_both_refusals():
+    # every pure Ind(G) with n <= 6, every expansion of one with n <= 4
+    # by sizes in {1, 2}^n, and complexes given by their facets: RP^2,
+    # the Moebius band, two disjoint edges, one facet, {()} and the void
+    ds = []
+    for n in range(1, 7):
+        for g in labeled_graphs(n):
+            d = independence_complex(g)
+            if d.is_pure():
+                ds.append(d)
+                if n <= 4:
+                    ds.extend(expansion_complex(d, s)
+                              for s in itertools.product((1, 2), repeat=n))
+    rp2 = Complex.from_facets(6, [
+        (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 5), (0, 3, 4),
+        (1, 2, 3), (1, 2, 4), (1, 3, 5), (2, 4, 5), (3, 4, 5)])
+    ds += [rp2, _moebius(), _two_disjoint_edges(), Complex.from_facets(3, [(0, 2)]),
+           Complex.from_facets(3, [()]), Complex.from_facets(3, [])]
+    split = 0
+    for d in ds:
+        connected = oracles.ridge_connected_naive(d.facets)
+        assert d.ridge_connected == connected, d.facets
+        split += not connected
+        for out in (shelling(d), vertex_decomposition(d)):
+            refused = (out.verdict == "no" and out.stats["nodes"] == 0
+                       and out.stats.get("reason") == "ridge graph disconnected")
+            assert refused == (not connected), d.facets
+    assert (len(ds), split) == (7868, 947)
+
+
 def test_vd_requires_pure():
     with pytest.raises(NotPureError):
         vertex_decomposition(Complex.from_facets(3, [(0, 1), (2,)]))

@@ -375,17 +375,21 @@ def test_checked_verdicts_reads_shellability_off_a_verified_shed_tree(monkeypatc
 
 def test_checked_verdicts_settles_a_ridge_disconnected_root_without_search(
         monkeypatch):
-    # Ind(C4) is two disjoint edges: the VD search refuses the root, and
-    # a complex whose ridge graph is disconnected has no shelling
+    # Ind(C4) is two disjoint edges: a complex whose ridge graph is
+    # disconnected has no shelling, and the shelling search says so at
+    # its root
     d = independence_complex(circulant(CirculantSpec.parse("C4(1)")))
-    vd = checkers.vertex_decomposition(d)
-    assert vd.stats["reason"] == "ridge graph disconnected"
+    seen = []
 
-    def no_search(d, **kwargs):
-        raise AssertionError("the VD refusal settles shellability")
+    def recorded(d, **kwargs):
+        seen.append(checkers.shelling(d, **kwargs))
+        return seen[-1]
 
-    monkeypatch.setattr(suites, "shelling", no_search)
+    monkeypatch.setattr(suites, "shelling", recorded)
     assert suites._checked_verdicts(d, RunConfig()) == ("no", "no")
+    [out] = seen
+    assert out.stats["nodes"] == 0
+    assert out.stats["reason"] == "ridge graph disconnected"
 
 
 def test_checked_verdicts_fails_on_a_rejected_shed_tree(monkeypatch):
