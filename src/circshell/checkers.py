@@ -24,7 +24,7 @@ from typing import Union
 from .complexes import Complex, _least_image, _near
 from .graphs import _is_int
 
-_BUDGET_PROBE = 256  # nodes between deadline checks
+_BUDGET_PROBE = 256  # search steps between deadline checks
 
 
 class NotPureError(ValueError):
@@ -166,22 +166,27 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
     whose ridge graph is disconnected (``Complex.ridge_connected``) is
     refused with no search (``nodes == 0``).
 
-    The legal set is kept from node to node rather than rescanned:
-    placing c can only add a witness to c's ridge neighbours, so every
-    other candidate stays legal iff one of its witnesses lies outside c.
-    A node costs one OR per vertex outside c and one update per ridge
-    neighbour of c, each on an s-bit integer for s facets, and
-    candidates are drawn lazily from per-witness-count bitsets, so no
-    node holds a candidate list.
+    A candidate's legality is tested when it is drawn.  Let W_t be the
+    witnesses of F_t against the placed facets, and U_t the facets that
+    hold all of W_t (the AND of ``holds[w]`` over W_t): t is legal iff
+    no placed facet is in U_t.  U_t is cached until W_t changes or t is
+    placed.  Placing c can only add a witness to c's ridge neighbours,
+    so a child inherits the candidates its parent found illegal, less
+    the neighbours whose W_t grew: every other one keeps its U_t and
+    meets one more placed facet.  Past the root a facet with no witness
+    has U_t = every facet, so that bucket is not read.  Candidates are
+    drawn lazily from per-witness-count bitsets, so no node holds a
+    candidate list.
 
     The search is one loop over an explicit path, with no recursion:
-    entry i holds the legal set, the witness bucket being read and the
-    undo list of the node that placed ``order[i]``.  The legal set is
-    the only s-bit integer an entry keeps: the prefix is one shared
-    bitset updated in place, the untried part of a bucket is reread
-    above ``order[i]`` after a take-back, and an undo entry is just a
-    facet index t, whose witness against c is ``masks[t] & ~masks[c]``
-    (ridge neighbours of one size differ in one vertex each way).
+    entry i holds the witness bucket being read, the candidates found
+    illegal and the undo list of the node that placed ``order[i]``.  The
+    prefix is one shared bitset updated in place, the untried part of a
+    bucket is reread above ``order[i]`` after a take-back, and an undo
+    entry is just a facet index t, whose witness against c is
+    ``masks[t] & ~masks[c]`` (ridge neighbours of one size differ in one
+    vertex each way).  The clock is read at every ``_BUDGET_PROBE``-th
+    node or legality test, so a budget holds inside a long scan.
     """
     _require_pure(d)
     start = time.monotonic()
@@ -195,75 +200,64 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
                                           "elapsed_s": 0.0})
     deadline = start + budget_s if budget_s is not None else None
 
-    # ridge data: nbr[i] = bitmask of facets meeting F_i in all but one
-    # vertex.  In a pure complex such a pair shares exactly one ridge (a
-    # facet minus one vertex), so grouping facets by ridge finds each
-    # pair once.
+    # nbr[i] = the facets of each ridge of F_i, F_i among them: every
+    # other one meets F_i in all but one vertex, and in a pure complex
+    # such a pair shares exactly one ridge, so each appears once.
+    # holds[1 << v] = the facets containing v, read off one byte row per
+    # vertex.
     on_ridge: dict[int, list[int]] = {}
-    on_vertex: dict[int, list[int]] = {}  # 1 << v -> facets holding v
+    nbr: list[list[list[int]]] = []
+    rows = [bytearray((s + 7) >> 3) for _ in range(d.n)]
     for i, m in enumerate(masks):
+        byte, bit = i >> 3, 1 << (i & 7)
+        mine = []
         mm = m
         while mm:
             b = mm & -mm
-            on_ridge.setdefault(m ^ b, []).append(i)
-            on_vertex.setdefault(b, []).append(i)
+            fs = on_ridge.setdefault(m ^ b, [])
+            fs.append(i)
+            mine.append(fs)
+            rows[b.bit_length() - 1][byte] |= bit
             mm ^= b
-    nbr = [0] * s
-    for fs in on_ridge.values():
-        for a, i in enumerate(fs):
-            for j in fs[a + 1:]:
-                nbr[i] |= 1 << j
-                nbr[j] |= 1 << i
+        nbr.append(mine)
     del on_ridge  # the search can be long: drop what it does not need
-
-    full = (1 << s) - 1
-    # cover[1 << v] = facets NOT containing v: placing a singleton
-    # witness v satisfies exactly these earlier facets.  Each facet
-    # clears its bit in the rows of its own k vertices: s * k operations
-    # on s-bit integers, where testing every facet for every vertex
-    # takes n * s.
-    cover = {}
-    union = 0
-    for b, fs in on_vertex.items():
-        c = full
-        for i in fs:
-            c ^= 1 << i
-        cover[b] = c
-        union |= b
-    del on_vertex
+    holds = {1 << v: int.from_bytes(r, "little") for v, r in enumerate(rows)}
+    del rows
 
     k = masks[0].bit_count()
     dead: set[int] = set()
     order: list[int] = []
-    # Per facet c: n_masks[c] = its witnesses (singleton diffs against
-    # placed neighbours) and cov[c] = the union of cover[w] over them.
-    # has_w[w] = facets with witness w, by_count[j] = facets with j
-    # witnesses.  All four change only when a facet is placed, and are
-    # undone with it.
-    n_masks = [0] * s
-    cov = [0] * s
-    has_w = dict.fromkeys(cover, 0)
-    by_count = [full] + [0] * k
+    # Per facet t: wit[t] = W_t, and ucache[t] = U_t, or 0 when it is
+    # not cached (U_t holds t, so it is never 0).  by_count[j] = the
+    # unplaced facets with j witnesses.  They change only when a facet
+    # is placed, and are undone with it.
+    wit = [0] * s
+    ucache = [0] * s
+    by_count = [(1 << s) - 1] + [0] * k
+    on = bytearray(s)  # on[t] = 1 iff t is placed
     nodes = 0
     hits = 0
+    tests = 0
+
+    def outcome(verdict: str, **reason) -> CheckOutcome:
+        cert = ShellingCertificate(tuple(order)) if verdict == "yes" else None
+        return CheckOutcome(verdict, cert, {
+            "nodes": nodes, "memo_hits": hits,
+            "elapsed_s": time.monotonic() - start, **reason,
+        })
 
     placed = 0  # the facets of the current prefix, updated in place
-    # path[i] = (legal set, bucket being read, undo list) of the node
-    # that placed order[i]; ``legal`` is the legal set of the node being
-    # entered
+    illegal = 0  # the candidates found illegal at the current node
+    # path[i] = (bucket being read, illegal set, undo list) of the node
+    # that placed order[i]
     path: list[tuple[int, int, list[int]]] = []
-    legal = full
     while True:
         nodes += 1
-        if deadline is not None and nodes % _BUDGET_PROBE == 0:
-            if time.monotonic() > deadline:
-                return CheckOutcome("unknown", None, {
-                    "nodes": nodes, "memo_hits": hits,
-                    "elapsed_s": time.monotonic() - start,
-                    "reason": "budget exhausted",
-                })
-        if placed == full:
-            break
+        if (deadline is not None and (nodes + tests) % _BUDGET_PROBE == 0
+                and time.monotonic() > deadline):
+            return outcome("unknown", reason="budget exhausted")
+        if len(order) == s:
+            return outcome("yes")
         back = placed in dead  # take the parent's last facet back at once
         if back:
             hits += 1
@@ -271,78 +265,88 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
             # Richest witness set first: the candidate whose constraint
             # is loosest rarely needs undoing.
             j, c = k, -1
-        while True:
+        found = False
+        while not found:
             if back:
                 if not path:  # the root is exhausted
-                    return CheckOutcome("no", None, {
-                        "nodes": nodes, "memo_hits": hits,
-                        "elapsed_s": time.monotonic() - start,
-                    })
-                legal, j, undo = path.pop()
+                    return outcome("no")
+                j, illegal, undo = path.pop()
                 c = order.pop()
-                placed ^= 1 << c
+                cb = 1 << c
+                placed ^= cb
+                on[c] = 0
+                by_count[j] |= cb
                 # each facet in ``undo`` gained its witness against F_c
                 for t in undo:
                     tb = 1 << t
-                    w = masks[t] & ~masks[c]
-                    old = n_masks[t] ^ w
-                    n_masks[t] = old
-                    has_w[w] ^= tb
+                    old = wit[t] ^ (masks[t] & ~masks[c])
+                    wit[t] = old
+                    ucache[t] = 0
                     i = old.bit_count()
                     by_count[i] ^= tb
                     by_count[i + 1] ^= tb
-                    cov[t] = 0
-                    while old:
-                        b = old & -old
-                        cov[t] |= cover[b]
-                        old ^= b
             # The buckets are as they were when this node was entered, so
             # rereading bucket j above the candidate last tried gives what
             # one read up front would: a stable sort by witness count.
-            rest = (by_count[j] & legal) >> (c + 1)
-            while not rest and j:
-                j, c = j - 1, -1
-                rest = by_count[j] & legal
-            if rest:
-                break
-            dead.add(placed)
-            back = True
-        c += (rest & -rest).bit_length()
-        placed |= 1 << c
-        # a non-neighbour keeps its witnesses, so it stays legal iff one
-        # of them lies outside F_c
-        child = 0
-        rest = union & ~masks[c]  # spent to 0 below
-        while rest:
-            w = rest & -rest
-            child |= has_w[w]
-            rest ^= w
-        child &= legal & ~nbr[c]
+            low = 1 if placed else 0
+            rest = (by_count[j] & ~illegal) >> (c + 1)
+            while True:
+                while not rest and j > low:
+                    j, c = j - 1, -1
+                    rest = by_count[j] & ~illegal
+                if not rest:
+                    break
+                step = (rest & -rest).bit_length()
+                c += step
+                rest >>= step
+                if not j:  # the root, where every facet is legal
+                    found = True
+                    break
+                tests += 1
+                if (deadline is not None and (nodes + tests) % _BUDGET_PROBE == 0
+                        and time.monotonic() > deadline):
+                    return outcome("unknown", reason="budget exhausted")
+                u = ucache[c]
+                if not u:
+                    u = -1
+                    ws = wit[c]
+                    while ws:
+                        b = ws & -ws
+                        u &= holds[b]
+                        ws ^= b
+                    ucache[c] = u
+                if not placed & u:
+                    found = True
+                    break
+                illegal |= 1 << c
+            if not found:
+                dead.add(placed)
+                back = True
+        cb = 1 << c
+        placed |= cb
+        on[c] = 1
+        by_count[j] ^= cb
+        ucache[c] = 0
         undo = []
-        todo = nbr[c] & ~placed
-        while todo:
-            tb = todo & -todo
-            todo ^= tb
-            t = tb.bit_length() - 1
-            old = n_masks[t]
-            w = masks[t] & ~masks[c]
-            if not old & w:
-                undo.append(t)
-                n_masks[t] = old | w
-                cov[t] |= cover[w]
-                has_w[w] |= tb
-                i = old.bit_count()
-                by_count[i] ^= tb
-                by_count[i + 1] ^= tb
-            if not placed & ~cov[t]:
-                child |= tb
-        path.append((legal, j, undo))
+        path.append((j, illegal, undo))
         order.append(c)
-        legal = child
-    return CheckOutcome("yes", ShellingCertificate(tuple(order)), {
-        "nodes": nodes, "memo_hits": hits,
-        "elapsed_s": time.monotonic() - start,
-    })
+        mc = masks[c]
+        for fs in nbr[c]:
+            for t in fs:
+                if on[t]:  # c itself, or an earlier facet
+                    continue
+                old = wit[t]
+                w = masks[t] & ~mc
+                if not old & w:
+                    undo.append(t)
+                    wit[t] = old | w
+                    ucache[t] = 0
+                    tb = 1 << t
+                    i = old.bit_count()
+                    by_count[i] ^= tb
+                    by_count[i + 1] ^= tb
+                    if illegal & tb:  # t may be legal now
+                        illegal ^= tb
 
 
 def verify_shelling(d: Complex, cert: ShellingCertificate) -> bool:

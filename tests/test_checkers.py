@@ -3,13 +3,16 @@
 import itertools
 import json
 import random
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import circshell
 from circshell.checkers import (
     CheckOutcome,
     NotPureError,
@@ -169,7 +172,9 @@ def test_searches_leave_no_reference_cycles():
 
 def test_shelling_peak_memory_stays_small_on_c28():
     # the path is one entry per placed facet, 2,189 long here, and an
-    # entry keeps one 2,188-bit legal set and a short undo list
+    # entry keeps a bucket index, the candidates found illegal at its
+    # node (none on this search, which never backtracks) and a short
+    # undo list
     import tracemalloc
     d = independence_complex(circulant(CirculantSpec.parse("C28(1,7,14)")))
     tracemalloc.start()
@@ -180,6 +185,54 @@ def test_shelling_peak_memory_stays_small_on_c28():
         tracemalloc.stop()
     assert out.verdict == "yes" and out.stats["nodes"] == 2189
     assert peak < 3.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+def test_shelling_peak_rss_stays_small_on_c16_k4():
+    # C16(1,4,8)[K4], 20,480 facets, in a fresh interpreter: the search
+    # keeps no row of s bits per facet and no s-bit legal set per step,
+    # which put its peak near 180 MiB
+    src = str(Path(circshell.__file__).resolve().parents[1])
+    code = (
+        "import resource, sys; sys.path.insert(0, sys.argv[1])\n"
+        "from circshell.checkers import shelling, verify_shelling\n"
+        "from circshell.complexes import independence_complex\n"
+        "from circshell.graphs import CirculantSpec, circulant, complete, lex_product\n"
+        "g = lex_product(circulant(CirculantSpec.parse('C16(1,4,8)')), complete(4))\n"
+        "d = independence_complex(g)\n"
+        "out = shelling(d)\n"
+        "print(len(d.facets), out.verdict, verify_shelling(d, out.certificate),\n"
+        "      resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, src],
+                         capture_output=True, text=True, check=True)
+    facets, verdict, verified, peak_kib = out.stdout.split()
+    assert (facets, verdict, verified) == ("20480", "yes", "True")
+    assert int(peak_kib) < 100 * 1024, f"peak RSS {int(peak_kib) / 1024:.1f} MiB"
+
+
+def test_shelling_search_shape_under_backtracking():
+    # Seeded random pure families, kept when their ridge graph is
+    # connected.  The 187 it refutes are refuted by exhausting every
+    # prefix, so the totals pin the candidate order and the dead-prefix
+    # memo, not only the verdicts.  They were recorded from the search
+    # that kept an s-bit legal set per step, before legality was tested
+    # at draw time.
+    rng = random.Random(7)
+    kept = yes = nodes = hits = 0
+    for _ in range(1000):
+        n, k = rng.randint(5, 9), rng.randint(2, 4)
+        d = Complex.from_facets(n, {tuple(sorted(rng.sample(range(n), k)))
+                                    for _ in range(rng.randint(4, 16))})
+        if not d.ridge_connected:
+            continue
+        out = shelling(d)
+        kept += 1
+        nodes += out.stats["nodes"]
+        hits += out.stats["memo_hits"]
+        if out.verdict == "yes":
+            yes += 1
+            assert verify_shelling(d, out.certificate), d.facets
+    assert (kept, yes, nodes, hits) == (713, 526, 229845, 165499)
 
 
 def test_shelling_trivial_cases():
@@ -230,6 +283,9 @@ def test_shelling_timeout_reports_unknown():
     assert out.verdict == "unknown"
     assert out.certificate is None
     assert out.stats.get("reason") == "budget exhausted"
+    # the clock is read at every 256th node or legality test, and every
+    # node past the root here tests a candidate
+    assert 0 < out.stats["nodes"] < 256
 
 
 def test_shelling_certificate_round_trip():
