@@ -410,6 +410,25 @@ def _map_tree(t: ShedTree, s: int, r: int, n: int) -> ShedTree:
     return done[0]
 
 
+def _cone_tree(t: ShedTree) -> ShedTree:
+    """The base's shed tree ``t`` as a tree of a cone over that base:
+    every ``empty-face`` leaf becomes a ``simplex`` leaf (the apex), on
+    the same explicit stack as ``_map_tree``."""
+    done: list[ShedTree] = []
+    todo: list[ShedTree | int] = [t]
+    while todo:
+        u = todo.pop()
+        if type(u) is int:
+            link = done.pop()
+            done[-1] = ShedNode(u, done[-1], link)
+            continue
+        while isinstance(u, ShedNode):
+            todo += (u.vertex, u.link)
+            u = u.deletion
+        done.append(_SIMPLEX if u.kind == "empty-face" else u)
+    return done[0]
+
+
 def _closed_rows(n: int, fmasks: list[int]) -> list[int]:
     """Closed neighbourhoods N[v] in the graph a flag complex is Ind of,
     on the vertices of its facets: ``u ~ v`` iff no facet holds both."""
@@ -433,30 +452,57 @@ def vertex_decomposition(
 
     The search is one loop, as ``shelling`` is, so a shed tree may be as
     deep as the complex has vertices.  The innermost open node (facets,
-    memo key and map, untried candidates, the candidate being tried and
-    its deletion tree once found) lives in locals, its ancestors on an
-    explicit path.  Every node, the root and the leaves of at most one
-    facet included, goes through one entry step that counts it and reads
-    the clock at every ``_BUDGET_PROBE``-th node.
+    memo key and map, whether it is a cone, untried candidates, the
+    candidate being tried and its deletion tree once found) lives in
+    locals, its ancestors on an explicit path.  Every node, the root and
+    the leaves of at most one facet included, goes through one entry
+    step that counts it and reads the clock at every
+    ``_BUDGET_PROBE``-th node.
 
     A pure vertex decomposable complex is shellable, so a root whose
     ridge graph is disconnected (``Complex.ridge_connected``) is refused
     with no search (``nodes == 0``), as ``shelling`` refuses it.
 
-    When the complex is flag (see ``Complex.is_flag``) every node is the
-    subcomplex induced on its vertex set, so subcomplexes are memoised
-    by that vertex mask; other complexes are memoised by their sorted
-    facet family.  When a flag complex is also invariant under the
-    rotation v -> v + 1 (mod n), as every circulant's independence
-    complex is, the key is the least image of the vertex mask under the
-    2n maps v -> +-v + r (mod n) (``complexes._least_image``), and a memo
-    hit maps the stored tree by the affine map between the two nodes;
-    ``stats["rotations"]`` says whether that memo ran.  No reflection
-    check is needed: a flag rotation-invariant complex is Ind of the
-    circulant G of its non-edges, and every circulant C_n(S) equals
-    C_n(-S), so v -> -v is an automorphism of G too.  Decomposability
-    does not change under relabelling, so every memo gives the same
-    verdict.
+    Cones.  Each node ANDs its facets, in the pass that ORs them, into
+    its apex A: the vertices in every facet.  The node is a cone when
+    A != 0, and its base is the node with A dropped from every facet.
+
+    Lemma (Provan-Billera 1980).  A pure cone D = A * B over a base B is
+    vertex decomposable iff B is, and a shed tree of B becomes one of D
+    when each empty-face leaf becomes a simplex leaf (``_cone_tree``).
+
+    An apex a never sheds: the faces of D avoiding a are the F - a, all
+    smaller than the facets, so its deletion is not pure of D's size.
+    For x in B, deletion and link commute with the join by A: del_D(x) =
+    A * del_B(x) and lk_D(x) = A * lk_B(x), and a ridge (A + F) - x lies
+    in a second facet iff F - x does, so x sheds from D iff it sheds from
+    B.  The leaf kinds carry over: A * void is void, A * {()} is the
+    simplex A, and A joined to a simplex is a simplex; D, holding A, is
+    never {()}.  Induction on the vertices of B gives both directions.
+
+    Memo.  The key is taken on the base, so a cone and its base share
+    one.  When the complex is flag (see ``Complex.is_flag``) every node
+    is the subcomplex induced on its vertex set W, its apex the vertices
+    of W with no neighbour in W, and its base the node on W - A; so the
+    key is the base's vertex mask.  Other complexes are keyed by their
+    base's sorted facet family.  When a flag complex is also invariant
+    under the rotation v -> v + 1 (mod n), as every circulant's
+    independence complex is, the key is the least image of the base's
+    vertex mask under the 2n maps v -> +-v + r (mod n)
+    (``complexes._least_image``), and a memo hit maps the stored tree by
+    the affine map between the two bases, which a shed tree's vertices
+    all lie in; ``stats["rotations"]`` says whether that memo ran.  No
+    reflection check is needed: a flag rotation-invariant complex is Ind
+    of the circulant G of its non-edges, and every circulant C_n(S)
+    equals C_n(-S), so v -> -v is an automorphism of G too.
+    Decomposability does not change under relabelling.
+
+    Each entry records whether its node was a cone.  A stored ``no``
+    serves every node with its key, and a stored tree a node of its own
+    kind; a base's tree serves a cone through ``_cone_tree``.  A cone's
+    tree is never handed to a base, since its simplex leaves may stand
+    for {()} there: that node is searched, and its entry replaces the
+    cone's.  By the lemma every memo hit gives the node's own verdict.
 
     Forced vertices.  A flag root is Ind(G) of the graph G of the pairs
     no facet holds (built once), and the node on vertex mask W is
@@ -511,15 +557,17 @@ def vertex_decomposition(
         return _ridge_refusal(start, forced=0, rotations=rotations)
     root = list(d.facet_masks)
     closed = _closed_rows(n, root) if flag else None
-    memo: dict[object, tuple[ShedTree | None, int, int]] = {}
+    # key -> (tree or None for no, map s and r, whether the node was a cone)
+    memo: dict[object, tuple[ShedTree | None, int, int, bool]] = {}
     nodes = 0
     hits = 0
     forced = 0
 
     # The innermost open node: its facets ``top`` (None until the root
-    # opens), memo key and map, untried candidates, the candidate ``xb``
-    # being tried and, once found, that candidate's deletion tree.
-    top = key = sign = shift = cands = xb = tree_del = None
+    # opens), memo key and map, whether it is a cone, untried candidates,
+    # the candidate ``xb`` being tried and, once found, that candidate's
+    # deletion tree.
+    top = key = sign = shift = cone = cands = xb = tree_del = None
     path: list[tuple] = []  # the open ancestors of ``top``, outermost first
     fmasks = root  # the node being entered
     while True:
@@ -536,23 +584,28 @@ def vertex_decomposition(
             tree = _leaf_of(fmasks)
         else:
             verts = 0
+            apex = -1
             for m in fmasks:
                 verts |= m
+                apex &= m
             if rotations:
-                # key, and the map v -> s*v + r taking this node to it
-                k, s, r = _least_image(verts, n, True)
+                # key, and the map v -> s*v + r taking this node's base to it
+                k, s, r = _least_image(verts ^ apex, n, True)
             elif flag:
-                k, s, r = verts, 1, 0
+                k, s, r = verts ^ apex, 1, 0
             else:
-                k, s, r = tuple(sorted(fmasks)), 1, 0
+                k, s, r = tuple(sorted(m ^ apex for m in fmasks)), 1, 0
             got = memo.get(k)
-            if got is not None:
+            # a cone's tree does not serve a base (see the docstring)
+            if got is not None and (got[0] is None or apex or not got[3]):
                 hits += 1
-                tree, s0, r0 = got
+                tree, s0, r0, was_cone = got
                 if tree is not None and (s0, r0) != (s, r):
                     # the stored node's map, then the inverse of this
                     # node's (u -> s*(u - r)): v -> s0*s*v + s*(r0 - r)
                     tree = _map_tree(tree, s0 * s, s * (r0 - r) % n, n)
+                if tree is not None and apex and not was_cone:
+                    tree = _cone_tree(tree)
             else:
                 c = 0
                 if closed is not None:
@@ -590,8 +643,8 @@ def vertex_decomposition(
                         stuck |= b
                     c = verts & ~stuck
                 if top is not None:
-                    path.append((top, key, sign, shift, cands, xb, tree_del))
-                top, key, sign, shift, cands = fmasks, k, s, r, c
+                    path.append((top, key, sign, shift, cone, cands, xb, tree_del))
+                top, key, sign, shift, cone, cands = fmasks, k, s, r, apex != 0, c
                 tree = None  # so the first candidate is tried below
         # Hand ``tree`` (a shed tree, or None for no) to the open nodes,
         # until one of them has a node to enter.
@@ -614,9 +667,9 @@ def vertex_decomposition(
                 tree_del = None
                 fmasks = [m for m in top if not m & xb]
                 break
-            memo[key] = (tree, sign, shift)
+            memo[key] = (tree, sign, shift, cone)
             if path:
-                top, key, sign, shift, cands, xb, tree_del = path.pop()
+                top, key, sign, shift, cone, cands, xb, tree_del = path.pop()
             else:
                 top = None
 

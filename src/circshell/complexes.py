@@ -306,7 +306,8 @@ class Complex:
         return not ms or ms[0].bit_count() == ms[-1].bit_count()
 
     def face_levels(
-        self, top: int, cap: int | None = None, deadline: float | None = None
+        self, top: int, cap: int | None = None, deadline: float | None = None,
+        walked: int = 0,
     ) -> Iterator[set[int]]:
         """The faces of at most ``top`` vertices as bitmasks, one set per
         size from ``top`` down to 0, each built once the caller is done
@@ -315,13 +316,16 @@ class Complex:
         Every face lies in a facet, so the first set is the facets cut down
         to ``top`` vertices and each later one the set above minus a vertex,
         plus the facets of its size.  Raises :class:`FaceLimitError` once
-        more than ``cap`` faces have been walked and :class:`BudgetError`
-        once ``time.monotonic()`` passes ``deadline``.  The cap is compared
-        after each facet or face a set is built from, and the clock read
-        at the first of them and every ``_DEADLINE_PROBE``-th after.
+        more than ``cap`` faces have been walked, counting the ``walked``
+        faces the caller walked before, and :class:`BudgetError` once
+        ``time.monotonic()`` passes ``deadline``.  Both are checked before
+        the first set; then the cap is compared after each facet or face a
+        set is built from, and the clock read at the first of them and
+        every ``_DEADLINE_PROBE``-th after.
         """
+        _probe_faces(walked, cap, deadline)
         masks = self.facet_masks
-        joined, walked, level = len(masks), 0, set()  # masks[joined:] are walked
+        joined, level = len(masks), set()  # masks[joined:] are walked
         limit = float("inf") if cap is None else cap
         built = 0  # facets and faces the sets were built from
         for size in range(top, -1, -1):

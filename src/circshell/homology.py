@@ -362,9 +362,10 @@ def is_cohen_macaulay(
     here: facet size gaps already violate the criterion.  A simplex is
     answered at once, as every link of a simplex is a simplex.  With
     ``budget_s`` set, raises :class:`BudgetError` when time runs out.
-    ``cap`` bounds the faces walked, which are only those of at most
-    dim - 1 vertices (the others have links of dimension <= 0); past
-    it, raises :class:`FaceLimitError`.
+    Only faces of at most dim - 1 vertices are walked (the others have
+    links of dimension <= 0), larger first and ascending within a size,
+    and a link met before is not checked again.  ``cap`` bounds the
+    faces walked; past it, raises :class:`FaceLimitError`.
 
     When the facet family is invariant under ``v -> v + 1 (mod n)`` (see
     ``Complex.rotation_invariant``), only the face of least mask in each
@@ -372,10 +373,15 @@ def is_cohen_macaulay(
     link, with the same homology.  When it is also invariant under
     ``v -> -v`` (``Complex.reflection_invariant``), as every circulant's
     independence complex is, the orbits are those of the dihedral group
-    ``v -> +-v + r``.  The least mask of an orbit holds vertex 0, so a
-    nonempty face without it is skipped at once, and the others are
-    compared with the images that take a start of a run of their
-    vertices to 0 (``complexes._least_image``).
+    ``v -> +-v + r``.  The least mask of a nonempty orbit holds vertex 0,
+    so only the empty face and the faces F + 0, for F a face of lk(0) of
+    at most dim - 2 vertices, are walked, in the same order; F + 0 has
+    the link in the complex that F has in lk(0), read off lk(0)'s facets.
+    A walked face is checked iff no image that takes a start of a run of
+    its vertices to 0 is smaller (``complexes._least_image``).  The cap
+    then counts the empty face and the faces of lk(0) walked; any other
+    complex walks, and counts, every face of at most dim - 1 vertices,
+    the empty face included.
     """
     return _reisner(d, cap, budget_s, _cm_stats())
 
@@ -393,26 +399,36 @@ def _reisner(
         return True
     deadline = time.monotonic() + budget_s if budget_s is not None else None
     n = d.n
-    symmetric = d.rotation_invariant
-    reflect = symmetric and d.reflection_invariant
     seen_links: set[tuple[int, ...]] = set()
-    # larger faces first: their links are smaller and fail faster
-    for level in d.face_levels(top - 1, cap, deadline):
-        if symmetric:  # the least mask of an orbit of nonempty faces has bit 0
-            level = [m for m in level if m & 1 or not m]
+
+    def passes(m: int, facets: tuple[int, ...]) -> bool:
+        """Whether the link of ``m`` in the facet family ``facets`` passes;
+        a link met before passes at once."""
+        _check_deadline(deadline)
+        link_masks = tuple(sorted(fm & ~m for fm in facets if (m | fm) == fm))
+        if link_masks in seen_links:
+            return True
+        seen_links.add(link_masks)
+        return _link_vanishes_below_top(link_masks, n, cap, deadline, stats)
+
+    if not d.rotation_invariant:
+        # larger faces first: their links are smaller and fail faster
+        for level in d.face_levels(top - 1, cap, deadline):
+            for m in sorted(level):
+                if not passes(m, d.facet_masks):
+                    return False
+        return True
+    # Every nonempty orbit's least mask holds vertex 0, and a face F + 0
+    # has the link in d that F has in lk(0): walk the faces of lk(0).  The
+    # empty face, whose link is checked last, counts as walked first.
+    reflect = d.reflection_invariant
+    lk0 = Complex(n, tuple(fm ^ 1 for fm in d.facet_masks if fm & 1))
+    for level in lk0.face_levels(top - 2, cap, deadline, walked=1):
         for m in sorted(level):
-            if symmetric and _least_image(m, n, reflect)[0] < m:
-                continue  # another face of the orbit stands for this one
-            _check_deadline(deadline)
-            link_masks = tuple(
-                sorted(fm & ~m for fm in d.facet_masks if (m | fm) == fm)
-            )
-            if link_masks in seen_links:
-                continue
-            seen_links.add(link_masks)
-            if not _link_vanishes_below_top(link_masks, n, cap, deadline, stats):
+            if (_least_image(m | 1, n, reflect)[0] == m | 1
+                    and not passes(m, lk0.facet_masks)):
                 return False
-    return True
+    return passes(0, d.facet_masks)
 
 
 def cm_verdict(

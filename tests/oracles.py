@@ -225,6 +225,52 @@ def shed_order_naive(family: list[int], t) -> list[int]:
         for m in shed_order_naive([m ^ xb for m in family if m & xb], t.link)]
 
 
+def dihedral_maps_naive(n: int, facets) -> list:
+    """The vertex maps under which Reisner's criterion checks one face per
+    orbit: none, unless the facets are fixed by ``v -> v + 1 (mod n)``
+    (n > 1); then the rotations ``v -> v + r``, and the reflections
+    ``v -> r - v`` too when the facets are also fixed by ``v -> -v``."""
+    family = {frozenset(f) for f in facets}
+
+    def fixed(g) -> bool:
+        return {frozenset(map(g, f)) for f in family} == family
+
+    if n < 2 or not fixed(lambda v: (v + 1) % n):
+        return []
+    maps = [lambda v, r=r: (v + r) % n for r in range(1, n)]
+    if fixed(lambda v: -v % n):
+        maps += [lambda v, r=r: (r - v) % n for r in range(n)]
+    return maps
+
+
+def reisner_links_naive(facets, maps) -> list[tuple[int, ...]]:
+    """The distinct links Reisner's criterion examines on a pure complex,
+    in the order it examines them, each as the sorted tuple of its facet
+    bitmasks.
+
+    Walks every face from ``faces_naive`` and keeps those of at most
+    dim - 1 vertices that no vertex map in ``maps`` takes to a smaller
+    bitmask, larger faces first and by ascending bitmask within a size.
+    Each kept face's link is read from the facets holding it; a link met
+    before is dropped.
+    """
+    def mask(face) -> int:
+        return sum(1 << v for v in face)
+
+    fs = [frozenset(f) for f in facets]
+    dim = max(map(len, fs)) - 1
+    faces = sorted((f for f in faces_naive(facets) if len(f) <= dim - 1),
+                   key=lambda f: (-len(f), mask(f)))
+    links: list[tuple[int, ...]] = []
+    for face in faces:
+        if any(mask(map(g, face)) < mask(face) for g in maps):
+            continue
+        link = tuple(sorted(mask(f - set(face)) for f in fs if f >= set(face)))
+        if link not in links:
+            links.append(link)
+    return links
+
+
 def rank_fraction(rows: int, cols: int, entries: dict[tuple[int, int], int]) -> int:
     """Matrix rank by Gaussian elimination over exact rationals."""
     mat = [[Fraction(0)] * cols for _ in range(rows)]

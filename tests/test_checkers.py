@@ -53,6 +53,13 @@ def _moebius():
         5, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (0, 3, 4), (0, 1, 4)])
 
 
+def _rp2():
+    # the 6-vertex real projective plane: not flag, and not VD
+    return Complex.from_facets(6, [
+        (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 5), (0, 3, 4),
+        (1, 2, 3), (1, 2, 4), (1, 3, 5), (2, 4, 5), (3, 4, 5)])
+
+
 def _small_pure_ind():
     """Every pure Ind(G) with n <= 5 (387 complexes, at most 6 facets)."""
     return [d for n in range(1, 6) for g in labeled_graphs(n)
@@ -373,6 +380,73 @@ def test_map_tree_handles_a_tree_deeper_than_the_recursion_limit():
     assert _preorder(moved) == _preorder(want)
 
 
+def test_cone_tree_handles_a_tree_deeper_than_the_recursion_limit(monkeypatch):
+    from circshell.checkers import _cone_tree
+
+    def refuse(limit):
+        raise AssertionError(f"setrecursionlimit({limit})")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    depth = 1200
+    base = _chain(depth, lambda i: i, ShedLeaf("empty-face"))
+    want = ["simplex" if x == "empty-face" else x for x in _preorder(base)]
+    assert _preorder(_cone_tree(base)) == want
+    assert want.count("simplex") == depth + 1
+
+
+def _cone(d):
+    """The cone over ``d`` with apex ``d.n``."""
+    return Complex.from_facets(d.n + 1, [f + (d.n,) for f in d.facets])
+
+
+def test_a_complex_and_its_cone_get_the_same_vd_verdict():
+    # a join with a simplex is VD iff its base is (Provan-Billera 1980);
+    # the cone's root is keyed by its base, and its tree verified
+    verdicts = {"yes": 0, "no": 0}
+    for d in _small_pure_ind() + [_rp2(), _moebius()]:
+        out, cone = vertex_decomposition(d), vertex_decomposition(_cone(d))
+        assert cone.verdict == out.verdict, d
+        if cone.verdict == "yes":
+            assert verify_shed_tree(_cone(d), cone.certificate), d
+        verdicts[out.verdict] += 1
+    assert verdicts == {"yes": 339, "no": 50}
+
+
+def test_a_base_tree_serves_its_cone(monkeypatch):
+    # Ind of the clique expansion of the path 3-0-1-2 plus the isolated
+    # vertex 4, by blob sizes (1, 2, 2, 1, 2): its search stores a base's
+    # tree before it meets a cone over that base, which takes the tree
+    # with each empty-face leaf made a simplex
+    calls = []
+
+    def spy(t):
+        calls.append(t)
+        return real(t)
+
+    real = circshell.checkers._cone_tree
+    monkeypatch.setattr(circshell.checkers, "_cone_tree", spy)
+    g = Graph.from_edges(5, [(0, 1), (0, 3), (1, 2)])
+    d = expansion_complex(independence_complex(g), (1, 2, 2, 1, 2))
+    out = vertex_decomposition(d)
+    assert out.verdict == "yes" and verify_shed_tree(d, out.certificate)
+    assert calls and (out.stats["nodes"], out.stats["memo_hits"]) == (15, 4)
+
+
+def test_a_cone_tree_does_not_serve_its_base():
+    # Ind of two disjoint edges 0-3 and 1-2, a 4-cycle: vertex 0 is a
+    # pendant, so 3 is shed.  Its deletion, on {0, 1, 2}, is the cone with
+    # apex 0 over the two points {1, 2}, its link; so the link has the
+    # cone's key, yet is searched, since the cone's tree ends in simplex
+    # leaves where the link's must end in {()}
+    d = independence_complex(Graph.from_edges(4, [(0, 3), (1, 2)]))
+    out = vertex_decomposition(d)
+    simplex, empty = ShedLeaf("simplex"), ShedLeaf("empty-face")
+    assert out.certificate == ShedNode(
+        3, ShedNode(2, simplex, simplex), ShedNode(2, simplex, empty))
+    assert verify_shed_tree(d, out.certificate)
+    assert (out.stats["nodes"], out.stats["memo_hits"]) == (7, 0)
+
+
 def test_verify_shed_tree_judges_trees_deeper_than_the_recursion_limit():
     # the search sheds the points 1, 2, ... in turn, down to the simplex
     # {0}; the walk is a loop, so a wrong bottom is found, not given up on
@@ -408,11 +482,12 @@ def test_vd_matches_definition_on_small_complexes():
 
 
 def test_vd_milestones_search_stats():
-    # the memo is keyed by dihedral class, so these counts pin the key,
-    # the candidate order and the forced vertices
+    # the memo is keyed by the dihedral class of a node's cone base, so
+    # these counts pin the key, the cone rule, the candidate order and
+    # the forced vertices
     limit = sys.getrecursionlimit()
-    for name, nodes, hits in (("C16(1,4,8)", 254, 130),
-                              ("C20(1,5,10)", 2117, 984)):
+    for name, nodes, hits in (("C16(1,4,8)", 222, 138),
+                              ("C20(1,5,10)", 1185, 775)):
         d = independence_complex(circulant(CirculantSpec.parse(name)))
         out = vertex_decomposition(d)
         assert out.verdict == "no"
@@ -438,7 +513,7 @@ def test_vd_search_totals_on_small_and_expansion_complexes():
     # Ind(G) with n <= 5 and its expansions by vectors in {1, 2}^n)
     chain = [d for n in range(1, 7) for g in labeled_graphs(n)
              if (d := independence_complex(g)).is_pure()]
-    assert _vd_totals(chain) == (7332, 61360, 278)
+    assert _vd_totals(chain) == (7332, 59610, 1111)
     expansion = []
     for n in range(1, 6):
         for g in labeled_graphs(n):
@@ -447,7 +522,7 @@ def test_vd_search_totals_on_small_and_expansion_complexes():
                 expansion.append(d)
                 expansion.extend(expansion_complex(d, s) for s in
                                  itertools.product((1, 2), repeat=n))
-    assert _vd_totals(expansion) == (12085, 180285, 5529)
+    assert _vd_totals(expansion) == (12085, 166423, 9444)
 
 
 def _has_twin_or_pendant(g):
@@ -522,10 +597,7 @@ def test_ridge_connected_matches_the_oracle_and_decides_both_refusals():
                 if n <= 4:
                     ds.extend(expansion_complex(d, s)
                               for s in itertools.product((1, 2), repeat=n))
-    rp2 = Complex.from_facets(6, [
-        (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 5), (0, 3, 4),
-        (1, 2, 3), (1, 2, 4), (1, 3, 5), (2, 4, 5), (3, 4, 5)])
-    ds += [rp2, _moebius(), _two_disjoint_edges(), Complex.from_facets(3, [(0, 2)]),
+    ds += [_rp2(), _moebius(), _two_disjoint_edges(), Complex.from_facets(3, [(0, 2)]),
            Complex.from_facets(3, [()]), Complex.from_facets(3, [])]
     split = 0
     for d in ds:

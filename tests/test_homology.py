@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 import circshell
 import oracles
 from circshell.complexes import Complex, independence_complex
-from circshell.graphs import Graph, circulant, CirculantSpec, complete, cycle
+from circshell.graphs import Graph, circulant, CirculantSpec, complete, cycle, lex_product
 from circshell.homology import (
+    DEFAULT_FACE_CAP,
     BoundaryMatrix,
     BudgetError,
     FaceLimitError,
@@ -25,6 +26,8 @@ from circshell.homology import (
     rank_gf2,
     reduced_homology,
     smith_invariant_factors,
+    _cm_stats,
+    _link_vanishes_below_top,
 )
 from circshell.suites import labeled_graphs
 
@@ -413,13 +416,31 @@ def test_cm_walks_only_faces_below_the_ridges():
                        if m.bit_count() <= k - 2), key=lambda m: (-m.bit_count(), m))
         levels = [sorted(level) for level in d.face_levels(k - 2)]
         assert [m for level in levels for m in level] == want, d
-    # the cap counts faces walked: Ind(C5) has 11 faces, of which only
-    # the empty face has a link of dimension >= 1
+    # The cap counts faces walked.  Ind(P4) is not rotation-invariant, so
+    # it walks every face of at most dim - 1 = 0 vertices: the empty face.
+    d = independence_complex(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]))
+    assert not d.rotation_invariant
+    assert cm_verdict(d, cap=1)[0] == "yes"
+    verdict, reason, _ = cm_verdict(d, cap=0)
+    assert verdict == "unknown" and "more than 0 faces" in reason
+    # A rotation-invariant complex walks the empty face, counted first,
+    # and lk(0)'s faces of at most dim - 2 vertices.  Ind(C5) has 11
+    # faces, and its walk is the empty face alone.
     d = independence_complex(cycle(5))
+    assert d.rotation_invariant
     assert sum(map(len, d.face_levels(d.dim + 1))) == 11
     assert cm_verdict(d, cap=1)[0] == "yes"
     verdict, reason, _ = cm_verdict(d, cap=0)
     assert verdict == "unknown" and "more than 0 faces" in reason
+    # Ind(C16(1,4,8)) walks 12 faces: the empty face, then lk(0)'s ten
+    # vertices (the edges {0, v}, whose five distinct links are checked)
+    # and its empty face (vertex 0).  Past 12, a ranked link's own face
+    # walk meets the cap.
+    d = independence_complex(circulant(CirculantSpec.parse("C16(1,4,8)")))
+    for cap, links in ((10, 0), (11, 5), (12, 6)):
+        verdict, reason, counts = cm_verdict(d, cap=cap)
+        assert verdict == "unknown" and f"more than {cap} faces" in reason
+        assert counts["links"] == links
 
 
 def _cone(d):
@@ -510,23 +531,6 @@ def test_cm_orbit_path_agrees_with_relabelled_copy():
     assert checked == 132 and plain_runs > 0
 
 
-def _orbit_links(d, maps):
-    """Distinct links of the faces of at most dim - 1 vertices that are
-    least, as masks, among their images under ``maps`` (vertex maps)."""
-    def mask(face):
-        return sum(1 << v for v in face)
-
-    links = set()
-    for face in oracles.faces_naive(d.facets):
-        if len(face) >= d.dim:
-            continue
-        if any(mask(g(v) for v in face) < mask(face) for g in maps):
-            continue
-        links.add(frozenset(frozenset(f) - set(face) for f in d.facets
-                            if set(face) <= set(f)))
-    return len(links)
-
-
 def _chiral_cm_case(d):
     # rotation-invariant, but neither reflection-invariant nor flag: the
     # orbit path must use the rotations only, and agree with a copy
@@ -557,8 +561,42 @@ def test_cm_chiral_complex_checks_one_link_per_rotation_orbit():
     d = Complex.from_facets(8, [f for f in itertools.combinations(range(8), 5)
                                 if frozenset(f) not in chiral])
     verdict, counts = _chiral_cm_case(d)
-    rotations = [lambda v, r=r: (v + r) % 8 for r in range(1, 8)]
+    rotations = oracles.dihedral_maps_naive(8, d.facets)
     reflections = [lambda v, r=r: (r - v) % 8 for r in range(8)]
-    assert verdict == "yes"
-    assert counts["links"] == _orbit_links(d, rotations) == 13
-    assert _orbit_links(d, rotations + reflections) < 13
+    assert len(rotations) == 7 and verdict == "yes"
+    assert counts["links"] == len(oracles.reisner_links_naive(d.facets, rotations)) == 13
+    assert len(oracles.reisner_links_naive(d.facets, rotations + reflections)) < 13
+
+
+def test_reisner_walk_matches_a_walk_over_every_face():
+    # every circulant C_n(S) with n <= 12, and C16(1,4,8)[K2]: the
+    # distinct links the oracle meets, fed in its order to the same link
+    # test, give the same verdict and counts as the star-of-0 walk
+    ds = [independence_complex(circulant(CirculantSpec(n, shifts)))
+          for n in range(1, 13) for k in range(n // 2 + 1)
+          for shifts in itertools.combinations(range(1, n // 2 + 1), k)]
+    ds.append(independence_complex(
+        lex_product(circulant(CirculantSpec.parse("C16(1,4,8)")), complete(2))))
+    keys = ("links", "cones", "connectivity", "ranked", "escalations")
+    # ``star``: complexes of dim >= 2, whose star walk reaches a face
+    tally = {"yes": 0, "no": 0, "star": 0}
+    for d in ds:
+        verdict, reason, counts = cm_verdict(d)
+        assert reason is None, d
+        if not d.is_pure() or len(d.facets) == 1:
+            # not pure: never CM; a simplex: every link is a simplex
+            assert (verdict, counts["links"]) == (
+                "yes" if d.is_pure() else "no", 0), d
+            continue
+        want, ok = _cm_stats(), True
+        maps = oracles.dihedral_maps_naive(d.n, d.facets)
+        assert maps, d  # every circulant's complex is rotation-invariant
+        for link in oracles.reisner_links_naive(d.facets, maps):
+            if not _link_vanishes_below_top(link, d.n, DEFAULT_FACE_CAP, None, want):
+                ok = False
+                break
+        assert verdict == ("yes" if ok else "no"), d
+        assert [counts[k] for k in keys] == [want[k] for k in keys], d
+        tally[verdict] += 1
+        tally["star"] += d.dim >= 2
+    assert tally == {"yes": 69, "no": 64, "star": 66}

@@ -206,7 +206,7 @@ def test_milestones_c16_verdicts():
     assert by_instance["C16(1,4,8) shellable"]["verdicts"]["shellable"] == "yes"
     assert by_instance["C16(1,4,8) vd"]["verdicts"]["vd"] == "no"
     assert by_instance["C16(1,4,8) pure"]["verdicts"]["pure"] == "yes"
-    assert by_instance["C16(1,4,8) vd"]["stats"]["forced"] == 38
+    assert by_instance["C16(1,4,8) vd"]["stats"]["forced"] == 25
 
 
 def test_milestones_c16_lex_k2_verdicts(tmp_path):
