@@ -20,20 +20,32 @@ cover already meets it is done without branching.
 ``product_adj_py`` builds the rows of G[H] from two parts, one per
 factor: G's rows blown up over H's copies, and H's rows spread at
 G's stride.  A part depends on one factor and the other's vertex count
-only, so the scan makes each graph's parts once per vertex count and
+only, so the scan makes each factor's parts once per vertex count and
 each product with one OR per row.
+
+``alpha_product_failures`` decides the pairs through their isomorphism
+classes: a relabelling of G or of H relabels G[H] without changing any
+of the three independence numbers, so one product search per ordered
+pair of classes decides every labelled pair of those classes.  Graphs
+are grouped by ``_iso_key``, the least tuple of adjacency rows over the
+relabellings that list the vertices by ascending degree: a canonical
+form over the degree partition, the first cell refinement of McKay and
+Piperno's canonical labelling ("Practical graph isomorphism, II", 2014).
 """
 
 from __future__ import annotations
 
 import importlib.util
 import time
+from itertools import permutations, product
+from math import factorial
 from operator import or_
 
 # Exists only for the benchmark's environment record.
 HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 
-_DEADLINE_PROBE = 32  # branch frames, pivots, columns or face sets between deadline checks
+_DEADLINE_PROBE = 32  # branch frames, pivots, columns, face sets or graphs between deadline checks
+_KEY_ORDERINGS = 720  # 6!: a graph with more degree-sorted orderings keys by its own rows
 
 
 class BudgetError(RuntimeError):
@@ -182,29 +194,105 @@ def alpha(n: int, adj: list[int], *, deadline: float | None = None) -> int:
     return alpha_py(n, adj, deadline=deadline)
 
 
+def _iso_key(n: int, adj: list[int]) -> tuple[int, ...]:
+    """Rows of a relabelled copy of the graph, equal for isomorphic graphs.
+
+    The vertices are split into cells by degree, cells in ascending
+    degree order; the key is the least tuple of rows over the
+    relabellings that list the cells in that order, permuting only
+    within each cell.  An isomorphism maps each cell onto the cell of
+    the same degree, so isomorphic graphs range over the same relabelled
+    copies and get the same key.  The key is always the rows of a
+    relabelled copy, so equal keys mean isomorphic graphs.  A graph whose
+    cells allow more than ``_KEY_ORDERINGS`` orderings keys by its own
+    rows, which may leave isomorphic graphs apart but never joins two
+    that are not.
+    """
+    cells: dict[int, list[int]] = {}
+    for v, a in enumerate(adj):
+        cells.setdefault(a.bit_count(), []).append(v)
+    groups = [cells[d] for d in sorted(cells)]
+    count = 1
+    for g in groups:
+        count *= factorial(len(g))
+    if count > _KEY_ORDERINGS:
+        return tuple(adj)
+    nbrs = [[u for u in range(n) if a >> u & 1] for a in adj]
+    bit = [0] * n  # the new bit of each old vertex
+    get = bit.__getitem__
+    best = None
+    for parts in product(*map(permutations, groups)):
+        order = sum(parts, ())  # the old vertex at each new position
+        for k, v in enumerate(order):
+            bit[v] = 1 << k
+        rows = tuple([sum(map(get, nbrs[v])) for v in order])
+        if best is None or rows < best:
+            best = rows
+    return best
+
+
 def alpha_product_failures(ns: list[int], adjs: list[list[int]], *,
                            deadline: float | None = None) -> list[tuple[int, int]]:
     """Pairs (gi, hi) where alpha multiplicativity fails over the given graphs.
 
-    Every ordered pair of the given graphs is checked.  The expected
-    result is the empty list; any entry is a counterexample to
-    alpha(G[H]) = alpha(G) * alpha(H).  ``deadline`` goes to every
-    ``alpha_py`` call, so :class:`BudgetError` stops the scan inside it.
+    Every ordered pair of the given graphs is decided, and the failing
+    ones are returned in pair order.  The expected result is the empty
+    list; any entry is a counterexample to alpha(G[H]) = alpha(G) *
+    alpha(H).
+
+    Lemma: isomorphisms pi from G onto G' and sigma from H onto H' give
+    the isomorphism (i, j) -> (pi i, sigma j) from G[H] onto G'[H'].
+    In G[H], (i, j) ~ (k, l) iff i ~ k in G, or i = k and j ~ l in H;
+    pi keeps i ~ k and i = k, and sigma keeps j ~ l.  So alpha(G[H]),
+    alpha(G) and alpha(H), and with them whether the pair fails, depend
+    only on the isomorphism classes of G and H.
+
+    The graphs are grouped by ``_iso_key``; equal keys are rows of
+    relabelled copies of one graph, so every group lies inside one
+    isomorphism class.  A class the key splits into two groups costs a
+    second search, never a wrong verdict.  The first graph of each group
+    stands for it: ``alpha_py`` runs once per representative for alpha(G)
+    and once per ordered pair of representatives on the true rows of
+    their product, so alpha(G[H]) is always searched, never derived from
+    the factors.  A failing pair of groups is reported as every labelled
+    pair (gi, hi) of its two groups.
 
     Each product is built as ``product_adj_py`` builds it, from G's part
     and H's part; a part depends on one factor and the other factor's
-    vertex count only, so each graph's parts are made once per distinct
-    vertex count, not once per pair.
+    vertex count only, so each representative's parts are made once per
+    distinct vertex count, not once per pair.
+
+    With ``deadline`` set, :class:`BudgetError` is raised once
+    ``time.monotonic()`` passes it, read on entry and every
+    ``_DEADLINE_PROBE``-th graph while keying; it also goes to every
+    ``alpha_py`` call, so the scan stops inside a search too.
     """
-    alphas = [alpha_py(n, a, deadline=deadline) for n, a in zip(ns, adjs)]
-    sizes = set(ns)
-    blown = {m: [_blown_rows(n, a, m) for n, a in zip(ns, adjs)] for m in sizes}
-    spread = {m: [_spread_rows(m, a) for a in adjs] for m in sizes}
-    bad = []
-    for gi, ng in enumerate(ns):
+    group: dict[tuple[int, ...], int] = {}  # key -> group number
+    reps: list[tuple[int, list[int]]] = []  # the first graph of each group
+    of: list[int] = []  # the group of each graph
+    for i, (n, a) in enumerate(zip(ns, adjs)):
+        if (deadline is not None and i % _DEADLINE_PROBE == 0
+                and time.monotonic() > deadline):
+            raise BudgetError("independence number scan ran out of budget")
+        c = group.setdefault(_iso_key(n, a), len(reps))
+        if c == len(reps):
+            reps.append((n, a))
+        of.append(c)
+    alphas = [alpha_py(n, a, deadline=deadline) for n, a in reps]
+    sizes = {n for n, _ in reps}
+    blown = {m: [_blown_rows(n, a, m) for n, a in reps] for m in sizes}
+    spread = {m: [_spread_rows(m, a) for _, a in reps] for m in sizes}
+    bad: list[list[int]] = [[] for _ in reps]  # failing H-groups of each G-group
+    for cg, (ng, _) in enumerate(reps):
         spread_g = spread[ng]
-        for hi, nh in enumerate(ns):
-            padj = list(map(or_, blown[nh][gi], spread_g[hi]))
-            if alpha_py(ng * nh, padj, deadline=deadline) != alphas[gi] * alphas[hi]:
-                bad.append((gi, hi))
-    return bad
+        for ch, (nh, _) in enumerate(reps):
+            padj = list(map(or_, blown[nh][cg], spread_g[ch]))
+            if alpha_py(ng * nh, padj, deadline=deadline) != alphas[cg] * alphas[ch]:
+                bad[cg].append(ch)
+    if not any(bad):
+        return []
+    members: list[list[int]] = [[] for _ in reps]
+    for i, c in enumerate(of):
+        members[c].append(i)
+    return [(gi, hi) for gi, cg in enumerate(of)
+            for hi in sorted(h for ch in bad[cg] for h in members[ch])]

@@ -38,6 +38,16 @@ def lex_product_naive(g: Graph, h: Graph) -> Graph:
     return Graph.from_edges(g.n * h.n, edges)
 
 
+def isomorphic_naive(g: Graph, h: Graph) -> bool:
+    """Whether some bijection of the vertices maps ``g``'s edge set onto
+    ``h``'s, trying every bijection."""
+    if g.n != h.n:
+        return False
+    want = {frozenset(e) for e in h.edges}
+    return any({frozenset((p[a], p[b])) for a, b in g.edges} == want
+               for p in permutations(range(g.n)))
+
+
 def expansion_naive(g: Graph, sizes) -> Graph:
     """The clique expansion from edge lists: blob ``i`` holds the
     ``sizes[i]`` vertices after blobs ``0 .. i-1``, each blob is a clique

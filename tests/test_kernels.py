@@ -71,24 +71,145 @@ def test_product_scan_reports_planted_failure(monkeypatch):
     assert bad == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
+def _relabelled(g, rng):
+    p = list(range(g.n))
+    rng.shuffle(p)
+    return Graph.from_edges(g.n, [(p[a], p[b]) for a, b in g.edges])
+
+
+def _iso_classes(gs):
+    """The isomorphism class of each graph, numbered in order of first
+    appearance, by ``isomorphic_naive`` against each class's first graph."""
+    firsts, of = [], []
+    for g in gs:
+        c = next((k for k, f in enumerate(firsts) if oracles.isomorphic_naive(f, g)),
+                 len(firsts))
+        if c == len(firsts):
+            firsts.append(g)
+        of.append(c)
+    return of
+
+
+# non-isomorphic pairs alike in vertex and edge counts (2K2, P3 + K1) and in
+# degree sequence (P5, K3 + K2): a key that merged either pair would be caught
+TRAPS = [Graph.from_edges(4, [(0, 1), (2, 3)]), Graph.from_edges(4, [(0, 1), (1, 2)]),
+         Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+         Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])]
+
+
+def _key(g):
+    return kernels._iso_key(g.n, list(g.adjacency_masks))
+
+
 def test_product_scan_runs_alpha_on_the_true_products(monkeypatch):
     real = kernels.alpha_py
     calls = []
 
     def recorder(n, adj, *, deadline=None):
-        calls.append(list(adj))
+        calls.append(tuple(adj))
         return real(n, adj, deadline=deadline)
 
     monkeypatch.setattr(kernels, "alpha_py", recorder)
     rng = random.Random(1099)
     sample = [_random_graph(rng, rng.randint(1, 5), rng.random()) for _ in range(25)]
-    for gs in ([g for n in range(1, 4) for g in labeled_graphs(n)], sample):
+    small = [g for n in range(1, 4) for g in labeled_graphs(n)]
+    for gs, k in ((small, 7), (sample + TRAPS, 16)):
         calls.clear()
         assert kernels.alpha_product_failures(
             [g.n for g in gs], [list(g.adjacency_masks) for g in gs]) == []
-        # one call per factor, then one per ordered pair in pair order
-        assert calls == [list(g.adjacency_masks) for g in gs] + [
-            list(oracles.lex_product_naive(g, h).adjacency_masks) for g in gs for h in gs]
+        of = _iso_classes(gs)
+        assert max(of) + 1 == k
+        # one call per class on one of its graphs, then one per ordered
+        # pair of classes, each on the true product of two of the graphs
+        assert len(calls) == k + k * k
+        rows = {}
+        for gi, g in enumerate(gs):
+            rows.setdefault(tuple(g.adjacency_masks), []).append(gi)
+        assert sorted(of[rows[c][0]] for c in calls[:k]) == list(range(k))
+        products = {}
+        for gi, g in enumerate(gs):
+            for hi, h in enumerate(gs):
+                prod = tuple(oracles.lex_product_naive(g, h).adjacency_masks)
+                products.setdefault(prod, []).append((gi, hi))
+        searched = set()
+        for c in calls[k:]:
+            assert c in products
+            searched.update((of[gi], of[hi]) for gi, hi in products[c])
+        # every labelled pair is isomorphic, factor by factor, to a searched one
+        assert searched == {(of[gi], of[hi]) for gi in range(len(gs))
+                            for hi in range(len(gs))}
+
+
+def test_product_scan_reports_every_labelled_pair_of_a_failing_class_pair(monkeypatch):
+    real = kernels.alpha_py
+
+    def skewed(n, adj, *, deadline=None):
+        return real(n, adj, deadline=deadline) + (1 if n == 6 else 0)  # P3[K2], K2[P3]
+
+    monkeypatch.setattr(kernels, "alpha_py", skewed)
+    p3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+    p3_again = Graph.from_edges(3, [(0, 2), (1, 2)])  # the middle vertex is 2
+    gs = [p3, complete(2), p3_again]
+    bad = kernels.alpha_product_failures(
+        [g.n for g in gs], [list(g.adjacency_masks) for g in gs])
+    assert bad == [(0, 1), (1, 0), (1, 2), (2, 1)]
+
+
+def test_product_scan_matches_a_per_pair_reference_across_isomorphic_copies(monkeypatch):
+    rng = random.Random(3030)
+    base = [_random_graph(rng, rng.randint(1, 5), rng.random()) for _ in range(8)] + TRAPS
+    gs = base + [_relabelled(rng.choice(base), rng) for _ in range(8)]
+    rng.shuffle(gs)
+    assert max(_iso_classes(gs)) + 1 < len(gs)
+    real = kernels.alpha_py
+
+    def lie(n, value):  # n and alpha are kept by relabelling, so copies get the same lie
+        return 1 if (n + value) % 4 == 1 else 0
+
+    def reference(g, skew):
+        value = oracles.alpha_degree_bb(g.n, list(g.adjacency_masks))
+        return value + skew * lie(g.n, value)
+
+    for skew in (0, 1):
+        def alpha(n, adj, *, deadline=None):
+            value = real(n, adj, deadline=deadline)
+            return value + skew * lie(n, value)
+
+        monkeypatch.setattr(kernels, "alpha_py", alpha)
+        want = [(gi, hi) for gi, g in enumerate(gs) for hi, h in enumerate(gs)
+                if reference(oracles.lex_product_naive(g, h), skew)
+                != reference(g, skew) * reference(h, skew)]
+        assert bool(want) == bool(skew) and len(want) < len(gs) ** 2
+        assert kernels.alpha_product_failures(
+            [g.n for g in gs], [list(g.adjacency_masks) for g in gs]) == want
+
+
+def test_iso_key_counts_the_isomorphism_classes_upto_5():
+    gs = [g for n in range(1, 6) for g in labeled_graphs(n)]
+    keys = {_key(g) for g in gs}
+    assert len(gs) == 1099 and len(keys) == 52
+    assert [sum(len(k) == n for k in keys) for n in range(1, 6)] == [1, 2, 4, 11, 34]
+
+
+def test_equal_iso_keys_mean_isomorphic_graphs():
+    rng = random.Random(5005)
+    five = rng.sample(labeled_graphs(5), 30)
+    five += [_relabelled(g, rng) for g in five[:10]]
+    for gs in ([g for n in range(1, 5) for g in labeled_graphs(n)], five):
+        keys = [_key(g) for g in gs]
+        for g, kg in zip(gs, keys):
+            for h, kh in zip(gs, keys):
+                assert (kg == kh) == oracles.isomorphic_naive(g, h), (g, h)
+
+
+def test_iso_key_past_the_ordering_bound_is_the_graphs_own_rows():
+    # C7 is 2-regular: one degree cell of 7! = 5040 orderings
+    c7 = circulant(CirculantSpec.parse("C7(1)"))
+    assert _key(c7) == tuple(c7.adjacency_masks)
+    # C6 has 6! = 720, within the bound, so any labelling keys alike
+    c6 = circulant(CirculantSpec.parse("C6(1)"))
+    rng = random.Random(720)
+    assert _key(c6) == _key(_relabelled(c6, rng)) != tuple(c6.adjacency_masks)
 
 
 def test_product_adj_matches_graph_product():
