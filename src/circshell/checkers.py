@@ -138,15 +138,16 @@ def _require_pure(d: Complex) -> None:
         raise NotPureError(f"complex is not pure: facet sizes {sizes}")
 
 
-def _ridge_refusal(start: float, **stats) -> CheckOutcome:
-    """``no`` for a pure root whose ridge graph is disconnected
-    (``Complex.ridge_connected``), with no node searched; ``stats`` are
-    a search's own fields beyond nodes and memo hits."""
-    return CheckOutcome("no", None, {
-        "nodes": 0, "memo_hits": 0, **stats,
-        "elapsed_s": time.monotonic() - start,
-        "reason": "ridge graph disconnected",
-    })
+def _outcome(verdict: str, cert: Union[ShellingCertificate, ShedTree, None],
+             start: float, reason: str | None = None, **counts) -> CheckOutcome:
+    """A search's result, its stats in the order ``circshell check`` prints
+    them: ``counts`` (``nodes``, ``memo_hits``, then the search's own), the
+    time since ``start``, and the ``reason`` for an ``unknown`` or a ``no``
+    found without search."""
+    stats = {**counts, "elapsed_s": time.monotonic() - start}
+    if reason is not None:
+        stats["reason"] = reason
+    return CheckOutcome(verdict, cert, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +192,13 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
     _require_pure(d)
     start = time.monotonic()
     if not d.ridge_connected:
-        return _ridge_refusal(start)
+        return _outcome("no", None, start, "ridge graph disconnected",
+                        nodes=0, memo_hits=0)
     masks = d.facet_masks
     s = len(masks)
     if s <= 1:
-        cert = ShellingCertificate(tuple(range(s)))
-        return CheckOutcome("yes", cert, {"nodes": 0, "memo_hits": 0,
-                                          "elapsed_s": 0.0})
+        return _outcome("yes", ShellingCertificate(tuple(range(s))), start,
+                        nodes=0, memo_hits=0)
     deadline = start + budget_s if budget_s is not None else None
 
     # nbr[i] = the facets of each ridge of F_i, F_i among them: every
@@ -239,13 +240,6 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
     hits = 0
     tests = 0
 
-    def outcome(verdict: str, **reason) -> CheckOutcome:
-        cert = ShellingCertificate(tuple(order)) if verdict == "yes" else None
-        return CheckOutcome(verdict, cert, {
-            "nodes": nodes, "memo_hits": hits,
-            "elapsed_s": time.monotonic() - start, **reason,
-        })
-
     placed = 0  # the facets of the current prefix, updated in place
     illegal = 0  # the candidates found illegal at the current node
     # path[i] = (bucket being read, illegal set, undo list) of the node
@@ -255,9 +249,11 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
         nodes += 1
         if (deadline is not None and (nodes + tests) % _BUDGET_PROBE == 0
                 and time.monotonic() > deadline):
-            return outcome("unknown", reason="budget exhausted")
+            return _outcome("unknown", None, start, "budget exhausted",
+                            nodes=nodes, memo_hits=hits)
         if len(order) == s:
-            return outcome("yes")
+            return _outcome("yes", ShellingCertificate(tuple(order)), start,
+                            nodes=nodes, memo_hits=hits)
         back = placed in dead  # take the parent's last facet back at once
         if back:
             hits += 1
@@ -269,7 +265,7 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
         while not found:
             if back:
                 if not path:  # the root is exhausted
-                    return outcome("no")
+                    return _outcome("no", None, start, nodes=nodes, memo_hits=hits)
                 j, illegal, undo = path.pop()
                 c = order.pop()
                 cb = 1 << c
@@ -305,7 +301,8 @@ def shelling(d: Complex, *, budget_s: float | None = None) -> CheckOutcome:
                 tests += 1
                 if (deadline is not None and (nodes + tests) % _BUDGET_PROBE == 0
                         and time.monotonic() > deadline):
-                    return outcome("unknown", reason="budget exhausted")
+                    return _outcome("unknown", None, start, "budget exhausted",
+                                    nodes=nodes, memo_hits=hits)
                 u = ucache[c]
                 if not u:
                     u = -1
@@ -391,41 +388,33 @@ def verify_shelling(d: Complex, cert: ShellingCertificate) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _map_tree(t: ShedTree, s: int, r: int, n: int) -> ShedTree:
-    """``t`` with every shed vertex ``v`` moved to ``s*v + r (mod n)``,
-    built on an explicit stack: a moved vertex, popped once the two
-    subtrees pushed above it are built, joins them into a node."""
+def _relabelled(t, n: int) -> ShedTree:
+    """``t`` with each memo record ``(tree, s, r, cone)`` in it written
+    out: ``tree`` with every shed vertex v moved to s*v + r (mod n) and,
+    if ``cone``, every empty-face leaf made a simplex leaf (the apex).
+    Nested records compose, their maps inside the outer one and their
+    cone flags by OR.  On an explicit stack: a moved vertex, popped once
+    the two subtrees pushed above it are built, joins them into a node."""
     done: list[ShedTree] = []  # built subtrees, each deletion below its link
-    todo: list[ShedTree | int] = [t]
+    # a moved vertex, or a subtree with the map and cone flag it is under
+    todo: list[int | tuple] = [(t, 1, 0, False)]
     while todo:
         u = todo.pop()
         if type(u) is int:
             link = done.pop()
             done[-1] = ShedNode(u, done[-1], link)
             continue
-        while isinstance(u, ShedNode):  # down the deletions, stacking links
-            todo += ((s * u.vertex + r) % n, u.link)
-            u = u.deletion
-        done.append(u)
-    return done[0]
-
-
-def _cone_tree(t: ShedTree) -> ShedTree:
-    """The base's shed tree ``t`` as a tree of a cone over that base:
-    every ``empty-face`` leaf becomes a ``simplex`` leaf (the apex), on
-    the same explicit stack as ``_map_tree``."""
-    done: list[ShedTree] = []
-    todo: list[ShedTree | int] = [t]
-    while todo:
-        u = todo.pop()
-        if type(u) is int:
-            link = done.pop()
-            done[-1] = ShedNode(u, done[-1], link)
-            continue
-        while isinstance(u, ShedNode):
-            todo += (u.vertex, u.link)
-            u = u.deletion
-        done.append(_SIMPLEX if u.kind == "empty-face" else u)
+        u, s, r, cone = u
+        while True:  # down the deletions, stacking links
+            if type(u) is tuple:  # a record: its map, then the outer one
+                u, s1, r1, c1 = u
+                s, r, cone = s * s1, (s * r1 + r) % n, cone or c1
+            elif isinstance(u, ShedNode):
+                todo += ((s * u.vertex + r) % n, (u.link, s, r, cone))
+                u = u.deletion
+            else:
+                break
+        done.append(_SIMPLEX if cone and u.kind == "empty-face" else u)
     return done[0]
 
 
@@ -469,7 +458,7 @@ def vertex_decomposition(
 
     Lemma (Provan-Billera 1980).  A pure cone D = A * B over a base B is
     vertex decomposable iff B is, and a shed tree of B becomes one of D
-    when each empty-face leaf becomes a simplex leaf (``_cone_tree``).
+    when each empty-face leaf becomes a simplex leaf.
 
     An apex a never sheds: the faces of D avoiding a are the F - a, all
     smaller than the facets, so its deletion is not pure of D's size.
@@ -499,10 +488,14 @@ def vertex_decomposition(
 
     Each entry records whether its node was a cone.  A stored ``no``
     serves every node with its key, and a stored tree a node of its own
-    kind; a base's tree serves a cone through ``_cone_tree``.  A cone's
-    tree is never handed to a base, since its simplex leaves may stand
-    for {()} there: that node is searched, and its entry replaces the
-    cone's.  By the lemma every memo hit gives the node's own verdict.
+    kind or a cone over its base.  A cone's tree is never handed to a
+    base, since its simplex leaves may stand for {()} there: that node
+    is searched, and its entry replaces the cone's.  By the lemma every
+    memo hit gives the node's own verdict.  A hit copies no tree: it
+    shares the stored one, under a record (tree, s, r, cone) of the map
+    v -> s*v + r and of whether empty-face leaves become simplex leaves
+    when either is needed.  One walk (``_relabelled``) writes every
+    record out once a ``yes`` reaches the root.
 
     Forced vertices.  A flag root is Ind(G) of the graph G of the pairs
     no facet holds (built once), and the node on vertex mask W is
@@ -554,7 +547,8 @@ def vertex_decomposition(
     flag = d.is_flag
     rotations = flag and d.rotation_invariant
     if not d.ridge_connected:
-        return _ridge_refusal(start, forced=0, rotations=rotations)
+        return _outcome("no", None, start, "ridge graph disconnected",
+                        nodes=0, memo_hits=0, forced=0, rotations=rotations)
     root = list(d.facet_masks)
     closed = _closed_rows(n, root) if flag else None
     # key -> (tree or None for no, map s and r, whether the node was a cone)
@@ -562,6 +556,7 @@ def vertex_decomposition(
     nodes = 0
     hits = 0
     forced = 0
+    records = False  # whether a memo hit left a record in a tree
 
     # The innermost open node: its facets ``top`` (None until the root
     # opens), memo key and map, whether it is a cone, untried candidates,
@@ -574,12 +569,9 @@ def vertex_decomposition(
         nodes += 1
         if deadline is not None and nodes % _BUDGET_PROBE == 0:
             if time.monotonic() > deadline:
-                return CheckOutcome("unknown", None, {
-                    "nodes": nodes, "memo_hits": hits, "forced": forced,
-                    "rotations": rotations,
-                    "elapsed_s": time.monotonic() - start,
-                    "reason": "budget exhausted",
-                })
+                return _outcome("unknown", None, start, "budget exhausted",
+                                nodes=nodes, memo_hits=hits, forced=forced,
+                                rotations=rotations)
         if len(fmasks) <= 1:
             tree = _leaf_of(fmasks)
         else:
@@ -600,12 +592,13 @@ def vertex_decomposition(
             if got is not None and (got[0] is None or apex or not got[3]):
                 hits += 1
                 tree, s0, r0, was_cone = got
-                if tree is not None and (s0, r0) != (s, r):
-                    # the stored node's map, then the inverse of this
-                    # node's (u -> s*(u - r)): v -> s0*s*v + s*(r0 - r)
-                    tree = _map_tree(tree, s0 * s, s * (r0 - r) % n, n)
-                if tree is not None and apex and not was_cone:
-                    tree = _cone_tree(tree)
+                cones_base = apex != 0 and not was_cone
+                if tree is not None and (cones_base or (s0, r0) != (s, r)):
+                    # share the stored tree under a record of the stored
+                    # node's map, then the inverse of this node's
+                    # (u -> s*(u - r)): v -> s0*s*v + s*(r0 - r)
+                    tree = (tree, s0 * s, s * (r0 - r) % n, cones_base)
+                    records = True
             else:
                 c = 0
                 if closed is not None:
@@ -650,11 +643,11 @@ def vertex_decomposition(
         # until one of them has a node to enter.
         while True:
             if top is None:  # ``tree`` settles the root
-                return CheckOutcome("no" if tree is None else "yes", tree, {
-                    "nodes": nodes, "memo_hits": hits, "forced": forced,
-                    "rotations": rotations,
-                    "elapsed_s": time.monotonic() - start,
-                })
+                if tree is not None and records:
+                    tree = _relabelled(tree, n)
+                return _outcome("no" if tree is None else "yes", tree, start,
+                                nodes=nodes, memo_hits=hits, forced=forced,
+                                rotations=rotations)
             if tree is not None:
                 if tree_del is None:  # a deletion tree: enter the link
                     tree_del = tree

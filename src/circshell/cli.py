@@ -133,10 +133,16 @@ def cmd_check(args: argparse.Namespace) -> int:
         args.kind, item if d is None else d,
         timeout_s=args.timeout, face_cap=args.face_cap)
 
-    cert_path = None
+    cert_path = cert_error = None
     if args.certificate and certificate is not None:
-        Path(args.certificate).write_text(checkers.certificate_to_json(certificate))
-        cert_path = args.certificate
+        try:
+            text = checkers.certificate_to_json(certificate)
+        except RecursionError as e:  # the verdict stands; only the file is lost
+            cert_error = ("certificate not written: a shed tree's JSON nests one "
+                          f"level per shed vertex, too deep to write ({e})")
+        else:
+            Path(args.certificate).write_text(text)
+            cert_path = args.certificate
 
     if args.json:
         obj = {"kind": args.kind, "instance": args.desc.strip(),
@@ -157,6 +163,9 @@ def cmd_check(args: argparse.Namespace) -> int:
                 print(f"  reason: {detail['reason']}")
         if cert_path:
             print(f"certificate written to {cert_path}")
+    if cert_error:
+        print(f"error: {cert_error}", file=sys.stderr)
+        return 2
     return {"yes": 0, "no": 1}.get(verdict, 2)
 
 

@@ -235,6 +235,26 @@ def shed_order_naive(family: list[int], t) -> list[int]:
         for m in shed_order_naive([m ^ xb for m in family if m & xb], t.link)]
 
 
+def relabel_naive(t, n: int):
+    """The shed tree ``t`` with each memo record ``(tree, s, r, cone)``
+    in it written out, by recursion from the inside out: a record's
+    tree is written out first, and then its every shed vertex v moved to
+    ``s*v + r (mod n)`` and, when ``cone``, its every empty-face leaf
+    made a simplex leaf."""
+    def apply(t, s, r, cone):
+        if isinstance(t, ShedLeaf):
+            return ShedLeaf("simplex") if cone and t.kind == "empty-face" else t
+        return ShedNode((s * t.vertex + r) % n, apply(t.deletion, s, r, cone),
+                        apply(t.link, s, r, cone))
+
+    if isinstance(t, ShedLeaf):
+        return t
+    if isinstance(t, ShedNode):
+        return ShedNode(t.vertex, relabel_naive(t.deletion, n), relabel_naive(t.link, n))
+    tree, s, r, cone = t
+    return apply(relabel_naive(tree, n), s, r, cone)
+
+
 def dihedral_maps_naive(n: int, facets) -> list:
     """The vertex maps under which Reisner's criterion checks one face per
     orbit: none, unless the facets are fixed by ``v -> v + 1 (mod n)``

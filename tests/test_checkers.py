@@ -371,17 +371,53 @@ def _preorder(t):
     return out
 
 
+def test_relabelled_writes_out_nested_records(monkeypatch):
+    # a memo hit leaves a record (tree, s, r, cone) of the map v -> s*v + r
+    # (mod n) and of whether empty-face leaves become simplices; records
+    # nest, and one walk writes them all out
+    from circshell.checkers import _relabelled
+
+    def refuse(limit):
+        raise AssertionError(f"setrecursionlimit({limit})")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    n = 7
+    simplex, empty = ShedLeaf("simplex"), ShedLeaf("empty-face")
+    # v -> 3 - v, then v -> v + 2, then the cone: vertex 1 goes to 4
+    t = ((ShedNode(1, simplex, empty), -1, 3, False), 1, 2, True)
+    assert _relabelled(t, n) == oracles.relabel_naive(t, n) == ShedNode(4, simplex, simplex)
+    inner = ShedNode(1, ShedNode(2, simplex, empty), empty)
+    for t in (
+        inner,  # no record: an equal tree
+        ((inner, -1, 3, False), -1, 5, False),  # a map inside a map
+        ((inner, 1, 0, True), -1, 5, False),  # a cone under a map
+        ShedNode(4, (inner, -1, 1, True),  # records as deletion and link
+                 ShedNode(0, empty, ((inner, 1, 2, False), -1, 6, False))),
+    ):
+        assert _relabelled(t, n) == oracles.relabel_naive(t, n), t
+    # deeper than the recursion limit: v -> -(-v + 3) + 1 = v - 2, coned
+    depth = sys.getrecursionlimit() + 100
+    base = _chain(depth, lambda i: i % n, empty)
+    got = _relabelled(((base, -1, 3, False), -1, 1, True), n)
+    want = ["simplex" if x == "empty-face" else x for x in
+            _preorder(_chain(depth, lambda i: (i - 2) % n, empty))]
+    assert _preorder(got) == want and want.count("simplex") == depth + 1
+
+
 def test_map_tree_handles_a_tree_deeper_than_the_recursion_limit():
-    from circshell.checkers import _map_tree
+    # a map record v -> 3 - v (mod n) over a chain deeper than the limit
+    from circshell.checkers import _relabelled
     n = 7
     depth = sys.getrecursionlimit() + 100
-    moved = _map_tree(_chain(depth, lambda i: i % n, ShedLeaf("simplex")), -1, 3, n)
+    moved = _relabelled((_chain(depth, lambda i: i % n, ShedLeaf("simplex")), -1, 3, False), n)
     want = _chain(depth, lambda i: (3 - i) % n, ShedLeaf("simplex"))
     assert _preorder(moved) == _preorder(want)
 
 
 def test_cone_tree_handles_a_tree_deeper_than_the_recursion_limit(monkeypatch):
-    from circshell.checkers import _cone_tree
+    # a cone record (the identity map, empty-face leaves made simplices)
+    # over a 1,200-level chain, with setrecursionlimit refused
+    from circshell.checkers import _relabelled
 
     def refuse(limit):
         raise AssertionError(f"setrecursionlimit({limit})")
@@ -390,7 +426,7 @@ def test_cone_tree_handles_a_tree_deeper_than_the_recursion_limit(monkeypatch):
     depth = 1200
     base = _chain(depth, lambda i: i, ShedLeaf("empty-face"))
     want = ["simplex" if x == "empty-face" else x for x in _preorder(base)]
-    assert _preorder(_cone_tree(base)) == want
+    assert _preorder(_relabelled((base, 1, 0, True), depth + 1)) == want
     assert want.count("simplex") == depth + 1
 
 
@@ -416,20 +452,21 @@ def test_a_base_tree_serves_its_cone(monkeypatch):
     # Ind of the clique expansion of the path 3-0-1-2 plus the isolated
     # vertex 4, by blob sizes (1, 2, 2, 1, 2): its search stores a base's
     # tree before it meets a cone over that base, which takes the tree
-    # with each empty-face leaf made a simplex
+    # under a record that makes each empty-face leaf a simplex, written
+    # out once the root is settled
     calls = []
 
-    def spy(t):
+    def spy(t, n):
         calls.append(t)
-        return real(t)
+        return real(t, n)
 
-    real = circshell.checkers._cone_tree
-    monkeypatch.setattr(circshell.checkers, "_cone_tree", spy)
+    real = circshell.checkers._relabelled
+    monkeypatch.setattr(circshell.checkers, "_relabelled", spy)
     g = Graph.from_edges(5, [(0, 1), (0, 3), (1, 2)])
     d = expansion_complex(independence_complex(g), (1, 2, 2, 1, 2))
     out = vertex_decomposition(d)
     assert out.verdict == "yes" and verify_shed_tree(d, out.certificate)
-    assert calls and (out.stats["nodes"], out.stats["memo_hits"]) == (15, 4)
+    assert len(calls) == 1 and (out.stats["nodes"], out.stats["memo_hits"]) == (15, 4)
 
 
 def test_a_cone_tree_does_not_serve_its_base():
@@ -481,10 +518,14 @@ def test_vd_matches_definition_on_small_complexes():
     assert verdicts["yes"] > 0 and verdicts["no"] > 0
 
 
-def test_vd_milestones_search_stats():
+def test_vd_milestones_search_stats(monkeypatch):
     # the memo is keyed by the dihedral class of a node's cone base, so
     # these counts pin the key, the cone rule, the candidate order and
-    # the forced vertices
+    # the forced vertices; a search that ends no writes out no tree
+    def refuse(t, n):
+        raise AssertionError("a tree written out on a no")
+
+    monkeypatch.setattr(circshell.checkers, "_relabelled", refuse)
     limit = sys.getrecursionlimit()
     for name, nodes, hits in (("C16(1,4,8)", 222, 138),
                               ("C20(1,5,10)", 1185, 775)):

@@ -172,6 +172,29 @@ def test_check_vd_yes_certificate_roundtrip(capsys, tmp_path):
     assert code == 0 and "accepted" in out
 
 
+@pytest.mark.parametrize("fmt", [(), ("--json",)])
+def test_check_vd_keeps_its_verdict_when_the_tree_is_too_deep_to_write(
+        capsys, tmp_path, fmt):
+    # 1,200 isolated points: the shed tree nests 1,200 levels, deeper than
+    # Python's json writes, so the certified yes is printed as without
+    # --certificate and the missing file is an error
+    desc = json.dumps({"n": 1200, "facets": [[v] for v in range(1200)]})
+    cert = tmp_path / "tree.json"
+    _, plain, _ = run(capsys, "check", "vd", desc, *fmt)
+    code, out, err = run(capsys, "check", "vd", desc, *fmt, "--certificate", str(cert))
+    assert code == 2 and not cert.exists()
+    if fmt:
+        got, want = json.loads(out), json.loads(plain)
+        assert got["verdict"] == "yes" and "certificate" not in got
+        del got["stats"]["elapsed_s"], want["stats"]["elapsed_s"]
+        assert got == want
+    else:
+        drop = lambda text: [s for s in text.splitlines() if "elapsed_s" not in s]
+        assert out.startswith("vd: yes\n") and drop(out) == drop(plain)
+    assert err.startswith("error: certificate not written: ")
+    assert "one level per shed vertex" in err
+
+
 @pytest.mark.parametrize("kind, cert_obj", [
     ("shellable", {"order": [0, 1]}), ("vd", {"leaf": "simplex"})])
 def test_check_verify_only_on_a_non_pure_complex_is_error(
