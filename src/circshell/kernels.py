@@ -31,6 +31,9 @@ are grouped by ``_iso_key``, the least tuple of adjacency rows over the
 relabellings that list the vertices by ascending degree: a canonical
 form over the degree partition, the first cell refinement of McKay and
 Piperno's canonical labelling ("Practical graph isomorphism, II", 2014).
+The same search gives the vertex order that relabels a graph onto its
+key, a canonical labelling, which the transfer suites of ``suites``
+move vertex labels along.
 """
 
 from __future__ import annotations
@@ -194,8 +197,9 @@ def alpha(n: int, adj: list[int], *, deadline: float | None = None) -> int:
     return alpha_py(n, adj, deadline=deadline)
 
 
-def _iso_key(n: int, adj: list[int]) -> tuple[int, ...]:
-    """Rows of a relabelled copy of the graph, equal for isomorphic graphs.
+def _iso_key(n: int, adj: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Rows of a relabelled copy of the graph, equal for isomorphic graphs,
+    and the vertex order that relabels the graph onto them.
 
     The vertices are split into cells by degree, cells in ascending
     degree order; the key is the least tuple of rows over the
@@ -207,6 +211,12 @@ def _iso_key(n: int, adj: list[int]) -> tuple[int, ...]:
     cells allow more than ``_KEY_ORDERINGS`` orderings keys by its own
     rows, which may leave isomorphic graphs apart but never joins two
     that are not.
+
+    The order lists the old vertex at each new position: the first one
+    of the search to give the key, or the identity for a graph keyed by
+    its own rows.  Vertex ``order[k]`` of the graph is vertex ``k`` of
+    the keyed copy, so vertex labels moved along it, ``labels[order[k]]``
+    at ``k``, label the keyed copy as they labelled the graph.
     """
     cells: dict[int, list[int]] = {}
     for v, a in enumerate(adj):
@@ -216,19 +226,19 @@ def _iso_key(n: int, adj: list[int]) -> tuple[int, ...]:
     for g in groups:
         count *= factorial(len(g))
     if count > _KEY_ORDERINGS:
-        return tuple(adj)
+        return tuple(adj), tuple(range(n))
     nbrs = [[u for u in range(n) if a >> u & 1] for a in adj]
     bit = [0] * n  # the new bit of each old vertex
     get = bit.__getitem__
-    best = None
+    best = best_order = None
     for parts in product(*map(permutations, groups)):
         order = sum(parts, ())  # the old vertex at each new position
         for k, v in enumerate(order):
             bit[v] = 1 << k
         rows = tuple([sum(map(get, nbrs[v])) for v in order])
         if best is None or rows < best:
-            best = rows
-    return best
+            best, best_order = rows, order
+    return best, best_order
 
 
 def alpha_product_failures(ns: list[int], adjs: list[list[int]], *,
@@ -274,7 +284,7 @@ def alpha_product_failures(ns: list[int], adjs: list[list[int]], *,
         if (deadline is not None and i % _DEADLINE_PROBE == 0
                 and time.monotonic() > deadline):
             raise BudgetError("independence number scan ran out of budget")
-        c = group.setdefault(_iso_key(n, a), len(reps))
+        c = group.setdefault(_iso_key(n, a)[0], len(reps))
         if c == len(reps):
             reps.append((n, a))
         of.append(c)

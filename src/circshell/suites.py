@@ -17,7 +17,11 @@ rejected``, and writes a certified ``yes``'s certificate under
 a record's verdicts into its status: a rejected certificate fails the
 record even when another verdict is ``unknown``.  ``main-a``,
 ``main-bc`` and ``expansion`` are one loop, :func:`_transfer_suite`,
-over different constructions.
+over different constructions.  That loop decides each isomorphism class
+of base graph and of variant once, through the canonical labelling of
+``kernels._iso_key``, and copies the verdicts to every labelled
+instance; ``chain`` stays labelled, since keying its 33,867 graphs
+would cost more than deciding them.
 
 Suites yield their records, and past ``RECORD_CAP`` instances a report
 lists only failures, unknowns and skipped records; :func:`_collect`
@@ -26,6 +30,7 @@ never holds more than ``RECORD_CAP`` ``ok`` records in memory.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -346,11 +351,14 @@ def suite_alpha_product(cfg: RunConfig) -> SuiteReport:
     )
 
 
+Variant = tuple[str, tuple[int, ...], Callable[[Complex], Complex]]
+
+
 def _transfer_suite(
     name: str,
     cfg: RunConfig,
     nmax: int,
-    variants: Callable[[Graph, Complex], Iterable[tuple[str, Complex]]],
+    variants: Callable[[Graph], Iterable[Variant]],
     tags: tuple[str, str],
     *,
     both_ways: bool,
@@ -360,64 +368,87 @@ def _transfer_suite(
     """Each variant of Ind(G), for every labeled G with n <= nmax, keeps
     the verdicts of Ind(G).
 
-    ``variants(g, ind_g)`` yields ``(instance, complex)`` pairs.  VD must
-    match; shellability must match too when ``both_ways``, else only
-    carry forward from a ``yes``.  Verdicts are keyed ``vd_<tag>``,
-    ``shellable_<tag>`` and ``pure_<tag>``, ``tags`` naming the base and
-    its variant.  A non-pure G has only its variants' purity checked,
-    noted ``non_pure``, or is skipped when ``non_pure`` is None; a
-    non-pure variant of a pure G fails.
+    ``variants(g)`` yields ``(instance, labels, build)``: ``labels`` has
+    one entry per vertex of ``g`` and, with ``g``, fixes the variant up
+    to isomorphism; ``build(ind_g)`` makes the variant's complex from
+    Ind(G).  VD must match; shellability must match too when
+    ``both_ways``, else only carry forward from a ``yes``.  Verdicts are
+    keyed ``vd_<tag>``, ``shellable_<tag>`` and ``pure_<tag>``, ``tags``
+    naming the base and its variant.  A non-pure G has only its
+    variants' purity checked, noted ``non_pure``, or is skipped when
+    ``non_pure`` is None; a non-pure variant of a pure G fails.
+
+    Every verdict depends on the isomorphism class only, so each class
+    is decided once and its records are copied to every labelled
+    instance.  ``kernels._iso_key`` gives G's key and the order that
+    relabels G onto the keyed copy G*; a base with a key seen before
+    reuses its verdicts and builds no Ind(G).  A variant is keyed by
+    G's key and its labels moved along that order.  The order is an
+    isomorphism from G onto G*, and moving the labels along it makes
+    the variant of G isomorphic to the variant of G* with the moved
+    labels; so equal variant keys mean isomorphic complexes, and
+    purity, the checked verdicts and any rejected certificate carry
+    over.  Only a variant key not seen before builds and decides its
+    complex, through ``_checked_verdicts`` as every complex here is.
+    Both memos live for one run.
     """
     started = time.monotonic()
     vd_key, sh_key, pure_key = (
         [f"{p}_{t}" for t in tags] for p in ("vd", "shellable", "pure"))
+    bases: dict[tuple[int, ...], tuple[bool, str, str]] = {}  # key -> (pure, sh, vd)
+    decided: dict[tuple, dict] = {}  # variant key -> its record but the instance
+
+    def decide(pure_g: bool, sh_g: str, vd_g: str, ind: Complex) -> dict:
+        if not pure_g:
+            pure = ind.is_pure()
+            return {"status": "fail" if pure else "ok",
+                    "verdicts": {pure_key[0]: False, pure_key[1]: pure},
+                    "note": non_pure}
+        if not ind.is_pure():
+            return {"status": "fail", "verdicts": {pure_key[1]: False},
+                    "note": "product of well-covered factors must stay pure"}
+        sh, vd = _checked_verdicts(ind, cfg)
+        holds = vd == vd_g and (
+            sh == sh_g if both_ways else sh_g != "yes" or sh == "yes")
+        return {"status": _status((sh_g, vd_g, sh, vd), holds),
+                "verdicts": {vd_key[0]: vd_g, vd_key[1]: vd,
+                             sh_key[0]: sh_g, sh_key[1]: sh}}
 
     def records() -> Iterator[dict]:
         for g in _graphs_upto(nmax):
-            ind_g = independence_complex(g)
-            pure_g = ind_g.is_pure()
-            if pure_g:
-                sh_g, vd_g = _checked_verdicts(ind_g, cfg)
-            elif non_pure is None:
+            key, order = kernels._iso_key(g.n, list(g.adjacency_masks))
+            ind_g = None
+            if key not in bases:
+                ind_g = independence_complex(g)
+                bases[key] = ((True, *_checked_verdicts(ind_g, cfg))
+                              if ind_g.is_pure() else (False, "", ""))
+            base = bases[key]
+            if not base[0] and non_pure is None:
                 continue
-            for instance, ind in variants(g, ind_g):
-                if not pure_g:
-                    pure = ind.is_pure()
-                    yield {
-                        "instance": instance,
-                        "status": "fail" if pure else "ok",
-                        "verdicts": {pure_key[0]: False, pure_key[1]: pure},
-                        "note": non_pure,
-                    }
-                elif not ind.is_pure():
-                    yield {
-                        "instance": instance,
-                        "status": "fail",
-                        "verdicts": {pure_key[1]: False},
-                        "note": "product of well-covered factors must stay pure",
-                    }
-                else:
-                    sh, vd = _checked_verdicts(ind, cfg)
-                    holds = vd == vd_g and (
-                        sh == sh_g if both_ways else sh_g != "yes" or sh == "yes")
-                    yield {
-                        "instance": instance,
-                        "status": _status((sh_g, vd_g, sh, vd), holds),
-                        "verdicts": {vd_key[0]: vd_g, vd_key[1]: vd,
-                                     sh_key[0]: sh_g, sh_key[1]: sh},
-                    }
+            for instance, labels, build in variants(g):
+                vkey = (key, tuple([labels[v] for v in order]))
+                rest = decided.get(vkey)
+                if rest is None:
+                    if ind_g is None:
+                        ind_g = independence_complex(g)
+                    rest = decided[vkey] = decide(*base, build(ind_g))
+                yield {"instance": instance, **rest}
 
-    return _assemble(name, cfg, records(), started, notes=notes)
+    report = _assemble(name, cfg, records(), started, notes=notes)
+    report.notes.append(f"{len(bases) + len(decided)} complexes decided for "
+                        f"{report.total} instances: one per isomorphism class")
+    return report
 
 
 def suite_main_a(cfg: RunConfig) -> SuiteReport:
     """Shellability/VD of Ind(kH) matches Ind(H) for k <= 3 disjoint copies."""
 
-    def copies(h: Graph, ind_h: Complex) -> Iterable[tuple[str, Complex]]:
-        kh = h
+    def copies(h: Graph) -> Iterable[Variant]:
+        desc = h.to_json()
         for k in (2, 3):
-            kh = disjoint_union(kh, h)
-            yield f"{k} copies of {h.to_json()}", independence_complex(kh)
+            yield (f"{k} copies of {desc}", (k,) * h.n,
+                   lambda _, k=k: independence_complex(
+                       functools.reduce(disjoint_union, [h] * k)))
 
     return _transfer_suite(
         "main-a", cfg, 4, copies, ("H", "kH"), both_ways=True,
@@ -430,10 +461,11 @@ def suite_main_bc(cfg: RunConfig) -> SuiteReport:
     Runs over every labeled well-covered G with n <= 5 and m in {2,3}.
     """
 
-    def products(g: Graph, ind_g: Complex) -> Iterable[tuple[str, Complex]]:
+    def products(g: Graph) -> Iterable[Variant]:
+        desc = g.to_json()
         for m in (2, 3):
-            yield (f"{g.to_json()} lex K{m}",
-                   independence_complex(lex_product(g, complete(m))))
+            yield (f"{desc} lex K{m}", (m,) * g.n,
+                   lambda _, m=m: independence_complex(lex_product(g, complete(m))))
 
     return _transfer_suite(
         "main-bc", cfg, 5, products, ("G", "product"), both_ways=False,
@@ -475,16 +507,21 @@ def suite_expansion(cfg: RunConfig) -> SuiteReport:
     """Clique expansions preserve VD both ways and shellability forward.
 
     Exhaustive over labeled graphs with n <= 5 and expansion vectors
-    with entries in {1, 2}.  Each Ind(G_s) is built from the facets of
-    Ind(G) by ``complexes.expansion_complex`` (an independent set takes at
-    most one vertex per blob), not by Bron-Kerbosch on the expansion
-    graph; the tests check the two agree.
+    with entries in {1, 2}: 33,866 instances.  Each Ind(G_s) is built
+    from the facets of Ind(G) by ``complexes.expansion_complex`` (an
+    independent set takes at most one vertex per blob), not by
+    Bron-Kerbosch on the expansion graph; the tests check the two agree.
+    The blob sizes are the labels :func:`_transfer_suite` moves along
+    G's canonical order, so only 1,358 complexes are built and decided,
+    with 621 decomposition searches where searching every labelled
+    instance made 12,085.
     """
 
-    def expansions(g: Graph, ind_g: Complex) -> Iterable[tuple[str, Complex]]:
+    def expansions(g: Graph) -> Iterable[Variant]:
         desc = g.to_json()
         for s in itertools.product((1, 2), repeat=g.n):
-            yield f"{desc} expand {list(s)}", expansion_complex(ind_g, s)
+            yield (f"{desc} expand {list(s)}", s,
+                   lambda ind_g, s=s: expansion_complex(ind_g, s))
 
     return _transfer_suite(
         "expansion", cfg, 5, expansions, ("G", "expansion"), both_ways=False,

@@ -7,11 +7,13 @@ from these oracles are frozen into the test files as literals.
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from circshell import Graph
+from circshell import Graph, suites
 from circshell.checkers import ShedLeaf, ShedNode
+from circshell.complexes import independence_complex
 
 
 def independent_sets(g: Graph) -> list[frozenset[int]]:
@@ -57,6 +59,53 @@ def expansion_naive(g: Graph, sizes) -> Graph:
     edges = [e for blob in blobs for e in combinations(blob, 2)]
     edges += [(a, b) for i, j in g.edges for a in blobs[i] for b in blobs[j]]
     return Graph.from_edges(sum(sizes), edges)
+
+
+def transfer_suite_per_instance(name, cfg, nmax, variants, tags, *, both_ways,
+                                non_pure, notes=()):
+    """``suites._transfer_suite`` with no memo: Ind(G) and the complex of
+    every variant are built and decided afresh for each labelled G."""
+    started = time.monotonic()
+    vd_key, sh_key, pure_key = (
+        [f"{p}_{t}" for t in tags] for p in ("vd", "shellable", "pure"))
+
+    def records():
+        for g in suites._graphs_upto(nmax):
+            ind_g = independence_complex(g)
+            pure_g = ind_g.is_pure()
+            if pure_g:
+                sh_g, vd_g = suites._checked_verdicts(ind_g, cfg)
+            elif non_pure is None:
+                continue
+            for instance, _, build in variants(g):
+                ind = build(ind_g)
+                if not pure_g:
+                    pure = ind.is_pure()
+                    yield {
+                        "instance": instance,
+                        "status": "fail" if pure else "ok",
+                        "verdicts": {pure_key[0]: False, pure_key[1]: pure},
+                        "note": non_pure,
+                    }
+                elif not ind.is_pure():
+                    yield {
+                        "instance": instance,
+                        "status": "fail",
+                        "verdicts": {pure_key[1]: False},
+                        "note": "product of well-covered factors must stay pure",
+                    }
+                else:
+                    sh, vd = suites._checked_verdicts(ind, cfg)
+                    holds = vd == vd_g and (
+                        sh == sh_g if both_ways else sh_g != "yes" or sh == "yes")
+                    yield {
+                        "instance": instance,
+                        "status": suites._status((sh_g, vd_g, sh, vd), holds),
+                        "verdicts": {vd_key[0]: vd_g, vd_key[1]: vd,
+                                     sh_key[0]: sh_g, sh_key[1]: sh},
+                    }
+
+    return suites._assemble(name, cfg, records(), started, notes=notes)
 
 
 def maximal_independent_sets(g: Graph) -> set[frozenset[int]]:

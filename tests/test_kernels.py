@@ -98,7 +98,13 @@ TRAPS = [Graph.from_edges(4, [(0, 1), (2, 3)]), Graph.from_edges(4, [(0, 1), (1,
 
 
 def _key(g):
-    return kernels._iso_key(g.n, list(g.adjacency_masks))
+    return kernels._iso_key(g.n, list(g.adjacency_masks))[0]
+
+
+def _relabel_by(g, order):
+    """``g`` with vertex ``order[k]`` renamed ``k``."""
+    new = {v: k for k, v in enumerate(order)}
+    return Graph.from_edges(g.n, [(new[a], new[b]) for a, b in g.edges])
 
 
 def test_product_scan_runs_alpha_on_the_true_products(monkeypatch):
@@ -202,10 +208,19 @@ def test_equal_iso_keys_mean_isomorphic_graphs():
                 assert (kg == kh) == oracles.isomorphic_naive(g, h), (g, h)
 
 
+def test_iso_key_order_relabels_the_graph_onto_its_key():
+    for n in range(1, 6):
+        for g in labeled_graphs(n):
+            key, order = kernels._iso_key(g.n, list(g.adjacency_masks))
+            assert sorted(order) == list(range(n))
+            assert tuple(_relabel_by(g, order).adjacency_masks) == key, g
+
+
 def test_iso_key_past_the_ordering_bound_is_the_graphs_own_rows():
     # C7 is 2-regular: one degree cell of 7! = 5040 orderings
     c7 = circulant(CirculantSpec.parse("C7(1)"))
-    assert _key(c7) == tuple(c7.adjacency_masks)
+    assert kernels._iso_key(7, list(c7.adjacency_masks)) == (
+        tuple(c7.adjacency_masks), tuple(range(7)))  # the rows, and the identity
     # C6 has 6! = 720, within the bound, so any labelling keys alike
     c6 = circulant(CirculantSpec.parse("C6(1)"))
     rng = random.Random(720)

@@ -1,6 +1,9 @@
 """Suite execution, report mechanics, reproducibility, and the explorer."""
 
+import itertools
 import json
+import random
+import re
 import sys
 import time
 import weakref
@@ -8,10 +11,12 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from circshell import checkers, homology, kernels, suites
 from circshell.homology import BudgetError
 from circshell.complexes import independence_complex
-from circshell.graphs import circulant, CirculantSpec, complete, lex_product
+from circshell.graphs import (Graph, circulant, CirculantSpec, complete,
+                              disjoint_union, lex_product)
 from circshell.suites import (
     RECORD_CAP,
     RunConfig,
@@ -474,3 +479,99 @@ def test_transfer_suite_records(monkeypatch, suite, expected):
         assert by_instance[rec["instance"]] == rec
     # main-bc instantiates well-covered G only
     assert any(P3 in i for i in by_instance) == (suite != "main-bc")
+
+
+def _memo_and_reference(suite, monkeypatch):
+    """``suite``'s report over graphs with n <= 4 with its memo, then with
+    every labelled instance decided on its own, both without elapsed
+    time; and the memo's cost note, taken out of its report."""
+    monkeypatch.setattr(suites, "labeled_graphs",
+                        lambda n: labeled_graphs(n) if n <= 4 else [])
+    got = run_suite(suite, RunConfig()).to_obj()
+    monkeypatch.setattr(suites, "_transfer_suite", oracles.transfer_suite_per_instance)
+    want = run_suite(suite, RunConfig()).to_obj()
+    for obj in (got, want):
+        del obj["elapsed_s"]
+    return got, want, got["notes"].pop()
+
+
+@pytest.mark.parametrize("suite", ["expansion", "main-bc", "main-a"])
+def test_transfer_suite_memo_matches_a_per_instance_reference(monkeypatch, suite):
+    got, want, note = _memo_and_reference(suite, monkeypatch)
+    assert got == want and got["passed"]
+    decided, total = map(int, re.fullmatch(
+        r"(\d+) complexes decided for (\d+) instances: one per isomorphism class",
+        note).groups())
+    assert total == got["total"] and 0 < decided < total
+
+
+def _graph_of(d):
+    """The graph whose independence complex is the flag complex ``d``."""
+    return Graph.from_edges(d.n, [
+        (u, v) for u, v in itertools.combinations(range(d.n), 2)
+        if not any(f >> u & 1 and f >> v & 1 for f in d.facet_masks)])
+
+
+def test_a_fault_on_one_class_fails_exactly_that_classes_instances(monkeypatch):
+    # K3 + K2 is the expansion of K2 + K1, and of K3 + K1 and of 2K2, at
+    # several labellings and blob vectors; a memo that moved the blob
+    # sizes wrongly would fail an expansion outside the class, or miss one
+    target = disjoint_union(complete(3), complete(2))
+    real = checkers.verify_shelling
+
+    def in_class(d):
+        return d.n == target.n and oracles.isomorphic_naive(_graph_of(d), target)
+
+    monkeypatch.setattr(checkers, "verify_shelling",
+                        lambda d, order: not in_class(d) and real(d, order))
+    got, want, _ = _memo_and_reference("expansion", monkeypatch)
+    assert got == want and not got["passed"]
+    expect = sorted(
+        f"{g.to_json()} expand {list(s)}"
+        for n in range(1, 5) for g in labeled_graphs(n)
+        if independence_complex(g).is_pure()
+        for s in itertools.product((1, 2), repeat=n)
+        if sum(s) == target.n
+        and oracles.isomorphic_naive(oracles.expansion_naive(g, s), target))
+    assert [r["instance"] for r in got["failures"]] == expect
+    assert len({r["instance"].split(" expand ")[0] for r in got["failures"]}) > 3
+    assert all(r["verdicts"]["shellable_expansion"] == "certificate rejected"
+               for r in got["failures"])
+
+
+def test_equal_expansion_keys_mean_isomorphic_expansions():
+    # the expansion suite keys G_s by G's key and s moved along G's order;
+    # every member of a key's group is checked against its first at n <= 3,
+    # a seeded sample at n = 4
+    groups = {}
+    for n in range(1, 5):
+        for g in labeled_graphs(n):
+            key, order = kernels._iso_key(g.n, list(g.adjacency_masks))
+            for s in itertools.product((1, 2), repeat=n):
+                groups.setdefault((key, tuple(s[v] for v in order)), []).append((g, s))
+    pairs = [(group[0], other) for group in groups.values() for other in group[1:]]
+    small = [p for p in pairs if p[0][0].n <= 3]
+    sample = random.Random(3232).sample([p for p in pairs if p[0][0].n == 4], 120)
+    assert len(small) == 32 and len(pairs) == 880
+    for (g, s), (h, t) in small + sample:
+        assert oracles.isomorphic_naive(oracles.expansion_naive(g, s),
+                                        oracles.expansion_naive(h, t)), (g, s, h, t)
+
+
+def test_expansion_searches_once_per_isomorphism_class(monkeypatch):
+    calls = 0
+    real = suites.vertex_decomposition
+
+    def counted(d, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(d, **kwargs)
+
+    monkeypatch.setattr(suites, "vertex_decomposition", counted)
+    report = run_suite("expansion", RunConfig())
+    assert report.passed and report.total == 33866
+    # one per pure class of G and per pure class of (G, s), against 12,085
+    # when every labelled instance was searched
+    assert calls == 621
+    assert report.notes == [
+        "1358 complexes decided for 33866 instances: one per isomorphism class"]
