@@ -1,4 +1,5 @@
-"""Finite simple graphs: circulants, lexicographical products, expansions.
+"""Finite simple graphs: circulants, lexicographical products, expansions,
+and a canonical labelling.
 
 Vertices are always ``0..n-1``.  A graph stores only its adjacency
 rows, one neighbour bitmask per vertex (``Graph.adjacency_masks``); its
@@ -9,19 +10,33 @@ Labelling contracts (relied on by tests and certificates):
 * ``lex_product(G, H)``: product vertex ``(i, j)`` becomes ``i + G.n * j``.
 * ``expansion(G, sizes)``: the j-th copy of vertex ``i`` (1-based ``j``)
   becomes ``sum(sizes[:i]) + (j - 1)``.
+
+Row ``(i, j)`` of G[H] is one OR of two parts, one per factor: G's row
+``i`` repeated in every H-copy (``_blown_rows``), and H's row ``j``
+spread at G's stride and shifted to column ``i`` (``_spread_rows``).  A
+part depends on one factor and the other's vertex count only, so the
+alpha scan of ``kernels`` makes each part once and each of its
+products with one OR per row.
+
+``_iso_key`` is a canonical form over the degree partition, the first
+cell refinement of McKay and Piperno's canonical labelling ("Practical
+graph isomorphism, II", J. Symbolic Comput. 60, 2014).  The alpha scan
+groups its graphs by it, and the transfer suites of ``suites`` move
+vertex labels along the order it returns.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable
-
-from . import kernels
+from operator import or_
+from typing import Iterable, Sequence
 
 MAX_VERTICES = 4096  # the most vertices a graph or complex from outside input may have
+_KEY_ORDERINGS = 720  # 6!: a graph with more degree-sorted orderings keys by its own rows
 
 
 def _is_int(x: object) -> bool:
@@ -70,6 +85,8 @@ class Graph:
         return 0 <= a < self.n and b >= 0 and bool(self.adjacency_masks[a] >> b & 1)
 
     def degree(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range for n={self.n}")
         return self.adjacency_masks[v].bit_count()
 
     def edge_list(self) -> list[tuple[int, int]]:
@@ -134,13 +151,12 @@ class CirculantSpec:
     @staticmethod
     def parse(text: str) -> "CirculantSpec":
         """Parse shorthand like ``C16(1,4,8)`` or ``C7()``."""
-        m = re.fullmatch(r"\s*[Cc](\d+)\(([\d,\s]*)\)\s*", text)
+        m = re.fullmatch(r"\s*[Cc](\d+)\(\s*(\d+(?:\s*,\s*\d+)*)?\s*\)\s*", text)
         if not m:
             raise ValueError(f"not a circulant shorthand: {text!r}")
-        n = int(m.group(1))
-        body = m.group(2).strip()
+        body = m.group(2)
         shifts = tuple(int(s) for s in body.split(",")) if body else ()
-        return CirculantSpec(n, shifts)
+        return CirculantSpec(int(m.group(1)), shifts)
 
 
 def circulant(spec: CirculantSpec) -> Graph:
@@ -177,12 +193,35 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
                  g.adjacency_masks + tuple(m << g.n for m in h.adjacency_masks))
 
 
+def _blown_rows(ng: int, adjg: Sequence[int], nh: int) -> list[int]:
+    """G's part of every row of G[H]: row ``i`` repeated in every H-copy,
+    listed once per copy, in product vertex order ``i + ng*j``."""
+    rep = 0  # bit 0 of every H-copy
+    for j in range(nh):
+        rep |= 1 << (ng * j)
+    return [a * rep for a in adjg] * nh
+
+
+def _spread_rows(ng: int, adjh: Sequence[int]) -> list[int]:
+    """H's part of every row of G[H]: row ``j`` spread at stride ``ng`` and
+    shifted to column ``i``, in product vertex order ``i + ng*j``."""
+    rows = []
+    for a in adjh:
+        spread = 0
+        while a:
+            low = a & -a
+            spread |= 1 << (ng * (low.bit_length() - 1))
+            a ^= low
+        rows.extend(spread << i for i in range(ng))
+    return rows
+
+
 def lex_product(g: Graph, h: Graph) -> Graph:
     """Lexicographical product G[H]: ``(w,x) ~ (y,z)`` iff ``w ~ y`` in G,
     or ``w == y`` and ``x ~ z`` in H.  Vertex ``(i, j)`` is ``i + g.n * j``.
     """
-    return Graph(g.n * h.n, tuple(kernels.product_adj_py(
-        g.n, list(g.adjacency_masks), h.n, list(h.adjacency_masks))))
+    return Graph(g.n * h.n, tuple(map(or_, _blown_rows(g.n, g.adjacency_masks, h.n),
+                                      _spread_rows(g.n, h.adjacency_masks))))
 
 
 def expansion(g: Graph, sizes: tuple[int, ...]) -> Graph:
@@ -231,3 +270,52 @@ def circulant_lex_connection(s1: CirculantSpec, s2: CirculantSpec) -> CirculantS
         elif d % n == 0 and (d // n) % m in inner:
             shifts.append(d)
     return CirculantSpec(n * m, tuple(shifts))
+
+
+def _iso_key(n: int, adj: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Rows of a relabelled copy of the graph, equal for isomorphic graphs,
+    and the vertex order that relabels the graph onto them.
+
+    The vertices are split into cells by degree, cells in ascending
+    degree order; the key is the least tuple of rows over the
+    relabellings that list the cells in that order, permuting only
+    within each cell.  An isomorphism maps each cell onto the cell of
+    the same degree, so isomorphic graphs range over the same relabelled
+    copies and get the same key.  The key is always the rows of a
+    relabelled copy, so equal keys mean isomorphic graphs.  A graph whose
+    cells allow more than ``_KEY_ORDERINGS`` orderings keys by its own
+    rows, which may leave isomorphic graphs apart but never joins two
+    that are not.
+
+    The order lists the old vertex at each new position: the first one
+    of the search to give the key, or the identity for a graph keyed by
+    its own rows.  Vertex ``order[k]`` of G is vertex ``k`` of the keyed
+    copy G*, so ``order[k] -> k`` is an isomorphism from G onto G*.
+    Vertex labels moved along it, ``labels[order[k]]`` at ``k``, label
+    G* as they labelled G: G with its labels is isomorphic to G* with
+    the moved ones.  So two labelled graphs with equal keys and equal
+    moved labels are isomorphic, labels included, and any construction
+    from a graph and its vertex labels (an expansion by blob sizes)
+    gives isomorphic results on them.
+    """
+    cells: dict[int, list[int]] = {}
+    for v, a in enumerate(adj):
+        cells.setdefault(a.bit_count(), []).append(v)
+    groups = [cells[d] for d in sorted(cells)]
+    count = 1
+    for g in groups:
+        count *= math.factorial(len(g))
+    if count > _KEY_ORDERINGS:
+        return tuple(adj), tuple(range(n))
+    nbrs = [[u for u in range(n) if a >> u & 1] for a in adj]
+    bit = [0] * n  # the new bit of each old vertex
+    get = bit.__getitem__
+    best = best_order = None
+    for parts in itertools.product(*map(itertools.permutations, groups)):
+        order = sum(parts, ())  # the old vertex at each new position
+        for k, v in enumerate(order):
+            bit[v] = 1 << k
+        rows = tuple([sum(map(get, nbrs[v])) for v in order])
+        if best is None or rows < best:
+            best, best_order = rows, order
+    return best, best_order

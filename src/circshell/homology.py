@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 # re-exported: the face walks and the budgeted kernels raise them
 from .complexes import BudgetError, FaceLimitError
-from .complexes import (_DEADLINE_PROBE, Complex, _canonical, _check_deadline,
-                        _from_masks, _least_image)
+from .complexes import Complex, _canonical, _check_deadline, _from_masks, _least_image
+from .kernels import _DEADLINE_PROBE
 
 DEFAULT_FACE_CAP = 5_000_000
 

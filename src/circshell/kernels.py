@@ -17,38 +17,25 @@ best set found, no later branch of the node can either.  The best set
 starts as a first-fit independent set at the root, so a root whose
 cover already meets it is done without branching.
 
-``product_adj_py`` builds the rows of G[H] from two parts, one per
-factor: G's rows blown up over H's copies, and H's rows spread at
-G's stride.  A part depends on one factor and the other's vertex count
-only, so the scan makes each factor's parts once per vertex count and
-each product with one OR per row.
-
 ``alpha_product_failures`` decides the pairs through their isomorphism
 classes: a relabelling of G or of H relabels G[H] without changing any
 of the three independence numbers, so one product search per ordered
 pair of classes decides every labelled pair of those classes.  Graphs
-are grouped by ``_iso_key``, the least tuple of adjacency rows over the
-relabellings that list the vertices by ascending degree: a canonical
-form over the degree partition, the first cell refinement of McKay and
-Piperno's canonical labelling ("Practical graph isomorphism, II", 2014).
-The same search gives the vertex order that relabels a graph onto its
-key, a canonical labelling, which the transfer suites of ``suites``
-move vertex labels along.
+are grouped by the canonical key ``graphs._iso_key``.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import time
-from itertools import permutations, product
-from math import factorial
 from operator import or_
+
+from .graphs import _blown_rows, _iso_key, _spread_rows
 
 # Exists only for the benchmark's environment record.
 HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 
 _DEADLINE_PROBE = 32  # branch frames, pivots, columns, face sets or graphs between deadline checks
-_KEY_ORDERINGS = 720  # 6!: a graph with more degree-sorted orderings keys by its own rows
 
 
 class BudgetError(RuntimeError):
@@ -157,88 +144,12 @@ def alpha_py(n: int, adj: list[int], *, deadline: float | None = None) -> int:
             return best
 
 
-def _blown_rows(ng: int, adjg: list[int], nh: int) -> list[int]:
-    """G's part of every row of G[H]: row ``i`` repeated in every H-copy,
-    listed once per copy, in product vertex order ``i + ng*j``."""
-    rep = 0  # bit 0 of every H-copy
-    for j in range(nh):
-        rep |= 1 << (ng * j)
-    return [a * rep for a in adjg] * nh
-
-
-def _spread_rows(ng: int, adjh: list[int]) -> list[int]:
-    """H's part of every row of G[H]: row ``j`` spread at stride ``ng`` and
-    shifted to column ``i``, in product vertex order ``i + ng*j``."""
-    rows = []
-    for a in adjh:
-        spread = 0
-        while a:
-            low = a & -a
-            spread |= 1 << (ng * (low.bit_length() - 1))
-            a ^= low
-        rows.extend(spread << i for i in range(ng))
-    return rows
-
-
-def product_adj_py(ng: int, adjg: list[int], nh: int, adjh: list[int]) -> list[int]:
-    """Adjacency masks of the lexicographical product, vertex (i,j) -> i + ng*j.
-
-    Row ``(i, j)`` is one OR: G's row ``i`` repeated in every H-copy, plus
-    H's row ``j`` spread at stride ``ng`` and shifted to column ``i``.
-    """
-    return list(map(or_, _blown_rows(ng, adjg, nh), _spread_rows(ng, adjh)))
-
-
 def alpha(n: int, adj: list[int], *, deadline: float | None = None) -> int:
     """Independence number of a graph given as bitmask adjacency rows.
 
     :class:`BudgetError` once ``time.monotonic()`` passes ``deadline``.
     """
     return alpha_py(n, adj, deadline=deadline)
-
-
-def _iso_key(n: int, adj: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Rows of a relabelled copy of the graph, equal for isomorphic graphs,
-    and the vertex order that relabels the graph onto them.
-
-    The vertices are split into cells by degree, cells in ascending
-    degree order; the key is the least tuple of rows over the
-    relabellings that list the cells in that order, permuting only
-    within each cell.  An isomorphism maps each cell onto the cell of
-    the same degree, so isomorphic graphs range over the same relabelled
-    copies and get the same key.  The key is always the rows of a
-    relabelled copy, so equal keys mean isomorphic graphs.  A graph whose
-    cells allow more than ``_KEY_ORDERINGS`` orderings keys by its own
-    rows, which may leave isomorphic graphs apart but never joins two
-    that are not.
-
-    The order lists the old vertex at each new position: the first one
-    of the search to give the key, or the identity for a graph keyed by
-    its own rows.  Vertex ``order[k]`` of the graph is vertex ``k`` of
-    the keyed copy, so vertex labels moved along it, ``labels[order[k]]``
-    at ``k``, label the keyed copy as they labelled the graph.
-    """
-    cells: dict[int, list[int]] = {}
-    for v, a in enumerate(adj):
-        cells.setdefault(a.bit_count(), []).append(v)
-    groups = [cells[d] for d in sorted(cells)]
-    count = 1
-    for g in groups:
-        count *= factorial(len(g))
-    if count > _KEY_ORDERINGS:
-        return tuple(adj), tuple(range(n))
-    nbrs = [[u for u in range(n) if a >> u & 1] for a in adj]
-    bit = [0] * n  # the new bit of each old vertex
-    get = bit.__getitem__
-    best = best_order = None
-    for parts in product(*map(permutations, groups)):
-        order = sum(parts, ())  # the old vertex at each new position
-        for k, v in enumerate(order):
-            bit[v] = 1 << k
-        rows = tuple([sum(map(get, nbrs[v])) for v in order])
-        if best is None or rows < best:
-            best, best_order = rows, order
-    return best, best_order
 
 
 def alpha_product_failures(ns: list[int], adjs: list[list[int]], *,
@@ -257,7 +168,7 @@ def alpha_product_failures(ns: list[int], adjs: list[list[int]], *,
     alpha(G) and alpha(H), and with them whether the pair fails, depend
     only on the isomorphism classes of G and H.
 
-    The graphs are grouped by ``_iso_key``; equal keys are rows of
+    The graphs are grouped by ``graphs._iso_key``; equal keys are rows of
     relabelled copies of one graph, so every group lies inside one
     isomorphism class.  A class the key splits into two groups costs a
     second search, never a wrong verdict.  The first graph of each group
@@ -267,10 +178,10 @@ def alpha_product_failures(ns: list[int], adjs: list[list[int]], *,
     the factors.  A failing pair of groups is reported as every labelled
     pair (gi, hi) of its two groups.
 
-    Each product is built as ``product_adj_py`` builds it, from G's part
-    and H's part; a part depends on one factor and the other factor's
-    vertex count only, so each representative's parts are made once per
-    distinct vertex count, not once per pair.
+    Each product's rows are ORed as ``graphs.lex_product`` ORs them,
+    from ``_blown_rows`` of G and ``_spread_rows`` of H; each
+    representative's parts are made once per distinct vertex count, not
+    once per pair.
 
     With ``deadline`` set, :class:`BudgetError` is raised once
     ``time.monotonic()`` passes it, read on entry and every

@@ -19,7 +19,7 @@ record even when another verdict is ``unknown``.  ``main-a``,
 ``main-bc`` and ``expansion`` are one loop, :func:`_transfer_suite`,
 over different constructions.  That loop decides each isomorphism class
 of base graph and of variant once, through the canonical labelling of
-``kernels._iso_key``, and copies the verdicts to every labelled
+``graphs._iso_key``, and copies the verdicts to every labelled
 instance; ``chain`` stays labelled, since keying its 33,867 graphs
 would cost more than deciding them.
 
@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Collection, Iterable, Iterator
 
-from . import checkers, kernels
+from . import checkers, graphs, kernels
 from .checkers import shelling, vertex_decomposition
 from .complexes import Complex, expansion_complex, independence_complex
 from .graphs import (
@@ -193,7 +193,7 @@ def labeled_graphs(n: int) -> list[Graph]:
 def _graphs_upto(nmax: int) -> Iterator[Graph]:
     for n in range(1, nmax + 1):
         gs = labeled_graphs(n)[::-1]
-        while gs:  # popped, so that what a suite caches on a graph goes with it
+        while gs:  # popped, not ``yield from``: a graph is freed once the walk passes it
             yield gs.pop()
 
 
@@ -380,13 +380,11 @@ def _transfer_suite(
 
     Every verdict depends on the isomorphism class only, so each class
     is decided once and its records are copied to every labelled
-    instance.  ``kernels._iso_key`` gives G's key and the order that
-    relabels G onto the keyed copy G*; a base with a key seen before
+    instance.  ``graphs._iso_key`` gives G's key and the order that
+    relabels G onto its keyed copy; a base with a key seen before
     reuses its verdicts and builds no Ind(G).  A variant is keyed by
-    G's key and its labels moved along that order.  The order is an
-    isomorphism from G onto G*, and moving the labels along it makes
-    the variant of G isomorphic to the variant of G* with the moved
-    labels; so equal variant keys mean isomorphic complexes, and
+    G's key and its labels moved along that order, so equal variant
+    keys mean isomorphic complexes (``graphs._iso_key`` says why), and
     purity, the checked verdicts and any rejected certificate carry
     over.  Only a variant key not seen before builds and decides its
     complex, through ``_checked_verdicts`` as every complex here is.
@@ -416,7 +414,7 @@ def _transfer_suite(
 
     def records() -> Iterator[dict]:
         for g in _graphs_upto(nmax):
-            key, order = kernels._iso_key(g.n, list(g.adjacency_masks))
+            key, order = graphs._iso_key(g.n, g.adjacency_masks)
             ind_g = None
             if key not in bases:
                 ind_g = independence_complex(g)

@@ -40,6 +40,21 @@ def lex_product_naive(g: Graph, h: Graph) -> Graph:
     return Graph.from_edges(g.n * h.n, edges)
 
 
+def random_graph(rng, n: int, p: float) -> Graph:
+    """A seeded random graph: each pair ``i < j`` in order is an edge with
+    probability ``p``."""
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                if rng.random() < p])
+
+
+def relabelled(g: Graph, rng) -> Graph:
+    """``g`` with vertex ``v`` renamed ``p[v]`` for a seeded random
+    permutation ``p``."""
+    p = list(range(g.n))
+    rng.shuffle(p)
+    return Graph.from_edges(g.n, [(p[a], p[b]) for a, b in g.edges])
+
+
 def isomorphic_naive(g: Graph, h: Graph) -> bool:
     """Whether some bijection of the vertices maps ``g``'s edge set onto
     ``h``'s, trying every bijection."""

@@ -3,11 +3,13 @@
 import dataclasses
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circshell import graphs
 from circshell.graphs import (
     CirculantSpec,
     Graph,
@@ -40,6 +42,14 @@ def test_from_edges_normalizes_and_validates():
         Graph.from_edges(3, [(1, 1)])
     with pytest.raises(ValueError):
         Graph.from_edges(-1, [])
+
+
+@pytest.mark.parametrize("v", [-1, 5, 6])
+def test_degree_rejects_a_vertex_out_of_range(v):
+    g = cycle(5)
+    with pytest.raises(ValueError, match="out of range"):
+        g.degree(v)
+    assert [g.degree(u) for u in range(5)] == [2] * 5
 
 
 def test_adjacency_masks():
@@ -106,6 +116,21 @@ def test_spec_name_and_parse():
         CirculantSpec.parse("C16(1,4,8")
 
 
+# shorthand -> its spec, or None for a malformed shift list
+PARSED = {"C7()": CirculantSpec(7, ()), "C16(1,4,8)": CirculantSpec(16, (1, 4, 8)),
+          "C16( 1, 4 , 8 )": CirculantSpec(16, (1, 4, 8)),
+          "C16(1,,4)": None, "C16(1 4)": None, "C16(,)": None}
+
+
+@pytest.mark.parametrize("text", PARSED)
+def test_spec_parse_takes_comma_separated_shifts_only(text):
+    if PARSED[text] is None:  # named as malformed, not as an int() error
+        with pytest.raises(ValueError, match=r"^not a circulant shorthand: "):
+            CirculantSpec.parse(text)
+    else:
+        assert CirculantSpec.parse(text) == PARSED[text]
+
+
 def test_circulant_examples():
     assert circulant(CirculantSpec(5, (1,))) == cycle(5)
     # C16(1,4,8) is 5-regular with 40 edges (shift 8 is self-paired)
@@ -142,6 +167,19 @@ def test_lex_product_labels_and_edges():
     assert p.n == 4
     # all pairs with different G-coordinate are edges; H contributes none
     assert p.edges == ((0, 1), (0, 3), (1, 2), (2, 3))
+
+
+def _check_product(g, h):
+    """``lex_product`` against the edge-list product."""
+    assert lex_product(g, h) == oracles.lex_product_naive(g, h), (g, h)
+
+
+def test_lex_product_matches_its_edge_list_sampled_upto_5():
+    rng = random.Random(1505)
+    for _ in range(400):
+        g = oracles.random_graph(rng, rng.randint(1, 5), rng.random())
+        h = oracles.random_graph(rng, rng.randint(1, 5), rng.random())
+        _check_product(g, h)
 
 
 def test_lex_product_not_commutative():
@@ -257,3 +295,53 @@ def test_expansion_matches_its_edge_list_for_every_graph_upto_4():
     for g in _SMALL:
         for sizes in itertools.product((1, 2, 3), repeat=g.n):
             assert expansion(g, sizes) == oracles.expansion_naive(g, sizes), (g, sizes)
+
+
+# --- the canonical labelling -----------------------------------------------
+
+
+def _key(g):
+    return graphs._iso_key(g.n, g.adjacency_masks)[0]
+
+
+def _relabel_by(g, order):
+    """``g`` with vertex ``order[k]`` renamed ``k``."""
+    new = {v: k for k, v in enumerate(order)}
+    return Graph.from_edges(g.n, [(new[a], new[b]) for a, b in g.edges])
+
+
+def test_iso_key_counts_the_isomorphism_classes_upto_5():
+    gs = [g for n in range(1, 6) for g in labeled_graphs(n)]
+    keys = {_key(g) for g in gs}
+    assert len(gs) == 1099 and len(keys) == 52
+    assert [sum(len(k) == n for k in keys) for n in range(1, 6)] == [1, 2, 4, 11, 34]
+
+
+def test_equal_iso_keys_mean_isomorphic_graphs():
+    rng = random.Random(5005)
+    five = rng.sample(labeled_graphs(5), 30)
+    five += [oracles.relabelled(g, rng) for g in five[:10]]
+    for gs in ([g for n in range(1, 5) for g in labeled_graphs(n)], five):
+        keys = [_key(g) for g in gs]
+        for g, kg in zip(gs, keys):
+            for h, kh in zip(gs, keys):
+                assert (kg == kh) == oracles.isomorphic_naive(g, h), (g, h)
+
+
+def test_iso_key_order_relabels_the_graph_onto_its_key():
+    for n in range(1, 6):
+        for g in labeled_graphs(n):
+            key, order = graphs._iso_key(g.n, g.adjacency_masks)
+            assert sorted(order) == list(range(n))
+            assert tuple(_relabel_by(g, order).adjacency_masks) == key, g
+
+
+def test_iso_key_past_the_ordering_bound_is_the_graphs_own_rows():
+    # C7 is 2-regular: one degree cell of 7! = 5040 orderings
+    c7 = circulant(CirculantSpec.parse("C7(1)"))
+    assert graphs._iso_key(7, c7.adjacency_masks) == (
+        tuple(c7.adjacency_masks), tuple(range(7)))  # the rows, and the identity
+    # C6 has 6! = 720, within the bound, so any labelling keys alike
+    c6 = circulant(CirculantSpec.parse("C6(1)"))
+    rng = random.Random(720)
+    assert _key(c6) == _key(oracles.relabelled(c6, rng)) != tuple(c6.adjacency_masks)

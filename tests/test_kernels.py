@@ -2,6 +2,7 @@
 
 import random
 import time
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 import oracles
 from circshell import complexes, kernels
-from circshell.graphs import (Graph, circulant, CirculantSpec, complete, disjoint_union,
-                              lex_product)
+from circshell.graphs import (Graph, _blown_rows, _spread_rows, circulant, CirculantSpec,
+                              complete, disjoint_union, lex_product)
 from circshell.suites import labeled_graphs
 
 
@@ -71,12 +72,6 @@ def test_product_scan_reports_planted_failure(monkeypatch):
     assert bad == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
-def _relabelled(g, rng):
-    p = list(range(g.n))
-    rng.shuffle(p)
-    return Graph.from_edges(g.n, [(p[a], p[b]) for a, b in g.edges])
-
-
 def _iso_classes(gs):
     """The isomorphism class of each graph, numbered in order of first
     appearance, by ``isomorphic_naive`` against each class's first graph."""
@@ -97,16 +92,6 @@ TRAPS = [Graph.from_edges(4, [(0, 1), (2, 3)]), Graph.from_edges(4, [(0, 1), (1,
          Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])]
 
 
-def _key(g):
-    return kernels._iso_key(g.n, list(g.adjacency_masks))[0]
-
-
-def _relabel_by(g, order):
-    """``g`` with vertex ``order[k]`` renamed ``k``."""
-    new = {v: k for k, v in enumerate(order)}
-    return Graph.from_edges(g.n, [(new[a], new[b]) for a, b in g.edges])
-
-
 def test_product_scan_runs_alpha_on_the_true_products(monkeypatch):
     real = kernels.alpha_py
     calls = []
@@ -117,7 +102,7 @@ def test_product_scan_runs_alpha_on_the_true_products(monkeypatch):
 
     monkeypatch.setattr(kernels, "alpha_py", recorder)
     rng = random.Random(1099)
-    sample = [_random_graph(rng, rng.randint(1, 5), rng.random()) for _ in range(25)]
+    sample = [oracles.random_graph(rng, rng.randint(1, 5), rng.random()) for _ in range(25)]
     small = [g for n in range(1, 4) for g in labeled_graphs(n)]
     for gs, k in ((small, 7), (sample + TRAPS, 16)):
         calls.clear()
@@ -163,8 +148,9 @@ def test_product_scan_reports_every_labelled_pair_of_a_failing_class_pair(monkey
 
 def test_product_scan_matches_a_per_pair_reference_across_isomorphic_copies(monkeypatch):
     rng = random.Random(3030)
-    base = [_random_graph(rng, rng.randint(1, 5), rng.random()) for _ in range(8)] + TRAPS
-    gs = base + [_relabelled(rng.choice(base), rng) for _ in range(8)]
+    base = [oracles.random_graph(rng, rng.randint(1, 5), rng.random())
+            for _ in range(8)] + TRAPS
+    gs = base + [oracles.relabelled(rng.choice(base), rng) for _ in range(8)]
     rng.shuffle(gs)
     assert max(_iso_classes(gs)) + 1 < len(gs)
     real = kernels.alpha_py
@@ -190,65 +176,18 @@ def test_product_scan_matches_a_per_pair_reference_across_isomorphic_copies(monk
             [g.n for g in gs], [list(g.adjacency_masks) for g in gs]) == want
 
 
-def test_iso_key_counts_the_isomorphism_classes_upto_5():
-    gs = [g for n in range(1, 6) for g in labeled_graphs(n)]
-    keys = {_key(g) for g in gs}
-    assert len(gs) == 1099 and len(keys) == 52
-    assert [sum(len(k) == n for k in keys) for n in range(1, 6)] == [1, 2, 4, 11, 34]
-
-
-def test_equal_iso_keys_mean_isomorphic_graphs():
-    rng = random.Random(5005)
-    five = rng.sample(labeled_graphs(5), 30)
-    five += [_relabelled(g, rng) for g in five[:10]]
-    for gs in ([g for n in range(1, 5) for g in labeled_graphs(n)], five):
-        keys = [_key(g) for g in gs]
-        for g, kg in zip(gs, keys):
-            for h, kh in zip(gs, keys):
-                assert (kg == kh) == oracles.isomorphic_naive(g, h), (g, h)
-
-
-def test_iso_key_order_relabels_the_graph_onto_its_key():
-    for n in range(1, 6):
-        for g in labeled_graphs(n):
-            key, order = kernels._iso_key(g.n, list(g.adjacency_masks))
-            assert sorted(order) == list(range(n))
-            assert tuple(_relabel_by(g, order).adjacency_masks) == key, g
-
-
-def test_iso_key_past_the_ordering_bound_is_the_graphs_own_rows():
-    # C7 is 2-regular: one degree cell of 7! = 5040 orderings
-    c7 = circulant(CirculantSpec.parse("C7(1)"))
-    assert kernels._iso_key(7, list(c7.adjacency_masks)) == (
-        tuple(c7.adjacency_masks), tuple(range(7)))  # the rows, and the identity
-    # C6 has 6! = 720, within the bound, so any labelling keys alike
-    c6 = circulant(CirculantSpec.parse("C6(1)"))
-    rng = random.Random(720)
-    assert _key(c6) == _key(_relabelled(c6, rng)) != tuple(c6.adjacency_masks)
+def _check_product(g, h):
+    """The rows ``alpha_product_failures`` ORs from ``_blown_rows`` of G and
+    ``_spread_rows`` of H, and ``lex_product``, against the edge-list product."""
+    want = oracles.lex_product_naive(g, h)
+    rows = list(map(or_, _blown_rows(g.n, g.adjacency_masks, h.n),
+                    _spread_rows(g.n, h.adjacency_masks)))
+    assert rows == list(want.adjacency_masks), (g, h)
+    assert lex_product(g, h) == want, (g, h)
 
 
 def test_product_adj_matches_graph_product():
-    g = Graph.from_edges(3, [(0, 1)])
-    h = Graph.from_edges(2, [(0, 1)])
-    built = kernels.product_adj_py(
-        g.n, list(g.adjacency_masks), h.n, list(h.adjacency_masks))
-    want = oracles.lex_product_naive(g, h)
-    assert built == list(want.adjacency_masks)
-    assert lex_product(g, h) == want
-
-
-def _random_graph(rng, n, p):
-    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
-                                if rng.random() < p])
-
-
-def _check_product(g, h):
-    """``product_adj_py`` and ``lex_product`` against the edge-list product."""
-    want = oracles.lex_product_naive(g, h)
-    rows = kernels.product_adj_py(
-        g.n, list(g.adjacency_masks), h.n, list(h.adjacency_masks))
-    assert rows == list(want.adjacency_masks), (g, h)
-    assert lex_product(g, h) == want, (g, h)
+    _check_product(Graph.from_edges(3, [(0, 1)]), Graph.from_edges(2, [(0, 1)]))
 
 
 def test_product_adj_matches_lex_product_all_pairs_upto_3():
@@ -256,14 +195,6 @@ def test_product_adj_matches_lex_product_all_pairs_upto_3():
     for g in gs:
         for h in gs:
             _check_product(g, h)
-
-
-def test_product_adj_matches_lex_product_sampled_upto_5():
-    rng = random.Random(1505)
-    for _ in range(400):
-        g = _random_graph(rng, rng.randint(1, 5), rng.random())
-        h = _random_graph(rng, rng.randint(1, 5), rng.random())
-        _check_product(g, h)
 
 
 def _alpha_py(g):
@@ -293,7 +224,7 @@ def test_alpha_py_forests():
 def test_alpha_py_pendant_and_isolated_vertices():
     rng = random.Random(1980)
     for _ in range(60):
-        core = _random_graph(rng, rng.randint(1, 7), rng.random())
+        core = oracles.random_graph(rng, rng.randint(1, 7), rng.random())
         n = rng.randint(core.n, 12)
         edges = set(core.edges)
         # each extra vertex hangs off an earlier vertex, or stays isolated
@@ -347,7 +278,7 @@ def _agrees_with_degree_bb(g):
 
 def test_alpha_py_matches_degree_bb_on_sampled_products():
     rng = random.Random(2003)
-    sample = [_random_graph(rng, rng.randint(1, 5), rng.random()) for _ in range(30)]
+    sample = [oracles.random_graph(rng, rng.randint(1, 5), rng.random()) for _ in range(30)]
     for g in sample:
         for h in sample:
             _agrees_with_degree_bb(lex_product(g, h))
@@ -366,7 +297,7 @@ def test_alpha_py_matches_degree_bb_on_random_graphs():
     for n in (30, 40, 50):
         for p in (0.05, 0.1, 0.2, 0.4):
             for _ in range(3):
-                _agrees_with_degree_bb(_random_graph(rng, n, p))
+                _agrees_with_degree_bb(oracles.random_graph(rng, n, p))
 
 
 def test_alpha_py_edgeless_and_complete():

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from circshell import checkers, homology, kernels, suites
+from circshell import checkers, graphs, homology, kernels, suites
 from circshell.homology import BudgetError
 from circshell.complexes import independence_complex
 from circshell.graphs import (Graph, circulant, CirculantSpec, complete,
@@ -546,7 +546,7 @@ def test_equal_expansion_keys_mean_isomorphic_expansions():
     groups = {}
     for n in range(1, 5):
         for g in labeled_graphs(n):
-            key, order = kernels._iso_key(g.n, list(g.adjacency_masks))
+            key, order = graphs._iso_key(g.n, g.adjacency_masks)
             for s in itertools.product((1, 2), repeat=n):
                 groups.setdefault((key, tuple(s[v] for v in order)), []).append((g, s))
     pairs = [(group[0], other) for group in groups.values() for other in group[1:]]
